@@ -25,7 +25,7 @@ from .errors import (
 )
 from .forms import BilinearForm, M_of_form, chi_of_form
 from .gf import build_field, parse_field_spec
-from .graph import build_graph, clique_number_exact, decompose_clique, vertex_budget
+from .graph import build_graph, check_vertex_budget, clique_number_exact, decompose_clique
 from .linalg import (
     all_hyperplanes,
     all_subspaces,
@@ -82,6 +82,10 @@ def cmd_field(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    if args.mode in ("exact", "both"):
+        # refuse before the field build, which alone can take minutes
+        p, m, n = parse_field_spec(args.field)
+        check_vertex_budget(p ** (m * n), args.max_vertices)
     ctx = _field_from_args(args)
     U = parse_subspace(ctx, args.subspace)
     payload: dict = {
@@ -275,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="json"):
-        p.add_argument("--format", choices=["json", "csv", "human"], default=fmt_default)
+    def add_common(p, fmt_default="json", formats=("json", "csv", "human")):
+        p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--max-vertices", type=int, default=None,
                        help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
         p.add_argument("--workers", type=int, default=1)
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_omega.add_argument("--subspace", required=True,
                          help="basis=i,j,... or ker-trace-of=c")
     p_omega.add_argument("--mode", choices=["exact", "predict", "both"], default="both")
-    add_common(p_omega)
+    add_common(p_omega, formats=("json", "human"))
     p_omega.set_defaults(func=cmd_omega)
 
     p_survey = sub.add_parser("survey", help="CSV survey over a subspace family")

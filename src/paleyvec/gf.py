@@ -360,7 +360,7 @@ class FieldCtx:
         self._exp_np = self._log_np = None
         self._trace = None
         self._sq = None
-        self._digits_np = None
+        self._squares = None
         if self.tabled:
             self._build_tables()
 
@@ -412,7 +412,6 @@ class FieldCtx:
             for j in range(self.mn):
                 digits[:, j] = vals % p
                 vals //= p
-            self._digits_np = digits.astype(np.int8)
             pvec = np.array([p**j for j in range(self.mn)], dtype=np.int64)
             acc = digits.copy()
             cur = np.arange(self.order, dtype=np.int64)
@@ -506,6 +505,22 @@ class FieldCtx:
             r = next(b for b in range(1, self.order) if self.mul(b, b) == a)
         return min(r, self.neg(r))
 
+    def squares(self) -> np.ndarray:
+        """Read-only array mapping every element index v to the index of v^2.
+
+        Built on first use and kept: from the log tables when the field is
+        tabled, otherwise once with ``mul``.
+        """
+        if self._squares is None:
+            if self._exp_np is not None:
+                sq = self._exp_np[(2 * self._log_np) % self.mord]
+                sq[0] = 0
+            else:
+                sq = np.array([self.mul(v, v) for v in range(self.order)], dtype=np.int64)
+            sq.flags.writeable = False
+            self._squares = sq
+        return self._squares
+
     # -- tower structure ------------------------------------------------
 
     def frobenius(self, a: int, i: int) -> int:
@@ -598,9 +613,6 @@ class FieldCtx:
     # -- base-field scalar helpers ---------------------------------------
     # The embedded copy of F_q occupies the indices below q and is closed
     # under every field operation, so these are plain restrictions.
-
-    def fq_chi(self, c: int) -> int:
-        return self.quadratic_character(c)
 
     def fq_sqrt(self, c: int) -> int | None:
         """Least base-field square root of an F_q scalar, or None."""

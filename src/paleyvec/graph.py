@@ -12,6 +12,11 @@ outside U once they become F_q-linearly dependent on the non-square part
 of the current branch; no maximal clique can contain such a vertex, so
 the optimum is preserved.  The rule is kept toggleable so both modes can
 be cross-checked.
+
+Whether v^2 lies in U is read from one place, ``square_in_U_mask``: U's
+membership array indexed by the field's table of squares, packed into
+an integer once per graph.  The dominance rule, the seed cliques and the
+clique decomposition all take it from there.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ def vertex_budget() -> int:
     return value
 
 
+def check_vertex_budget(n_vertices: int, max_vertices: int | None = None) -> None:
+    """Refuse a graph on more vertices than the budget (default from the environment)."""
+    if max_vertices is None:
+        max_vertices = vertex_budget()
+    if n_vertices > max_vertices:
+        raise BudgetExceeded(f"{n_vertices} vertices exceed the budget {max_vertices}")
+
+
 class GraphGU:
     """Graph on F_{q^n} with edges (a, b) whenever a != b and ab lies in U."""
 
@@ -69,14 +82,10 @@ class GraphGU:
         return bool(self.adjacency[a] >> b & 1)
 
     def square_in_U_mask(self) -> int:
-        """Bit mask of vertices whose square lies in U (lazily cached)."""
+        """Bit mask of the vertices whose square lies in U, built once per graph."""
         if self._sq_mask is None:
-            ctx, U = self.ctx, self.U
-            mask = 0
-            for v in range(self.n_vertices):
-                if U.contains(ctx.mul(v, v)):
-                    mask |= 1 << v
-            self._sq_mask = mask
+            square_in_U = self.U.member[self.ctx.squares()]
+            self._sq_mask = _pack_rows(square_in_U[None, :])[0]
         return self._sq_mask
 
 
@@ -89,11 +98,7 @@ def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) 
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
-    if max_vertices is None:
-        max_vertices = vertex_budget()
-    n = ctx.order
-    if n > max_vertices:
-        raise BudgetExceeded(f"{n} vertices exceed the budget {max_vertices}")
+    check_vertex_budget(ctx.order, max_vertices)
     members = [u for u in U.enumerate_elements() if u]
     if ctx._exp_np is not None:
         rows = _build_rows_tabled(ctx, members)
@@ -143,14 +148,21 @@ class _SplitFilter:
     """Dominance rule: on any branch, vertices whose square lies outside U
     must stay F_q-linearly independent, because that holds inside every
     maximal clique.  Dependent candidates can never appear in one, so they
-    are dropped from the candidate set."""
+    are dropped from the candidate set.
+
+    Which vertices have their square outside U is read from the graph's
+    ``square_in_U_mask``, passed in as ``sq_mask``; ``vertex_of`` maps
+    search positions to vertices."""
 
     __slots__ = ("ctx", "sq_out", "coords", "stack")
 
-    def __init__(self, ctx: FieldCtx, U: Subspace, vertex_of: list[int]):
+    def __init__(self, ctx: FieldCtx, sq_mask: int, vertex_of: list[int]):
         self.ctx = ctx
-        self.sq_out = [not U.contains(ctx.mul(v, v)) for v in vertex_of]
-        self.coords = [list(ctx.element_coords(v)) for v in vertex_of]
+        square_in_U = _unpack_rows([sq_mask], ctx.order)[0]
+        self.sq_out = (~square_in_U[vertex_of]).tolist()
+        # the F_q coordinates of each vertex, as ctx.element_coords gives them
+        places = ctx.q ** np.arange(ctx.n, dtype=np.int64)
+        self.coords = (np.asarray(vertex_of)[:, None] // places % ctx.q).tolist()
         self.stack: list[tuple[int, list[int]]] = []  # (pivot, normalized row)
 
     def _reduce(self, vec: list[int]) -> list[int]:
@@ -268,18 +280,22 @@ def _pack_rows(mat: np.ndarray) -> list[int]:
 def greedy_seed_clique(G: GraphGU) -> list[int]:
     """Constructive starter cliques, greedily extended.
 
-    Always finds the triangle {0, a, u/a} built from some a with a^2
-    outside U, and when U contains a nonzero square w = a^2 the clique
-    a*F_q (plus one extra vertex when dim > 1).
+    Finds the triangle {0, a, u/a} built from the least a with a^2
+    outside U (there is one whenever U is proper), and when U contains a
+    nonzero square w = a^2 the clique a*F_q (plus one extra vertex when
+    dim > 1).
     """
     ctx = G.ctx
     U = G.U
     members = U.enumerate_elements()
-    member_set = set(members)
     seeds: list[list[int]] = []
     u0 = next(u for u in members if u)
-    a_out = next(a for a in range(1, ctx.order) if ctx.mul(a, a) not in member_set)
-    seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
+    full = (1 << G.n_vertices) - 1
+    # 0 is in U, so any vertex with its square outside U is nonzero
+    sq_out = ~G.square_in_U_mask() & full
+    if sq_out:
+        a_out = (sq_out & -sq_out).bit_length() - 1
+        seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
     if contains_nonzero_square(U):
         w = next(u for u in members if u and ctx.is_square(u))
         a = ctx.sqrt(w)
@@ -290,7 +306,6 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
             line.append(ctx.mul(extra, ctx.inv(a)))
         seeds.append(line)
     best: list[int] = []
-    full = (1 << G.n_vertices) - 1
     for seed in seeds:
         seed = sorted(set(seed))
         cand = full
@@ -346,14 +361,14 @@ def clique_number_exact(
     adj = _pack_rows(mat[np.ix_(order, order)])
     seed_vertices = greedy_seed_clique(G)
     seed = [inv_order[v] for v in seed_vertices]
-    split = _SplitFilter(G.ctx, G.U, order) if dominance else None
+    split = _SplitFilter(G.ctx, G.square_in_U_mask(), order) if dominance else None
     if workers <= 1:
         size, witness = max_clique_bitset(adj, seed=seed, split=split, deadline=deadline)
         return size, tuple(sorted(order[v] for v in witness))
-    return _solve_parallel(G, adj, order, seed, dominance, deadline, workers)
+    return _solve_parallel(adj, order, seed, split, deadline, workers)
 
 
-def _solve_parallel(G, adj, order, seed, dominance, deadline, workers):
+def _solve_parallel(adj, order, seed, split, deadline, workers):
     scratch = _Search(adj, None, None)
     root_order, _ = scratch._color_order((1 << len(adj)) - 1)
     subproblems = []
@@ -364,8 +379,8 @@ def _solve_parallel(G, adj, order, seed, dominance, deadline, workers):
     chunks: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
     for i, sub in enumerate(subproblems):
         chunks[i % workers].append(sub)
-    ctx = G.ctx
-    payload_common = (adj, seed, dominance, (ctx, G.U.basis), order, deadline)
+    # each worker gets its own copy of the filter, with an empty stack
+    payload_common = (adj, seed, split, deadline)
     best_size, best_witness = len(seed), tuple(sorted(order[v] for v in seed))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_solve_chunk, [payload_common + (chunk,) for chunk in chunks])
@@ -377,8 +392,7 @@ def _solve_parallel(G, adj, order, seed, dominance, deadline, workers):
 
 
 def _solve_chunk(payload):
-    adj, seed, dominance, (ctx, U_basis), order, deadline, chunk = payload
-    split = _SplitFilter(ctx, span(ctx, U_basis), order) if dominance else None
+    adj, seed, split, deadline, chunk = payload
     search = _Search(adj, split, deadline)
     search.seed(seed)
     for v, cand in chunk:
@@ -473,21 +487,26 @@ def decompose_clique(G: GraphGU, C) -> CliqueDecomposition:
     Checks: the square part is a subspace, the rest is independent, the
     two spans meet only at 0, and the size has the shape q^t + r with
     r <= dim(U) + 1 when t = 0 and r + t <= dim(U) otherwise.
+
+    The square part is read from ``G.square_in_U_mask()``.  The spans V2
+    and W meet only at 0 exactly when dim(V2 + W) = t + r, so that check
+    is one rank computation on the two bases.
     """
     if not is_maximal_clique(G, C):
         raise NotMaximal(f"{sorted(C)} is not a maximal clique")
     ctx = G.ctx
     U = G.U
+    sq_mask = G.square_in_U_mask()
     verts = sorted(set(C))
-    v2 = [v for v in verts if U.contains(ctx.mul(v, v))]
-    v1 = tuple(v for v in verts if not U.contains(ctx.mul(v, v)))
+    v2 = [v for v in verts if sq_mask >> v & 1]
+    v1 = tuple(v for v in verts if not sq_mask >> v & 1)
     V2 = span(ctx, v2)
     if V2.size != len(v2):
         raise StructureViolation("square part of the clique is not a subspace")
     W = span(ctx, v1)
     if W.dim != len(v1):
         raise StructureViolation("non-square part of the clique is dependent")
-    if any(x and V2.contains(x) for x in W.enumerate_elements()):
+    if span(ctx, V2.basis + W.basis).dim != V2.dim + W.dim:
         raise StructureViolation("spans of the two parts intersect beyond 0")
     t, r = V2.dim, len(v1)
     if t == 0:

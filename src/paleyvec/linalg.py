@@ -4,12 +4,21 @@ Every subspace is kept in reduced row echelon form with respect to the
 fixed polynomial basis 1, y, ..., y^(n-1), pivots taken on the lowest
 coordinate first.  The canonical basis is unique, so two subspaces are
 equal exactly when their basis tuples are equal.
+
+Membership "x in U" is a lookup in a boolean array over all field
+indices.  The array is built on first use, never on construction, by
+enumerating the F_p-span of U with numpy: the index of an element is the
+base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
+when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
+"v^2 in U" for every v at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -62,23 +71,27 @@ def nullspace(ctx: FieldCtx, rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
+    """Element indices xs plus the element s: base-p digits added mod p."""
+    if p == 2:
+        return xs ^ s
+    out = np.zeros_like(xs)
+    for j in range(ndigits):
+        place = p**j
+        out += (xs // place + s // place) % p * place
+    return out
+
+
 class Subspace:
     """An F_q-subspace of F_{q^n} held by its canonical echelon basis."""
 
-    __slots__ = ("ctx", "basis", "dim", "_pivots")
+    __slots__ = ("ctx", "basis", "dim", "_member")
 
-    def __init__(self, ctx: FieldCtx, basis: tuple[int, ...], pivots: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, basis: tuple[int, ...]):
         self.ctx = ctx
         self.basis = basis
         self.dim = len(basis)
-        self._pivots = pivots
-
-    def _contains_f2(self, x: int) -> bool:
-        # q = 2: the element index is the packed coordinate vector
-        for row, pivot in zip(self.basis, self._pivots):
-            if x >> pivot & 1:
-                x ^= row
-        return x == 0
+        self._member = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,17 +110,34 @@ class Subspace:
     def size(self) -> int:
         return self.ctx.q**self.dim
 
+    @property
+    def member(self) -> np.ndarray:
+        """Read-only boolean array over all field indices, True on U.
+
+        Built on first use by doubling: the F_p-generators are lam * b for
+        b in the basis and lam = p^j (j < m), the F_p basis of the embedded
+        F_q, and each one multiplies the elements found so far by p.
+        """
+        if self._member is None:
+            ctx, p = self.ctx, self.ctx.p
+            elems = np.zeros(self.size, dtype=np.int64)
+            filled = 1
+            for b in self.basis:
+                for j in range(ctx.m):
+                    g = ctx.mul(p**j, b)
+                    for c in range(1, p):
+                        elems[c * filled:(c + 1) * filled] = _digit_add_np(
+                            elems[:filled], ctx.mul(c, g), p, ctx.mn
+                        )
+                    filled *= p
+            member = np.zeros(ctx.order, dtype=bool)
+            member[elems] = True
+            member.flags.writeable = False
+            self._member = member
+        return self._member
+
     def contains(self, x: int) -> bool:
-        ctx = self.ctx
-        if ctx.q == 2:
-            return self._contains_f2(x)
-        vec = list(ctx.element_coords(x))
-        for row_el, pivot in zip(self.basis, self._pivots):
-            c = vec[pivot]
-            if c:
-                row = ctx.element_coords(row_el)
-                vec = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(vec, row)]
-        return not any(vec)
+        return bool(self.member[x])
 
     def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
         """All elements, ordered lexicographically by coordinate vector."""
@@ -134,9 +164,8 @@ def span(ctx: FieldCtx, gens: Iterable[int]) -> Subspace:
     if ctx.q == 2:
         return _span_f2(ctx, gens)
     rows = [list(ctx.element_coords(g)) for g in gens]
-    reduced, pivots = _rref(ctx, rows)
-    basis = tuple(ctx.element_from_coords(r) for r in reduced)
-    return Subspace(ctx, basis, tuple(pivots))
+    reduced, _ = _rref(ctx, rows)
+    return Subspace(ctx, tuple(ctx.element_from_coords(r) for r in reduced))
 
 
 def _span_f2(ctx: FieldCtx, gens: list[int]) -> Subspace:
@@ -157,29 +186,11 @@ def _span_f2(ctx: FieldCtx, gens: list[int]) -> Subspace:
             if j != i and rows[j] & low:
                 rows[j] ^= row
     rows.sort(key=lambda r: r & -r)
-    pivots = tuple((r & -r).bit_length() - 1 for r in rows)
-    return Subspace(ctx, tuple(rows), pivots)
-
-
-def rank_of(ctx: FieldCtx, elements: Iterable[int]) -> int:
-    """F_q-rank of a family of field elements."""
-    elements = list(elements)
-    if ctx.q == 2:
-        rows: list[int] = []
-        for g in elements:
-            for row in rows:
-                if g & (row & -row):
-                    g ^= row
-            if g:
-                rows.append(g)
-                rows.sort(key=lambda r: r & -r)
-        return len(rows)
-    reduced, _ = _rref(ctx, [list(ctx.element_coords(g)) for g in elements])
-    return len(reduced)
+    return Subspace(ctx, tuple(rows))
 
 
 def zero_subspace(ctx: FieldCtx) -> Subspace:
-    return Subspace(ctx, (), ())
+    return Subspace(ctx, ())
 
 
 def parse_subspace(ctx: FieldCtx, text: str) -> Subspace:
@@ -339,7 +350,7 @@ def all_subspaces(ctx: FieldCtx, dim: int) -> Iterator[Subspace]:
             for (i, j), v in zip(slots, values):
                 rows[i][j] = v
             basis = tuple(ctx.element_from_coords(r) for r in rows)
-            yield Subspace(ctx, basis, pivots)
+            yield Subspace(ctx, basis)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -131,6 +131,11 @@ class TestArithmetic:
             assert tabled.trace(a) == plain.trace(a)
             assert tabled.is_square(a) == plain.is_square(a)
 
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
+    def test_squares_table(self, spec):
+        for ctx in (build_field(*spec), build_field(*spec, table_limit=1)):
+            assert ctx.squares().tolist() == [ctx.mul(v, v) for v in range(ctx.order)]
+
 
 class TestFrobeniusAndTrace:
     def test_identity_power(self):

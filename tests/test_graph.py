@@ -183,6 +183,14 @@ class TestCliqueNumber:
         with pytest.raises(TimeLimitExceeded):
             clique_number_exact(G, time_limit=1e-9)
 
+    @pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2)])
+    def test_whole_field_is_complete(self, spec):
+        # every square lies in U, so only the a*F_q seed applies
+        ctx = build_field(*spec)
+        G = build_graph(ctx, span(ctx, [ctx.basis_element(i) for i in range(ctx.n)]))
+        assert greedy_seed_clique(G) == list(range(ctx.order))
+        assert clique_number_exact(G) == (ctx.order, tuple(range(ctx.order)))
+
     def test_seed_clique_valid(self):
         rng = random.Random(27)
         for _ in range(10):
@@ -277,7 +285,47 @@ class TestMaximalCliques:
             assert all(0 in c for c in enumerate_maximal_cliques(G))
 
 
+def old_decompose(G, C):
+    """Reference split by sets and the enumeration check of trivial intersection."""
+    ctx = G.ctx
+    members = set(G.U.enumerate_elements())
+    verts = sorted(set(C))
+    v2 = [v for v in verts if ctx.mul(v, v) in members]
+    v1 = tuple(v for v in verts if ctx.mul(v, v) not in members)
+    V2, W = span(ctx, v2), span(ctx, v1)
+    assert V2.size == len(v2) and W.dim == len(v1)
+    V2_set = set(V2.enumerate_elements())
+    assert not any(x and x in V2_set for x in W.enumerate_elements())
+    return V2, v1, W
+
+
+class TestSquareMask:
+    @pytest.mark.parametrize(
+        "p,m,n,table_limit",
+        [(2, 1, 4, 1 << 20), (3, 1, 3, 1 << 20), (2, 2, 2, 1 << 20),
+         (3, 2, 2, 1 << 20), (2, 3, 2, 1 << 20), (3, 1, 3, 1)],
+    )
+    def test_mask_matches_squares(self, p, m, n, table_limit):
+        ctx = build_field(p, m, n, table_limit=table_limit)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                members = set(U.enumerate_elements())
+                mask = build_graph(ctx, U).square_in_U_mask()
+                for v in range(ctx.order):
+                    assert bool(mask >> v & 1) == (ctx.mul(v, v) in members)
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+    def test_matches_enumeration_reference(self, spec):
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                for c in enumerate_maximal_cliques(G):
+                    dec = decompose_clique(G, c)
+                    assert (dec.V2, dec.V1, dec.W) == old_decompose(G, c)
+
     def test_f4_example(self):
         ctx = build_field(2, 1, 2)
         G = build_graph(ctx, span(ctx, [1]))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from paleyvec.errors import (
@@ -101,6 +102,43 @@ class TestSpan:
         assert els == sorted(els, key=ctx.element_coords)
         V = span(ctx, [1, 3])
         assert len(V.enumerate_elements()) == 9
+
+
+# (p, m, n, table_limit): the last field runs untabled
+MEMBERSHIP_FIELDS = [
+    (2, 1, 4, 1 << 20),
+    (3, 1, 3, 1 << 20),
+    (2, 2, 2, 1 << 20),
+    (3, 2, 2, 1 << 20),
+    (2, 3, 2, 1 << 20),
+    (3, 1, 3, 1),
+]
+
+
+class TestMembership:
+    @pytest.mark.parametrize("p,m,n,table_limit", MEMBERSHIP_FIELDS)
+    def test_member_array_matches_enumeration(self, p, m, n, table_limit):
+        ctx = build_field(p, m, n, table_limit=table_limit)
+        for d in range(ctx.n + 1):
+            for U in all_subspaces(ctx, d):
+                assert U._member is None  # built on first use only
+                assert U.member.shape == (ctx.order,)
+                members = set(U.enumerate_elements())
+                assert set(np.flatnonzero(U.member).tolist()) == members
+                assert [U.contains(x) for x in range(ctx.order)] == [
+                    x in members for x in range(ctx.order)
+                ]
+
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+    def test_rank_detects_intersection(self, spec):
+        # dim(V + W) = dim V + dim W exactly when V and W meet only at 0
+        ctx = build_field(*spec)
+        rng = random.Random(11)
+        for _ in range(60):
+            V = span(ctx, [rng.randrange(ctx.order) for _ in range(rng.randrange(3))])
+            W = span(ctx, [rng.randrange(ctx.order) for _ in range(rng.randrange(3))])
+            meet = set(V.enumerate_elements()) & set(W.enumerate_elements())
+            assert (span(ctx, V.basis + W.basis).dim == V.dim + W.dim) == (meet == {0})
 
 
 class TestHyperplanes:
