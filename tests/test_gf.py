@@ -1,7 +1,9 @@
 """Tests for the field tower arithmetic."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from paleyvec.errors import (
@@ -13,7 +15,108 @@ from paleyvec.errors import (
     NotInSubfield,
     ParseError,
 )
-from paleyvec.gf import build_field, parse_field_spec
+from paleyvec.gf import FieldCtx, build_field, parse_field_spec
+
+# Field spec -> (base_modulus, ext_modulus, generator, and the first 16 hex
+# digits of the SHA-256 of the exp, log and trace tables as int64 arrays).
+# These pin the element encoding; they were recorded from the scalar table
+# builder and must never be regenerated from the code under test.
+GOLDEN = {
+    "2^1^2": ((0, 1), (1, 1, 1), 2,
+              "e2e2033ae7e19d68", "bd2fbb4b3dcb9759", "b64c0d4ec2af5aba"),
+    "2^1^3": ((0, 1), (1, 0, 1, 1), 2,
+              "194d4b25bf27bc6d", "f9efca89ef775db9", "570d9df4d176b54b"),
+    "2^1^4": ((0, 1), (1, 0, 0, 1, 1), 2,
+              "1ea2aea50470b30c", "34ab9e845455827e", "66b78c492eb9b0b5"),
+    "2^1^5": ((0, 1), (1, 0, 0, 1, 0, 1), 2,
+              "60fb2e05b51a5c8f", "213bf718441c0e88", "30e44712be3d5e1d"),
+    "2^1^6": ((0, 1), (1, 0, 0, 0, 0, 1, 1), 2,
+              "2096f20febe723f3", "934e8dfff97279c4", "2452a68cae86955b"),
+    "2^1^7": ((0, 1), (1, 0, 0, 0, 0, 0, 1, 1), 2,
+              "1a6b7c16d578e1f0", "00cf6d801ca83ee1", "0f150dc40a352cc7"),
+    "2^1^8": ((0, 1), (1, 0, 0, 0, 1, 1, 0, 1, 1), 6,
+              "3e59f1480d282a65", "f54d18eeabdff636", "f20946b9cc45fbfa"),
+    "2^1^9": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7,
+              "5398e2b3e62faf40", "3eff25ee4066c2cf", "d2e287786f10a7b4"),
+    "2^1^10": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 2,
+              "2d704c963fa21965", "439a720ad631cf6b", "9d156c2797bcc3e9"),
+    "2^1^11": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1), 2,
+              "01e803e139292f16", "deb4a02cecc2feb8", "1818350417dc0e4f"),
+    "2^1^12": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 6,
+              "7f58e0c6889ab423", "80410cfb240708ff", "c414032a2e15161d"),
+    "2^1^13": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1), 2,
+              "938ae14e5539c37d", "e5317f19e569a9ba", "44bdd27438889682"),
+    "2^1^14": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), 7,
+              "e72a49b15f102db0", "ee3afcb8e0383356", "98ce28b38c9250ba"),
+    "2^1^15": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1), 2,
+              "78e1569b9423750e", "a2366cc0bd3b3e6b", "30ab5e17aea0a31a"),
+    "2^1^16": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6,
+              "3cad62fe612b8c78", "c7551059d2d42640", "24609ba80e14a8cf"),
+    "3^1^2": ((0, 1), (1, 0, 1), 4,
+              "107beef16789fe21", "270ed5f075d56f55", "8cc825d972544d25"),
+    "3^1^3": ((0, 1), (1, 0, 2, 1), 3,
+              "2f69778ce61ef15b", "6b939a8ba5be461c", "f7c9b61523a29855"),
+    "3^1^4": ((0, 1), (1, 0, 1, 1, 1), 10,
+              "b7c78cc73e4386ff", "70b59d356696ebe0", "ca8358fe50b0c6bb"),
+    "3^1^5": ((0, 1), (1, 0, 0, 0, 2, 1), 3,
+              "89109d7bc387a812", "76932d329c5382ba", "286cad4f781bea3c"),
+    "3^1^6": ((0, 1), (1, 0, 0, 0, 1, 1, 1), 4,
+              "28064ffad714122f", "6c07cb0156ff2ef3", "dac4062a952985d6"),
+    "3^1^7": ((0, 1), (1, 0, 0, 0, 0, 1, 2, 1), 3,
+              "89241cf1717d67f2", "94860dec52a4519a", "0778c1a670a7ca02"),
+    "3^1^8": ((0, 1), (1, 0, 0, 0, 0, 1, 1, 0, 1), 4,
+              "29311ecfaa36ffa6", "9f08a521a3c0b0f6", "14a49650d77a8453"),
+    "3^1^9": ((0, 1), (1, 0, 0, 0, 0, 0, 2, 1, 0, 1), 3,
+              "ecb87d68e02335f8", "8f80a735f2271c83", "db0a82d4e985bbb7"),
+    "3^1^10": ((0, 1), (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), 34,
+              "bb1be2d55951169a", "fa632451fd98150b", "26f8d4e5bc0fade6"),
+    "5^1^2": ((0, 1), (1, 1, 1), 7,
+              "46f2e3d1a1965949", "13c97f9a150298cb", "98a925e3a23a1423"),
+    "5^1^3": ((0, 1), (1, 0, 1, 1), 7,
+              "90124692506a5ce8", "80e03f138bf21227", "cd2fe3b7f0810514"),
+    "5^1^4": ((0, 1), (1, 0, 1, 1, 1), 30,
+              "60b18b98dc619049", "bd5cf98fe7d25316", "82717fcea3d813dc"),
+    "5^1^5": ((0, 1), (1, 0, 0, 0, 4, 1), 7,
+              "05ecb71593b52738", "52192dd773e7df71", "87074c8ea163d1fc"),
+    "5^1^6": ((0, 1), (1, 0, 0, 0, 1, 1, 1), 6,
+              "c6cfd82f776f942c", "f2dbc27235ef9ea1", "0a8312a29ad314ce"),
+    "7^1^2": ((0, 1), (1, 0, 1), 9,
+              "bfbb44080945d046", "72fd20a7bd77c5c6", "db3db3d8afcc65cf"),
+    "7^1^3": ((0, 1), (1, 0, 1, 1), 9,
+              "e1a51002e13011dc", "2b07864c79b9c43a", "9fc385dc6e27e430"),
+    "7^1^4": ((0, 1), (1, 0, 0, 1, 1), 13,
+              "7721b8e8e2b26cc6", "3bdc546ad7d64a50", "2c38d253b2689440"),
+    "7^1^5": ((0, 1), (1, 0, 0, 0, 3, 1), 11,
+              "8249f2e6b4af8616", "ce2ce1f2d6c3c81b", "17b18653bd4a4c3f"),
+    "2^2^2": ((1, 1, 1), (1, 2, 1), 5,
+              "3296b054b7db7d47", "9ec8151c84eee44c", "53a785e9e4954571"),
+    "2^2^3": ((1, 1, 1), (1, 0, 1, 1), 6,
+              "def94b542e9bd95f", "c213e70341310dd9", "b4aad19ed3c4e381"),
+    "2^2^4": ((1, 1, 1), (1, 0, 1, 2, 1), 5,
+              "06ddb5a20208d911", "b4747bc7daf60d53", "513657b45d6d39be"),
+    "2^2^5": ((1, 1, 1), (1, 0, 0, 0, 2, 1), 5,
+              "c7a72f0c76161a8a", "ee460d848821a3b9", "75f9e84a0a97cb70"),
+    "2^2^6": ((1, 1, 1), (1, 0, 0, 1, 1, 2, 1), 6,
+              "75b6a694af410a07", "3e2970896ca84a72", "e80a5bbb7e1321f9"),
+    "2^2^7": ((1, 1, 1), (1, 0, 0, 0, 0, 0, 1, 1), 6,
+              "c8218989106823bb", "9f02110960e8bcdf", "e9f25fb6b2cc79e3"),
+    "2^2^8": ((1, 1, 1), (1, 0, 0, 0, 0, 2, 0, 3, 1), 7,
+              "5ced84edfe11b48b", "6c65b21850a26011", "a6713cd5bbe2ee77"),
+    "3^2^2": ((1, 0, 1), (1, 4, 1), 10,
+              "4d1d28fad72a1584", "9fc3e50e38264fdc", "0d0ff88947acdf3a"),
+    "3^2^3": ((1, 0, 1), (1, 0, 2, 1), 12,
+              "37a968c53c6e23f3", "9e03a68ee393afd8", "920a021cf266981c"),
+    "3^2^4": ((1, 0, 1), (1, 0, 3, 1, 1), 10,
+              "14897bbd2fc56ef6", "32c24b382462b5ed", "db9b4b8d182c7b16"),
+    "3^2^5": ((1, 0, 1), (1, 0, 0, 0, 2, 1), 38,
+              "6600bd4a00cc0e3a", "a24e7ca96b7ff3aa", "3043fd8590fa8c7e"),
+    "2^4^4": ((1, 0, 0, 1, 1), (1, 0, 1, 3, 1), 17,
+              "15472e4ec78742d0", "1f432528291271cb", "59f8e2f0f808e4bb"),
+    "11^1^3": ((0, 1), (1, 0, 4, 1), 12,
+              "4b4f77a60aca00e7", "64caeeb63fdb6537", "f51b6bcb3354ce3f"),
+    "13^1^3": ((0, 1), (1, 0, 4, 1), 18,
+              "4c92afa2f14315ce", "bd6d855787e0ac17", "81796bdd13614565"),
+}
 
 
 def naive_irreducible_deg2(coeffs, p):
@@ -74,6 +177,70 @@ class TestConstruction:
         a = build_field(3, 1, 2)
         b = build_field(3, 1, 2)
         assert a is b
+
+
+def _digest(table) -> str:
+    return hashlib.sha256(np.asarray(table, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("spec", list(GOLDEN))
+    def test_encoding_pinned(self, spec):
+        ctx = FieldCtx(*parse_field_spec(spec))  # uncached, so the tables are freed
+        base_mod, ext_mod, g, exp, log, trace = GOLDEN[spec]
+        assert ctx.base_modulus == base_mod
+        assert ctx.ext_modulus == ext_mod
+        assert ctx.generator == g
+        assert (_digest(ctx._exp), _digest(ctx._log), _digest(ctx._trace)) == (exp, log, trace)
+
+
+def _check_power_table(exp, log, mul_poly, size):
+    """exp[k] is the k-fold polynomial product of the least primitive element g."""
+    g = exp[1] if size > 2 else 1
+    cur = 1
+    for k in range(size - 1):
+        assert exp[k] == cur
+        assert log[cur] == k
+        cur = mul_poly(cur, g)
+    assert cur == 1
+    assert sorted(exp) == list(range(1, size))
+    for h in range(2, g):  # every smaller candidate has a shorter orbit
+        cur, k = h, 1
+        while cur != 1:
+            cur, k = mul_poly(cur, h), k + 1
+        assert k < size - 1
+    return g
+
+
+def _base_mul_oracle(base):
+    """Schoolbook product of base-p digit vectors, reduced by the monic base modulus."""
+    p, m, mod = base.p, base.m, base.modulus
+
+    def mul(x, y):
+        a = [(x // p**i) % p for i in range(m)]
+        b = [(y // p**i) % p for i in range(m)]
+        prod = [0] * (2 * m - 1)
+        for i in range(m):
+            for j in range(m):
+                prod[i + j] += a[i] * b[j]
+        for d in range(2 * m - 2, m - 1, -1):
+            for i in range(m):
+                prod[d - m + i] -= prod[d] * mod[i]
+        return sum((prod[i] % p) * p**i for i in range(m))
+
+    return mul
+
+
+class TestPowerTables:
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 2)])
+    def test_field_tables_match_polynomial_oracle(self, spec):
+        ctx = build_field(*spec)
+        assert _check_power_table(ctx._exp, ctx._log, ctx._mul_poly, ctx.order) == ctx.generator
+
+    @pytest.mark.parametrize("spec", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 2, 2)])
+    def test_base_tables_match_polynomial_oracle(self, spec):
+        base = build_field(*spec)._base
+        _check_power_table(base._exp, base._log, _base_mul_oracle(base), base.q)
 
 
 class TestArithmetic:
