@@ -19,6 +19,8 @@ import time
 from .errors import (
     BudgetExceeded,
     CapExceeded,
+    DegreeOutOfRange,
+    NonPrime,
     ParseError,
     PaleyvecError,
     TimeLimitExceeded,
@@ -88,6 +90,8 @@ def cmd_omega(args) -> int:
         check_vertex_budget(p ** (m * n), args.max_vertices)
     ctx = _field_from_args(args)
     U = parse_subspace(ctx, args.subspace)
+    if not 1 <= U.dim <= ctx.n - 1:
+        raise ParseError(f"subspace dimension {U.dim} out of range 1..{ctx.n - 1}")
     payload: dict = {
         "schema": 1,
         "field": {"p": ctx.p, "m": ctx.m, "n": ctx.n, "q": ctx.q, "order": ctx.order},
@@ -156,7 +160,10 @@ def cmd_survey(args) -> int:
             pred = predict_omega(U)
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
             omega, _ = clique_number_exact(
-                G, dominance=not args.no_dominance, workers=args.workers
+                G,
+                dominance=not args.no_dominance,
+                workers=args.workers,
+                time_limit=args.time_limit,
             )
             match = pred.admits(omega)
             if pred.kind == "exact" and not match:
@@ -228,9 +235,13 @@ def cmd_bench(args) -> int:
         for U in family:
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
             t0 = time.perf_counter()
-            om_on, _ = clique_number_exact(G, dominance=True, workers=args.workers)
+            om_on, _ = clique_number_exact(
+                G, dominance=True, workers=args.workers, time_limit=args.time_limit
+            )
             t1 = time.perf_counter()
-            om_off, _ = clique_number_exact(G, dominance=False, workers=args.workers)
+            om_off, _ = clique_number_exact(
+                G, dominance=False, workers=args.workers, time_limit=args.time_limit
+            )
             t2 = time.perf_counter()
             times_on.append((t1 - t0) * 1000)
             times_off.append((t2 - t1) * 1000)
@@ -339,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, NonPrime, DegreeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, CapExceeded, TimeLimitExceeded) as exc:

@@ -33,3 +33,43 @@ class TestOmega:
                          "--mode", mode, *extra])
         assert code == cli.EXIT_BUDGET
         assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["field", "2^1^3"], cli.EXIT_OK),
+        (["omega", "--field", "2^1^3", "--subspace", "basis=1,2"], cli.EXIT_OK),
+        (["field", "2^1"], cli.EXIT_USAGE),
+        (["field", "4^1^2"], cli.EXIT_USAGE),
+        (["omega", "--field", "4^1^2", "--subspace", "basis=1"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^1", "--subspace", "basis=1"], cli.EXIT_USAGE),
+        (["form", "--field", "2^0^3", "--lambda", "1"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^3", "--subspace", "basis="], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^3", "--subspace", "basis=", "--mode", "exact"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^3", "--subspace", "basis=1,2,4"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^3", "--subspace", "basis=1,2,4", "--mode", "predict"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^17", "--subspace", "basis=1"], cli.EXIT_BUDGET),
+    ],
+)
+def test_exit_codes(argv, code, capsys):
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert (code == cli.EXIT_OK) == (err == "")
+    if code != cli.EXIT_OK:
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--field", "2^1^8", "--dim", "n-1"],
+        ["bench", "--field", "2^1^8", "--limit", "1"],
+    ],
+)
+def test_time_limit_is_honoured(argv, capsys):
+    # the search checks its clock every 256 nodes; these hyperplanes expand more
+    assert cli.main([*argv, "--time-limit", "1e-9"]) == cli.EXIT_BUDGET
+    assert "time limit" in capsys.readouterr().err
