@@ -12,14 +12,18 @@ the indices below q.
 
 Both defining moduli are the lexicographically least monic irreducible
 polynomials of their degree, coefficients compared from the constant
-term upward and each coefficient by its integer index.  This pins down
-the encoding, so indices are reproducible across runs.
+term upward and each coefficient by its integer index; the search starts
+at constant term 1, since above degree 1 a candidate with f(0) = 0 is
+divisible by x.  The generator is the least primitive element.  This
+pins down the encoding, so indices are reproducible across runs.
 
 Multiplication, inversion, powering and traces run on discrete-log
 tables whenever q^n fits the table budget; addition works digit-wise on
-the base-p expansion (a plain XOR when p = 2).  Fields above the table
-budget fall back to polynomial arithmetic, which is slower but has no
-size limit below the construction cap.
+the base-p expansion (a plain XOR when p = 2).  The tables are built by
+doubling: multiplication by the generator is F_p-linear on base-p digit
+vectors, so each step is one numpy matrix product (see _power_tables).
+Fields above the table budget fall back to polynomial arithmetic, which
+is slower but has no size limit below the construction cap.
 """
 
 from __future__ import annotations
@@ -180,8 +184,12 @@ def _is_irreducible(f: list[int], field_size: int, ops: _Ops) -> bool:
 
 
 def _lex_least_irreducible(degree: int, field_size: int, ops: _Ops) -> tuple[int, ...]:
-    """First monic irreducible of the given degree in constant-term-major order."""
-    for idx in range(field_size**degree):
+    """First monic irreducible of the given degree in constant-term-major order.
+
+    Above degree 1 the scan skips the candidates with f(0) = 0 (divisible by x).
+    """
+    start = field_size ** (degree - 1) if degree > 1 else 0
+    for idx in range(start, field_size**degree):
         rem = idx
         coeffs = []
         for pos in range(degree):
@@ -231,20 +239,46 @@ def _pow_idx(a: int, e: int, mul: Callable[[int, int], int]) -> int:
     return result
 
 
-def _find_generator(size: int, mul: Callable[[int, int], int]) -> tuple[int, list[int]]:
-    """Least primitive element of a field of the given size, with its power table."""
+def _find_generator(size: int, mul: Callable[[int, int], int]) -> int:
+    """Least primitive element of a field of the given size."""
     if size == 2:
-        return 1, [1]
+        return 1
     factors = _prime_factors(size - 1)
     for g in range(2, size):
         if all(_pow_idx(g, (size - 1) // r, mul) != 1 for r in factors):
-            exp = [1] * (size - 1)
-            cur = 1
-            for k in range(1, size - 1):
-                cur = mul(cur, g)
-                exp[k] = cur
-            return g, exp
+            return g
     raise AssertionError("no generator found")  # unreachable
+
+
+def _power_tables(p: int, digits: int, g: int, mul: Callable[[int, int], int]):
+    """(rows, exp, log) for a field of order p^digits with primitive element g.
+
+    Multiplication by g is F_p-linear on base-p digit vectors.  The digit
+    rows of g^0 .. g^(2^j - 1) are extended by one product with the matrix
+    of g^(2^j), which is then squared.  rows[k] holds the digits of
+    exp[k] = g^k, in the narrowest unsigned type that holds a row-by-column
+    sum; log inverts exp on the nonzero indices (log[0] = 0).
+    """
+    mord = p**digits - 1
+    pw = [p**i for i in range(digits)]
+    step = np.array(
+        [[mul(g, a) // b % p for b in pw] for a in pw],
+        dtype=np.min_scalar_type(digits * (p - 1) ** 2),
+    )
+    rows = np.zeros((mord, digits), dtype=step.dtype)
+    rows[0, 0] = 1
+    done = 1
+    while done < mord:
+        take = min(done, mord - done)
+        block = rows[done:done + take]
+        np.matmul(rows[:take], step, out=block)
+        np.remainder(block, p, out=block)
+        done += take
+        step = step @ step % p
+    exp = rows @ np.array(pw, dtype=np.int64)
+    log = np.zeros(mord + 1, dtype=np.int64)
+    log[exp] = np.arange(mord, dtype=np.int64)
+    return rows, exp, log
 
 
 class _BaseArith:
@@ -276,11 +310,9 @@ class _BaseArith:
                 prod = _pmulmod(_pnorm(px), _pnorm(py), mod, pops)
                 return sum(c * p**i for i, c in enumerate(prod))
 
-            _, exp = _find_generator(self.q, mul_idx)
-            self._exp = exp
-            self._log = [0] * self.q
-            for k, v in enumerate(exp):
-                self._log[v] = k
+            _, exp, log = _power_tables(p, m, _find_generator(self.q, mul_idx), mul_idx)
+            self._exp = exp.tolist()
+            self._log = log.tolist()
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -383,45 +415,25 @@ class FieldCtx:
         return self._index_of_poly(prod)
 
     def _build_tables(self) -> None:
-        g, exp = _find_generator(self.order, self._mul_poly)
-        self.generator = g
-        self._exp = exp
-        log = [0] * self.order
-        for k, v in enumerate(exp):
-            log[v] = k
-        self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.zeros(self.order, dtype=np.int64)
-        self._log_np[self._exp_np] = np.arange(self.mord, dtype=np.int64)
-
-        # q-power map, then trace accumulated over the q-power orbit
-        frob = np.zeros(self.order, dtype=np.int64)
-        ks = np.arange(self.mord, dtype=np.int64)
-        frob[self._exp_np] = self._exp_np[(ks * self.q) % self.mord]
+        """exp/log tables from the least generator by digit-row doubling
+        (see ``_power_tables``), then trace, squareness and scalar lists."""
         p = self.p
-        if p == 2:
-            acc = np.arange(self.order, dtype=np.int64)
-            cur = acc.copy()
-            for _ in range(1, self.n):
-                cur = frob[cur]
-                acc ^= cur
-            trace = acc
-        else:
-            digits = np.zeros((self.order, self.mn), dtype=np.int64)
-            vals = np.arange(self.order, dtype=np.int64)
-            for j in range(self.mn):
-                digits[:, j] = vals % p
-                vals //= p
-            pvec = np.array([p**j for j in range(self.mn)], dtype=np.int64)
-            acc = digits.copy()
-            cur = np.arange(self.order, dtype=np.int64)
-            for _ in range(1, self.n):
-                cur = frob[cur]
-                acc += digits[cur]
-            trace = (acc % p) @ pvec
+        self.generator = _find_generator(self.order, self._mul_poly)
+        rows, self._exp_np, self._log_np = _power_tables(
+            p, self.mn, self.generator, self._mul_poly
+        )
+        # The trace is F_p-linear too.  Row i of its matrix is the digit sum
+        # of the q-power orbit of p^i; applied to the rows it gives Tr(g^k).
+        logs = self._log_np[p ** np.arange(self.mn)]
+        tmat = sum(rows[logs * self.q**j % self.mord] for j in range(self.n)) % p
+        trace = np.zeros(self.order, dtype=np.int64)
+        trace[self._exp_np] = (rows @ tmat % p) @ p ** np.arange(self.mn, dtype=np.int64)
+        del rows
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity
         self._trace = trace.tolist()
+        self._exp = self._exp_np.tolist()
+        self._log = self._log_np.tolist()
 
         if p == 2:
             self._sq = None  # every element is a square

@@ -15,7 +15,7 @@ from paleyvec.errors import (
     NotInSubfield,
     ParseError,
 )
-from paleyvec.gf import FieldCtx, build_field, parse_field_spec
+from paleyvec.gf import FieldCtx, _lex_least_irreducible, build_field, parse_field_spec
 
 # Field spec -> (base_modulus, ext_modulus, generator, and the first 16 hex
 # digits of the SHA-256 of the exp, log and trace tables as int64 arrays).
@@ -155,6 +155,10 @@ class TestConstruction:
         for x in range(4):
             val = ctx.add(ctx.add(ctx.mul(x, x), ctx.mul(a1, x)), a0)
             assert val != 0
+
+    def test_degree_one_scan_keeps_x(self):
+        ctx = build_field(3, 1, 2)
+        assert _lex_least_irreducible(1, ctx.q, ctx._qops) == (0, 1)
 
     def test_encoding_round_trip(self):
         ctx = build_field(3, 1, 3)
