@@ -250,6 +250,15 @@ def _find_generator(size: int, mul: Callable[[int, int], int]) -> int:
     raise AssertionError("no generator found")  # unreachable
 
 
+def _index_of_digits(rows: np.ndarray, p: int) -> np.ndarray:
+    """Index of each base-p digit row, one column at a time (no int64 copy of rows)."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1] - 1, -1, -1):
+        out *= p
+        out += rows[:, j]
+    return out
+
+
 def _power_tables(p: int, digits: int, g: int, mul: Callable[[int, int], int]):
     """(rows, exp, log) for a field of order p^digits with primitive element g.
 
@@ -275,7 +284,7 @@ def _power_tables(p: int, digits: int, g: int, mul: Callable[[int, int], int]):
         np.remainder(block, p, out=block)
         done += take
         step = step @ step % p
-    exp = rows @ np.array(pw, dtype=np.int64)
+    exp = _index_of_digits(rows, p)
     log = np.zeros(mord + 1, dtype=np.int64)
     log[exp] = np.arange(mord, dtype=np.int64)
     return rows, exp, log
@@ -427,7 +436,7 @@ class FieldCtx:
         logs = self._log_np[p ** np.arange(self.mn)]
         tmat = sum(rows[logs * self.q**j % self.mord] for j in range(self.n)) % p
         trace = np.zeros(self.order, dtype=np.int64)
-        trace[self._exp_np] = (rows @ tmat % p) @ p ** np.arange(self.mn, dtype=np.int64)
+        trace[self._exp_np] = _index_of_digits(rows @ tmat % p, p)
         del rows
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity
