@@ -200,7 +200,7 @@ class TestGolden:
 
 def _check_power_table(exp, log, mul_poly, size):
     """exp[k] is the k-fold polynomial product of the least primitive element g."""
-    g = exp[1] if size > 2 else 1
+    g = exp[1]
     cur = 1
     for k in range(size - 1):
         assert exp[k] == cur
