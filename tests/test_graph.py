@@ -1,5 +1,6 @@
 """Tests for graph construction, the exact solver, and clique structure."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from paleyvec.errors import (
     TimeLimitExceeded,
     ZeroDimension,
 )
+from paleyvec import graph
 from paleyvec.gf import build_field
 from paleyvec.linalg import (
     all_hyperplanes,
@@ -202,6 +204,75 @@ class TestCliqueNumber:
             assert all(G.has_edge(a, b) for a, b in itertools.combinations(seed, 2))
             if contains_nonzero_square(U):
                 assert len(seed) >= ctx.q + min(1, U.dim - 1)
+
+
+# (number of subspaces, SHA-256 of repr((basis, omega, witness)) over all of them),
+# recorded from the solver before the dominance rule was removed
+PINNED_SOLUTIONS = {
+    (2, 1, 4): (65, "2e1cc10a91f9e000b6b6e1e5d195346c57f3fb646a839542fb7bf1204e525b3f"),
+    (3, 1, 3): (26, "e74aa2f7751333e03f16e57e8f5c0a1b1d5a66261adfc20d52b72d5e3d33f9e5"),
+    (2, 2, 2): (5, "138fdfb4cb4d3a258e2e583f300f9db5f0e403e474b9be343346497bd256d128"),
+    (5, 1, 2): (6, "67a1c21a2645d006b8d6a4e16d59275b754f6785cd2bb2f03fae8c997fb57b16"),
+}
+
+# trace-zero hyperplanes: omega, witness and nodes expanded by the serial search
+PINNED_SEARCHES = {
+    (2, 1, 7): (9, (0, 1, 6, 10, 12, 96, 102, 106, 108), 744),
+    (3, 1, 4): (5, (0, 1, 10, 20, 63), 73),
+    (5, 1, 3): (6, (0, 40, 55, 69, 95, 110), 16),
+    (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586),
+    (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 167),
+    (7, 1, 3): (8, (0, 87, 125, 156, 193, 243, 274, 312), 28),
+}
+
+
+class TestPinned:
+    """The solver's results and search tree, pinned so that changes to the
+    search loop can be shown not to alter them."""
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
+    def test_every_subspace(self, spec):
+        ctx = build_field(*spec)
+        h = hashlib.sha256()
+        count = 0
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                omega, witness = clique_number_exact(build_graph(ctx, U))
+                h.update(repr((U.basis, omega, witness)).encode())
+                count += 1
+        assert (count, h.hexdigest()) == PINNED_SOLUTIONS[spec]
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
+    def test_search_tree(self, spec, monkeypatch):
+        searches = []
+
+        class Recorded(graph._Search):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searches.append(self)
+
+        monkeypatch.setattr(graph, "_Search", Recorded)
+        ctx = build_field(*spec)
+        omega, witness = clique_number_exact(build_graph(ctx, trace_zero_hyperplane(ctx)))
+        assert (omega, witness, sum(s.nodes for s in searches)) == PINNED_SEARCHES[spec]
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [((3, 1, 3), (4, (0, 3, 7, 15))), ((2, 1, 6), (8, (0, 1, 12, 13, 54, 55, 58, 59)))],
+    )
+    def test_parallel_witness(self, spec, expected):
+        ctx = build_field(*spec)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        assert clique_number_exact(G, workers=2) == expected
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
+    def test_agrees_with_enumeration(self, spec):
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                best = max(len(c) for c in enumerate_maximal_cliques(G))
+                assert clique_number_exact(G)[0] == best
 
 
 class TestInvariance:
