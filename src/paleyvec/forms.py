@@ -306,12 +306,9 @@ class FormInvariants:
 
 def orthogonal_set_max(form: BilinearForm):
     """Exact largest pairwise-orthogonal set, by clique search."""
-    from .graph import _Search  # local import to avoid a cycle
+    from .graph import max_clique_bitset  # local import to avoid a cycle
 
-    adj = orthogonality_adjacency(form)
-    search = _Search(adj, None, None)
-    search.expand([], (1 << len(adj)) - 1)
-    return search.best_size, tuple(sorted(search.best))
+    return max_clique_bitset(orthogonality_adjacency(form))
 
 
 def M_of_form(form: BilinearForm, with_witness: bool = True) -> FormInvariants:

@@ -7,16 +7,15 @@ Python integer per row, which keeps the branch-and-bound inner loops on
 whole-word operations.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
-bound.  An optional dominance rule prunes candidates whose square lies
-outside U once they become F_q-linearly dependent on the non-square part
-of the current branch; no maximal clique can contain such a vertex, so
-the optimum is preserved.  The rule is kept toggleable so both modes can
-be cross-checked.
+bound.  The paper's structure theorem makes the vertices with v^2 outside
+U linearly independent in every clique, but the search needs no filter
+for it: each candidate is a common neighbour of the branch, so the branch
+plus the candidate is already a clique and already satisfies it.
 
 Whether v^2 lies in U is read from one place, ``square_in_U_mask``: U's
 membership array indexed by the field's table of squares, packed into
-an integer once per graph.  The dominance rule, the seed cliques and the
-clique decomposition all take it from there.
+an integer once per graph.  The seed cliques and the clique
+decomposition both take it from there.
 """
 
 from __future__ import annotations
@@ -144,69 +143,25 @@ def _build_rows_scalar(ctx: FieldCtx, members: list[int]) -> list[int]:
 # -- exact maximum clique ---------------------------------------------------
 
 
-class _SplitFilter:
-    """Dominance rule: on any branch, vertices whose square lies outside U
-    must stay F_q-linearly independent, because that holds inside every
-    maximal clique.  Dependent candidates can never appear in one, so they
-    are dropped from the candidate set.
-
-    Which vertices have their square outside U is read from the graph's
-    ``square_in_U_mask``, passed in as ``sq_mask``; ``vertex_of`` maps
-    search positions to vertices."""
-
-    __slots__ = ("ctx", "sq_out", "coords", "stack")
-
-    def __init__(self, ctx: FieldCtx, sq_mask: int, vertex_of: list[int]):
-        self.ctx = ctx
-        square_in_U = _unpack_rows([sq_mask], ctx.order)[0]
-        self.sq_out = (~square_in_U[vertex_of]).tolist()
-        # the F_q coordinates of each vertex, as ctx.element_coords gives them
-        places = ctx.q ** np.arange(ctx.n, dtype=np.int64)
-        self.coords = (np.asarray(vertex_of)[:, None] // places % ctx.q).tolist()
-        self.stack: list[tuple[int, list[int]]] = []  # (pivot, normalized row)
-
-    def _reduce(self, vec: list[int]) -> list[int]:
-        ctx = self.ctx
-        for pivot, row in self.stack:
-            c = vec[pivot]
-            if c:
-                vec = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(vec, row)]
-        return vec
-
-    def push(self, i: int) -> bool:
-        if not self.sq_out[i]:
-            return False
-        vec = self._reduce(list(self.coords[i]))
-        pivot = next(j for j, c in enumerate(vec) if c)
-        inv = self.ctx.inv(vec[pivot])
-        self.stack.append((pivot, [self.ctx.mul(inv, c) for c in vec]))
-        return True
-
-    def pop(self, pushed: bool) -> None:
-        if pushed:
-            self.stack.pop()
-
-    def filter(self, cand: int) -> int:
-        if not self.stack:
-            return cand
-        rest = cand
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            if self.sq_out[i] and not any(self._reduce(list(self.coords[i]))):
-                cand ^= low
-        return cand
-
-
 class _Search:
-    __slots__ = ("adj", "best", "best_size", "split", "deadline", "nodes")
+    """Colouring branch-and-bound over rows in search labels.
 
-    def __init__(self, adj, split, deadline):
+    The vertex searched i-th of n has label n - 1 - i (see
+    ``_search_rows``), so the next vertex to colour is the highest bit of a
+    candidate set and ``bit_length`` finds it without isolating a bit.
+    """
+
+    __slots__ = ("adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes")
+
+    def __init__(self, adj, deadline=None):
+        full = (1 << len(adj)) - 1
         self.adj = adj
+        self.bits = [1 << v for v in range(len(adj))]
+        # non-neighbours other than v itself: one AND takes v and its
+        # neighbours out of a colour class
+        self.nonadj = [full ^ row ^ bit for row, bit in zip(adj, self.bits)]
         self.best: list[int] = []
         self.best_size = 0
-        self.split = split
         self.deadline = deadline
         self.nodes = 0
 
@@ -214,23 +169,30 @@ class _Search:
         self.best = list(witness)
         self.best_size = len(witness)
 
-    def _color_order(self, cand: int) -> tuple[list[int], list[int]]:
-        adj = self.adj
-        order: list[int] = []
-        colors: list[int] = []
-        color = 0
+    def _color_order(self, cand: int, kmin: int) -> tuple[list[int], list[int]]:
+        """Greedy colour classes of ``cand``, each filled in search order;
+        the vertices of colour at least ``kmin``, in colour order."""
+        nonadj, bits = self.nonadj, self.bits
         uncolored = cand
-        while uncolored:
-            color += 1
+        color = 1
+        while uncolored and color < kmin:
             group = uncolored
             while group:
-                low = group & -group
-                v = low.bit_length() - 1
+                v = group.bit_length() - 1
+                group &= nonadj[v]
+                uncolored ^= bits[v]
+            color += 1
+        order: list[int] = []
+        colors: list[int] = []
+        while uncolored:
+            group = uncolored
+            while group:
+                v = group.bit_length() - 1
                 order.append(v)
                 colors.append(color)
-                group &= ~adj[v]
-                group ^= low
-                uncolored ^= low
+                group &= nonadj[v]
+                uncolored ^= bits[v]
+            color += 1
         return order, colors
 
     def expand(self, stack: list[int], cand: int) -> None:
@@ -238,15 +200,14 @@ class _Search:
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise TimeLimitExceeded("clique search exceeded its time limit")
-        if self.split is not None:
-            cand = self.split.filter(cand)
-        order, colors = self._color_order(cand)
-        adj = self.adj
+        # a vertex of colour below kmin cannot lift the branch past best_size,
+        # which only grows while this node's vertices are tried
+        order, colors = self._color_order(cand, self.best_size - len(stack) + 1)
+        adj, bits = self.adj, self.bits
         for idx in range(len(order) - 1, -1, -1):
             if len(stack) + colors[idx] <= self.best_size:
                 return
             v = order[idx]
-            pushed = self.split.push(v) if self.split is not None else False
             stack.append(v)
             rest = cand & adj[v]
             if rest:
@@ -255,21 +216,39 @@ class _Search:
                 self.best = stack.copy()
                 self.best_size = len(stack)
             stack.pop()
-            if self.split is not None:
-                self.split.pop(pushed)
-            cand &= ~(1 << v)
+            cand ^= bits[v]
 
 
-def _degree_order(adj: list[int]) -> list[int]:
-    degs = [row.bit_count() for row in adj]
-    return sorted(range(len(adj)), key=lambda v: (-degs[v], v))
+_RELABEL_ROWS = 1024
+
+
+def _search_rows(
+    adj: list[int], order: list[int] | np.ndarray | None
+) -> tuple[list[int], list[int]]:
+    """Relabel a graph so that the vertex searched i-th of n gets label
+    n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows."""
+    n = len(adj)
+    vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
+    vertices = vertex_of.tolist()
+    rows: list[int] = []
+    # a block of rows at a time: the unpacked block takes n bytes per row
+    for start in range(0, n, _RELABEL_ROWS):
+        block = _unpack_rows([adj[v] for v in vertices[start:start + _RELABEL_ROWS]], n)
+        rows += _pack_rows(block.take(vertex_of, 1))
+    return vertices, rows
+
+
+def _labels(vertex_of: list[int], vertices) -> list[int]:
+    label_of = {v: i for i, v in enumerate(vertex_of)}
+    return [label_of[v] for v in vertices]
 
 
 def _unpack_rows(adj: list[int], n: int) -> np.ndarray:
+    """Rows as a 0/1 uint8 matrix of n columns."""
     nbytes = (n + 7) // 8
     raw = b"".join(row.to_bytes(nbytes, "little") for row in adj)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n].astype(bool)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
@@ -325,81 +304,81 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
 def max_clique_bitset(
     adj: list[int],
     *,
+    order: list[int] | np.ndarray | None = None,
     seed: list[int] | None = None,
-    split: _SplitFilter | None = None,
     deadline: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique of a bit-packed graph (already in search order)."""
-    search = _Search(adj, split, deadline)
+    """Exact maximum clique of a bit-packed graph, with a sorted witness.
+
+    ``order`` lists the vertices in the order the search takes them
+    (default: by index); ``seed`` is a known clique to start from.
+    """
+    vertex_of, rows = _search_rows(adj, order)
+    search = _Search(rows, deadline)
     if seed:
-        search.seed(seed)
-    search.expand([], (1 << len(adj)) - 1)
-    return search.best_size, tuple(sorted(search.best))
+        search.seed(_labels(vertex_of, seed))
+    search.expand([], (1 << len(rows)) - 1)
+    return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 
 def clique_number_exact(
     G: GraphGU,
     *,
-    dominance: bool = True,
     workers: int = 1,
     time_limit: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with a witness clique.
 
-    The search reorders vertices by descending degree, keeps bit-packed
-    candidate sets, and starts from the constructive lower-bound cliques.
-    Results are deterministic for a fixed configuration; the clique
-    number itself is independent of worker count and of the dominance
-    toggle.
+    The search takes vertices by descending degree (ties by index), keeps
+    bit-packed candidate sets, and starts from the constructive
+    lower-bound cliques.  Results are deterministic for a fixed
+    configuration; the clique number itself is independent of the worker
+    count.
+
+    Memory, besides the graph's own n^2/8 bytes of rows: the relabelled
+    rows and the search's complement rows take n^2/8 bytes each and its
+    single-bit masks about half that, so about 5 MB at 4,096 vertices and
+    1.3 GB at the default budget of 65,536.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    order = _degree_order(G.adjacency)
-    inv_order = [0] * len(order)
-    for new, old in enumerate(order):
-        inv_order[old] = new
-    mat = _unpack_rows(G.adjacency, G.n_vertices)
-    adj = _pack_rows(mat[np.ix_(order, order)])
-    seed_vertices = greedy_seed_clique(G)
-    seed = [inv_order[v] for v in seed_vertices]
-    split = _SplitFilter(G.ctx, G.square_in_U_mask(), order) if dominance else None
+    order = np.argsort(-np.asarray(G.degrees), kind="stable")
+    seed = greedy_seed_clique(G)
     if workers <= 1:
-        size, witness = max_clique_bitset(adj, seed=seed, split=split, deadline=deadline)
-        return size, tuple(sorted(order[v] for v in witness))
-    return _solve_parallel(adj, order, seed, split, deadline, workers)
+        return max_clique_bitset(G.adjacency, order=order, seed=seed, deadline=deadline)
+    return _solve_parallel(G.adjacency, order, seed, deadline, workers)
 
 
-def _solve_parallel(adj, order, seed, split, deadline, workers):
-    scratch = _Search(adj, None, None)
-    root_order, _ = scratch._color_order((1 << len(adj)) - 1)
+def _solve_parallel(adj, order, seed, deadline, workers):
+    vertex_of, rows = _search_rows(adj, order)
+    root_order, _ = _Search(rows)._color_order((1 << len(rows)) - 1, 1)
     subproblems = []
-    mask = (1 << len(adj)) - 1
+    mask = (1 << len(rows)) - 1
     for v in reversed(root_order):
-        subproblems.append((v, mask & adj[v]))
+        subproblems.append((v, mask & rows[v]))
         mask &= ~(1 << v)
     chunks: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
     for i, sub in enumerate(subproblems):
         chunks[i % workers].append(sub)
-    # each worker gets its own copy of the filter, with an empty stack
-    payload_common = (adj, seed, split, deadline)
-    best_size, best_witness = len(seed), tuple(sorted(order[v] for v in seed))
+    # a monotonic clock is only comparable within one process, so workers
+    # get the remaining budget and start their own clock from it
+    budget = None if deadline is None else deadline - time.monotonic()
+    payload_common = (rows, _labels(vertex_of, seed), budget)
+    best_size, best_witness = len(seed), tuple(sorted(seed))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_solve_chunk, [payload_common + (chunk,) for chunk in chunks])
         for size, witness in results:
-            mapped = tuple(sorted(order[v] for v in witness))
+            mapped = tuple(sorted(vertex_of[v] for v in witness))
             if size > best_size or (size == best_size and mapped < best_witness):
                 best_size, best_witness = size, mapped
     return best_size, best_witness
 
 
 def _solve_chunk(payload):
-    adj, seed, split, deadline, chunk = payload
-    search = _Search(adj, split, deadline)
+    rows, seed, budget, chunk = payload
+    search = _Search(rows, None if budget is None else time.monotonic() + budget)
     search.seed(seed)
     for v, cand in chunk:
-        pushed = split.push(v) if split is not None else False
         search.expand([v], cand)
-        if split is not None:
-            split.pop(pushed)
     return search.best_size, tuple(search.best)
 
 

@@ -130,14 +130,13 @@ def _filter_grid(grid, qmax=None, nmax=None):
 _omega_cache: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
 
-def instance_omega(U: Subspace, *, dominance: bool = True, workers: int = 1):
-    """Exact clique number with caching keyed by instance and configuration."""
+def instance_omega(U: Subspace):
+    """Exact clique number and witness, cached by field and basis."""
     ctx = U.ctx
-    key = (ctx.p, ctx.m, ctx.n, U.basis, dominance, workers)
+    key = (ctx.p, ctx.m, ctx.n, U.basis)
     hit = _omega_cache.get(key)
     if hit is None:
-        G = build_graph(ctx, U)
-        hit = clique_number_exact(G, dominance=dominance, workers=workers)
+        hit = clique_number_exact(build_graph(ctx, U))
         _omega_cache[key] = hit
     return hit
 

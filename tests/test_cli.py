@@ -52,14 +52,23 @@ class TestOmega:
         (["omega", "--field", "2^1^3", "--subspace", "basis=1,2,4", "--mode", "predict"],
          cli.EXIT_USAGE),
         (["omega", "--field", "2^1^17", "--subspace", "basis=1"], cli.EXIT_BUDGET),
+        (["omega", "--field", "2^1^3", "--subspace", "basis=1", "--no-dominance"],
+         cli.EXIT_USAGE),
     ],
 )
 def test_exit_codes(argv, code, capsys):
-    assert cli.main(argv) == code
+    try:
+        got = cli.main(argv)
+        prefix = "error: "
+    except SystemExit as exc:  # argparse refuses the command line before any command runs
+        got = exc.code
+        prefix = "usage: "
+    assert got == code
     err = capsys.readouterr().err
     assert (code == cli.EXIT_OK) == (err == "")
     if code != cli.EXIT_OK:
-        assert err.startswith("error: ")
+        assert err.startswith(prefix)
+        assert "error: " in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -73,3 +82,19 @@ def test_time_limit_is_honoured(argv, capsys):
     # the search checks its clock every 256 nodes; these hyperplanes expand more
     assert cli.main([*argv, "--time-limit", "1e-9"]) == cli.EXIT_BUDGET
     assert "time limit" in capsys.readouterr().err
+
+
+def test_bench_reports_build_and_solve(capsys):
+    code = cli.main(["bench", "--field", "2^1^4", "--dim", "1,n-1", "--limit", "3",
+                     "--format", "json"])
+    assert code == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["classes"]
+    assert [(r["class"], r["instances"]) for r in rows] == [("dim-1", 3), ("dim-3", 3)]
+    for r in rows:
+        assert set(r) == {
+            "class", "instances",
+            "build_graph_median_ms", "build_graph_p95_ms",
+            "clique_number_exact_median_ms", "clique_number_exact_p95_ms",
+        }
+        assert 0 <= r["build_graph_median_ms"] <= r["build_graph_p95_ms"]
+        assert 0 <= r["clique_number_exact_median_ms"] <= r["clique_number_exact_p95_ms"]

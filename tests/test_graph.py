@@ -146,17 +146,6 @@ class TestCliqueNumber:
                 best = max(len(c) for c in enumerate_maximal_cliques(G))
                 assert clique_number_exact(G)[0] == best
 
-    def test_dominance_toggle_agrees(self):
-        rng = random.Random(25)
-        for spec in [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)]:
-            ctx = build_field(*spec)
-            for _ in range(6):
-                U = random_subspace(ctx, rng)
-                G = build_graph(ctx, U)
-                with_rule = clique_number_exact(G, dominance=True)
-                without = clique_number_exact(G, dominance=False)
-                assert with_rule[0] == without[0]
-
     def test_workers_agree(self):
         ctx = build_field(3, 1, 3)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
@@ -184,6 +173,13 @@ class TestCliqueNumber:
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
         with pytest.raises(TimeLimitExceeded):
             clique_number_exact(G, time_limit=1e-9)
+
+    def test_time_limit_in_workers(self):
+        # workers start their own clock from the remaining budget
+        ctx = build_field(2, 1, 8)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        with pytest.raises(TimeLimitExceeded):
+            clique_number_exact(G, workers=2, time_limit=1e-9)
 
     @pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2)])
     def test_whole_field_is_complete(self, spec):

@@ -1,0 +1,22 @@
+"""Tests for the suites' shared solve path."""
+
+from paleyvec import suites
+from paleyvec.gf import build_field
+from paleyvec.linalg import trace_zero_hyperplane
+
+
+def test_instance_omega_is_cached_by_field_and_basis(monkeypatch):
+    built = []
+    build_graph = suites.build_graph
+
+    def counting_build_graph(ctx, U, **kwargs):
+        built.append(U.basis)
+        return build_graph(ctx, U, **kwargs)
+
+    monkeypatch.setattr(suites, "build_graph", counting_build_graph)
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    U = trace_zero_hyperplane(build_field(3, 1, 3))
+    first = suites.instance_omega(U)
+    again = suites.instance_omega(trace_zero_hyperplane(build_field(3, 1, 3)))
+    assert first == again and first[0] == 4
+    assert built == [U.basis]
