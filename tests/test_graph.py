@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from paleyvec.errors import (
@@ -269,6 +270,72 @@ class TestPinned:
                 G = build_graph(ctx, U)
                 best = max(len(c) for c in enumerate_maximal_cliques(G))
                 assert clique_number_exact(G)[0] == best
+
+
+def _pinned_subspace(spec):
+    """The subspace whose rows ``TestPinnedRows`` pins for a field."""
+    ctx = build_field(*spec)
+    if spec == (2, 1, 10):
+        return trace_zero_hyperplane(ctx)
+    if spec == (3, 1, 5):
+        # contains the square 1, so some orbits have v^2 in U (true twins)
+        return span(ctx, [1, ctx.basis_element(1)])
+    return next(all_hyperplanes(ctx))[1]
+
+
+def _rows_digest(rows, n, vertices=()):
+    h = hashlib.sha256(np.asarray(vertices, dtype=np.int64).tobytes())
+    nbytes = (n + 7) // 8
+    h.update(b"".join(row.to_bytes(nbytes, "little") for row in rows))
+    return h.hexdigest()
+
+
+# SHA-256 of the adjacency rows, and of the search relabelling (label -> vertex,
+# then the relabelled rows), recorded from the row-by-row build and relabel
+PINNED_ROWS = {
+    (2, 3, 4): (
+        "067ef28778ea8215d15ca9c81a030da0af52de04fda286a5b4443b054ea907a6",
+        "a04a65f267983d25f15a15a8de0bd06e4a6a4cd52f331db6e9be48c56dbcbc47",
+    ),
+    (5, 1, 4): (
+        "c00e11fa288be684b0bd82262a534c55539279329c8e86c3ddbbb997402fe0a1",
+        "5d6779e4a37dc0cb7ba18fafc92a6b1b6466828eda1d85541541f6a8c39d8a89",
+    ),
+    (7, 1, 3): (
+        "70d5c34ae2cf04e7cb211a1628612e96cc1b574fb1e008b53a8f3a2a3d8da36e",
+        "a20d05a44749bed583cf94f1613175612f592266951bc4aae18380bb3ba7bd57",
+    ),
+    (3, 2, 3): (
+        "77988c41724ed86a567b8b00f6ffb6bc733bee8c26e00e239986fd874d6432fc",
+        "029233a6d85ad1ad0911f0bc2198ef8fa1a1b62f424260663e19956f1fb46b94",
+    ),
+    (2, 1, 10): (
+        "abe83c12804c9db1c837f1f00d377b875126c99d888d9995ddad7a449ccb3362",
+        "838022990caeb7157d4d3ace4133a76b596d8738d06e2e15abc2f470070f8245",
+    ),
+    (3, 1, 5): (
+        "e0f6c1e0d97a5bd6adb80d3afdcb5ca9cd688f115b0b54990140fb4843cfdbab",
+        "a8aedefa74931d648ff0504b878a8c7f5cad4e8a4d34c294c997c49b8a549f16",
+    ),
+}
+
+
+def _pinned_rows(spec):
+    U = _pinned_subspace(spec)
+    G = build_graph(U.ctx, U)
+    order = np.argsort(-np.asarray(G.degrees), kind="stable")
+    vertices, rows = graph._search_rows(G.adjacency, order)
+    n = G.n_vertices
+    return _rows_digest(G.adjacency, n), _rows_digest(rows, n, vertices)
+
+
+class TestPinnedRows:
+    """Adjacency and search rows, pinned so that changes to how rows are
+    built or relabelled can be shown not to alter them."""
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_ROWS))
+    def test_rows(self, spec):
+        assert _pinned_rows(spec) == PINNED_ROWS[spec]
 
 
 class TestInvariance:
