@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import statistics
 import sys
@@ -209,6 +210,8 @@ def cmd_form(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.limit < 0:
+        raise ParseError(f"--limit must be at least 0, got {args.limit}")
     ctx = _field_from_args(args)
     classes: list[tuple[str, list]] = []
     if args.dim:
@@ -217,10 +220,10 @@ def cmd_bench(args) -> int:
         dims = [ctx.n - 1]
     for d in dims:
         if d == ctx.n - 1:
-            family = [U for _, U in all_hyperplanes(ctx)]
+            family = (U for _, U in all_hyperplanes(ctx))
         else:
-            family = list(all_subspaces(ctx, d))
-        classes.append((f"dim-{d}", family[: args.limit]))
+            family = all_subspaces(ctx, d)
+        classes.append((f"dim-{d}", list(itertools.islice(family, args.limit))))
     rows = []
     for label, family in classes:
         if not family:

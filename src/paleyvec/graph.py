@@ -6,6 +6,14 @@ U.  Vertex 0 is adjacent to everything.  Adjacency is bit-packed, one
 Python integer per row, which keeps the branch-and-bound inner loops on
 whole-word operations.
 
+The row of v != 0 is v^-1 U, less v itself, plus 0.  U is an F_q-space,
+so lam U = U for every lam in F_q*, and the q - 1 vertices of each
+F_q*-orbit share that set.  When v^2 is outside U the orbit's vertices
+are false twins (pairwise non-adjacent, equal rows: one shared integer);
+when v^2 lies in U they are true twins (pairwise adjacent, equal rows
+once each vertex's own bit is added).  The graph build packs one row per
+orbit, and the search relabels one row per twin class.
+
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
 U linearly independent in every clique, but the search needs no filter
@@ -91,39 +99,51 @@ class GraphGU:
 def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) -> GraphGU:
     """Build the bit-packed adjacency of the product-subspace graph.
 
-    Rows are produced by enumerating u in U \\ {0} and setting the bit of
-    u / v in row v, which costs O(q^n * q^dim) instead of O(q^2n)
-    membership tests.
+    Row v is v^-1 U with 0 added and v itself removed.  On tabled fields
+    one row is packed per F_q*-orbit and shared by the orbit, which costs
+    O(q^n * q^dim / (q - 1)) scatter work instead of O(q^2n) membership
+    tests; the scalar path sets the bit of u / v for every u and v.
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
     check_vertex_budget(ctx.order, max_vertices)
-    members = [u for u in U.enumerate_elements() if u]
     if ctx._exp_np is not None:
-        rows = _build_rows_tabled(ctx, members)
+        rows = _build_rows_tabled(ctx, U)
     else:
-        rows = _build_rows_scalar(ctx, members)
+        rows = _build_rows_scalar(ctx, [u for u in U.enumerate_elements() if u])
     return GraphGU(ctx, U, rows)
 
 
-def _build_rows_tabled(ctx: FieldCtx, members: list[int]) -> list[int]:
-    n = ctx.order
-    logs_u = ctx._log_np[np.array(members, dtype=np.int64)]
-    full_row = (1 << n) - 2  # vertex 0 sees everyone else
-    rows = [full_row]
-    nbytes = (n + 7) // 8
-    chunk = 4096
-    for start in range(1, n, chunk):
-        vs = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        log_v = ctx._log_np[vs]
-        neigh = ctx._exp_np[(logs_u[None, :] - log_v[:, None]) % ctx.mord]
-        bits = np.zeros((len(vs), n), dtype=bool)
-        bits[np.repeat(np.arange(len(vs)), neigh.shape[1]), neigh.ravel()] = True
+# booleans per block of base rows: small blocks keep the scatter in cache
+_SCATTER_CELLS = 1 << 18
+
+
+def _build_rows_tabled(ctx: FieldCtx, U: Subspace) -> list[int]:
+    n, mord = ctx.order, ctx.mord
+    # F_q* is generated by g^step, so v and v' share an orbit, and the set
+    # v^-1 U, exactly when their logs agree mod step
+    step = mord // (ctx.q - 1)
+    # indices stay int64 (intp): numpy casts any other index type to it
+    log_u = ctx._log_np[np.flatnonzero(U.member)[1:]]  # U \ {0}
+    exp2 = np.concatenate([ctx._exp_np, ctx._exp_np])  # g^i for 0 <= i < 2 mord
+    base: list[int] = []
+    chunk = max(1, _SCATTER_CELLS // n)
+    for start in range(0, step, chunk):
+        ks = np.arange(start, min(start + chunk, step))
+        # bit g^(log u - k) of base row k, at its offset in the flat block
+        cells = exp2[log_u[None, :] + (mord - ks)[:, None]]
+        cells += (np.arange(len(ks)) * n)[:, None]
+        bits = np.zeros((len(ks), n), dtype=bool)
+        bits.reshape(-1)[cells.reshape(-1)] = True
         bits[:, 0] = True
-        bits[np.arange(len(vs)), vs] = False  # no self-loops (u = v^2 case)
         packed = np.packbits(bits, axis=1, bitorder="little")
-        for i in range(len(vs)):
-            rows.append(int.from_bytes(packed[i, :nbytes].tobytes(), "little"))
+        base += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    rows = [(1 << n) - 2]  # vertex 0 sees everyone else
+    for v, k in enumerate((ctx._log_np[1:] % step).tolist(), 1):
+        row = base[k]
+        if row >> v & 1:  # v^2 in U: drop the self-loop
+            row ^= 1 << v
+        rows.append(row)
     return rows
 
 
@@ -226,15 +246,48 @@ def _search_rows(
     adj: list[int], order: list[int] | np.ndarray | None
 ) -> tuple[list[int], list[int]]:
     """Relabel a graph so that the vertex searched i-th of n gets label
-    n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows."""
+    n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows, which
+    must have no self-loops.
+
+    Each class of twins is relabelled once, from its first vertex's row.
+    A false twin has the same row and shares the relabelled one.  A true
+    twin has the same closed row (row plus own bit); a class with one
+    relabels the closed row, and each member clears its own label's bit.
+    """
     n = len(adj)
     vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
     vertices = vertex_of.tolist()
-    rows: list[int] = []
+    by_row: dict[int, int] = {}  # a class's first row -> class
+    by_closed: dict[int, int] = {}  # and its closed row -> class
+    first: list[int] = []  # label of each class's first vertex
+    distinct: list[int] = []  # the row each class relabels
+    shut: list[bool] = []  # whether that row is the closed one
+    class_of: list[int] = []  # by label; ~c for a true twin in class c
+    for i, v in enumerate(vertices):
+        row = adj[v]
+        new = len(first)
+        c = by_row.setdefault(row, new)
+        if c == new:
+            closed_row = row | 1 << v
+            c = by_closed.setdefault(closed_row, new)
+            if c == new:
+                first.append(i)
+                distinct.append(row)
+                shut.append(False)
+            else:
+                del by_row[row]
+                distinct[c] = closed_row
+                shut[c] = True
+                c = ~c
+        class_of.append(c)
+    relabelled: list[int] = []
     # a block of rows at a time: the unpacked block takes n bytes per row
-    for start in range(0, n, _RELABEL_ROWS):
-        block = _unpack_rows([adj[v] for v in vertices[start:start + _RELABEL_ROWS]], n)
-        rows += _pack_rows(block.take(vertex_of, 1))
+    for start in range(0, len(distinct), _RELABEL_ROWS):
+        block = _unpack_rows(distinct[start:start + _RELABEL_ROWS], n)
+        relabelled += _pack_rows(block.take(vertex_of, 1))
+    # the first vertex of a class and its false twins share one row
+    shared = [r ^ 1 << i if s else r for r, i, s in zip(relabelled, first, shut)]
+    rows = [shared[c] if c >= 0 else relabelled[~c] ^ 1 << i for i, c in enumerate(class_of)]
     return vertices, rows
 
 
@@ -335,10 +388,12 @@ def clique_number_exact(
     configuration; the clique number itself is independent of the worker
     count.
 
-    Memory, besides the graph's own n^2/8 bytes of rows: the relabelled
-    rows and the search's complement rows take n^2/8 bytes each and its
-    single-bit masks about half that, so about 5 MB at 4,096 vertices and
-    1.3 GB at the default budget of 65,536.
+    Memory, besides the graph's own rows (n^2/8 bytes at most; false twins
+    share one integer): the relabelled rows and the search's complement
+    rows take n^2/8 bytes each and its single-bit masks about half that,
+    so about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
+    65,536.  The relabelling unpacks only the distinct rows, one block of
+    1,024 at a time.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     order = np.argsort(-np.asarray(G.degrees), kind="stable")

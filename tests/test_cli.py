@@ -54,6 +54,7 @@ class TestOmega:
         (["omega", "--field", "2^1^17", "--subspace", "basis=1"], cli.EXIT_BUDGET),
         (["omega", "--field", "2^1^3", "--subspace", "basis=1", "--no-dominance"],
          cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--limit", "-1"], cli.EXIT_USAGE),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -98,3 +99,19 @@ def test_bench_reports_build_and_solve(capsys):
         }
         assert 0 <= r["build_graph_median_ms"] <= r["build_graph_p95_ms"]
         assert 0 <= r["clique_number_exact_median_ms"] <= r["clique_number_exact_p95_ms"]
+
+
+@pytest.mark.parametrize("dim,family", [("2", "all_subspaces"), ("n-1", "all_hyperplanes")])
+def test_bench_draws_at_most_limit(monkeypatch, capsys, dim, family):
+    # 2^1^6 has 651 subspaces of dimension 2 and 63 hyperplanes
+    drawn = []
+    real = getattr(cli, family)
+
+    def counted(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(cli, family, counted)
+    assert cli.main(["bench", "--field", "2^1^6", "--dim", dim, "--limit", "2"]) == cli.EXIT_OK
+    assert 0 < len(drawn) <= 2

@@ -15,6 +15,7 @@ from paleyvec.errors import (
     ZeroDimension,
 )
 from paleyvec import graph
+from paleyvec.forms import BilinearForm, orthogonality_adjacency
 from paleyvec.gf import build_field
 from paleyvec.linalg import (
     all_hyperplanes,
@@ -336,6 +337,102 @@ class TestPinnedRows:
     @pytest.mark.parametrize("spec", sorted(PINNED_ROWS))
     def test_rows(self, spec):
         assert _pinned_rows(spec) == PINNED_ROWS[spec]
+
+
+def old_search_rows(adj, order):
+    """The relabelling before twins shared rows: every row unpacked, its
+    columns permuted with ``take`` and packed again."""
+    n = len(adj)
+    vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
+    vertices = vertex_of.tolist()
+    rows = []
+    for start in range(0, n, 1024):
+        block = graph._unpack_rows([adj[v] for v in vertices[start:start + 1024]], n)
+        rows += graph._pack_rows(block.take(vertex_of, 1))
+    return vertices, rows
+
+
+def _random_twin_graph(seed, n=40, copies=30):
+    """A random graph plus copies of random vertices, each a false twin
+    (equal row, a separate int) or a true twin (also joined to its source)."""
+    rng = random.Random(seed)
+    nbrs = [set() for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    for _ in range(copies):
+        src, new = rng.randrange(len(nbrs)), len(nbrs)
+        nbrs.append(set(nbrs[src]))
+        for w in nbrs[src]:
+            nbrs[w].add(new)
+        if rng.random() < 0.5:
+            nbrs[src].add(new)
+            nbrs[new].add(src)
+    return [sum(1 << w for w in row) for row in nbrs]
+
+
+def _twins(adj):
+    """Whether the graph has false twins (equal rows) and true twins
+    (equal closed rows)."""
+    closed = {row | 1 << v for v, row in enumerate(adj)}
+    return len(set(adj)) < len(adj), len(closed) < len(adj)
+
+
+def _relabel_case(name):
+    if name == "form":
+        return orthogonality_adjacency(BilinearForm.trace_form(build_field(3, 1, 3), 1))
+    if name == "random":
+        return _random_twin_graph(32)
+    if name == "directed":
+        # 0 and 1 are true twins, 1 and 2 false twins; 2 is not 0's twin
+        return [0b1010, 0b1001, 0b1001, 0]
+    spec, U = {
+        # v^2 in U on the orbit of 1, so that orbit is a class of true twins
+        "true": ((3, 1, 5), lambda ctx: span(ctx, [1, ctx.basis_element(1)])),
+        # a nonsquare's F_3-line holds no nonzero square: only false twins
+        "false": ((3, 1, 4), lambda ctx: span(ctx, [ctx.generator])),
+        # q = 2: no F_q*-orbits to share a row
+        "neither": ((2, 1, 8), trace_zero_hyperplane),
+    }[name]
+    ctx = build_field(*spec)
+    return build_graph(ctx, U(ctx)).adjacency
+
+
+class TestRowsCrossCheck:
+    """The orbit-shared build and the twin-shared relabel against the
+    row-by-row paths they replace."""
+
+    @pytest.mark.parametrize(
+        "spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
+    )
+    def test_tabled_build_matches_scalar(self, spec):
+        tabled = build_field(*spec)
+        plain = build_field(*spec, table_limit=1)
+        assert plain._exp_np is None
+        for d in range(1, tabled.n + 1):
+            pairs = zip(all_subspaces(tabled, d), all_subspaces(plain, d), strict=True)
+            for U, V in pairs:
+                assert U.basis == V.basis
+                assert build_graph(tabled, U).adjacency == build_graph(plain, V).adjacency
+
+    @pytest.mark.parametrize(
+        "name,twins",
+        [("true", (True, True)), ("false", (True, False)), ("neither", (False, False)),
+         ("form", (True, True)), ("random", (True, True)), ("directed", (True, True))],
+    )
+    def test_relabel_matches_row_by_row(self, name, twins):
+        adj = _relabel_case(name)
+        assert _twins(adj) == twins
+        n = len(adj)
+        orders = [
+            None,
+            np.argsort(-np.asarray([row.bit_count() for row in adj]), kind="stable"),
+            random.Random(33).sample(range(n), n),
+            list(range(n - 1, -1, -1)),  # vertex 0 searched last, so relabelled first
+        ]
+        for order in orders:
+            assert graph._search_rows(adj, order) == old_search_rows(adj, order)
 
 
 class TestInvariance:
