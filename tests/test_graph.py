@@ -385,7 +385,8 @@ def _relabel_case(name):
     if name == "random":
         return _random_twin_graph(32)
     if name == "directed":
-        # 0 and 1 are true twins, 1 and 2 false twins; 2 is not 0's twin
+        # not symmetric (2 sees 0, 0 does not see 2): 0 and 1 are true
+        # twins and 1 and 2 false twins, but 0 and 2 are not twins
         return [0b1010, 0b1001, 0b1001, 0]
     spec, U = {
         # v^2 in U on the orbit of 1, so that orbit is a class of true twins
