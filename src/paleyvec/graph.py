@@ -120,13 +120,15 @@ _SCATTER_CELLS = 1 << 18
 
 def _build_rows_tabled(ctx: FieldCtx, U: Subspace) -> list[int]:
     n, mord = ctx.order, ctx.mord
-    # F_q* is generated by g^step, so v and v' share an orbit, and the set
-    # v^-1 U, exactly when their logs agree mod step
+    # F_q* is generated by g^step, so column k of this view of the exp
+    # table is the orbit of g^k, whose vertices share the set g^-k U
     step = mord // (ctx.q - 1)
+    orbits = ctx._exp_np.reshape(ctx.q - 1, step)
     # indices stay int64 (intp): numpy casts any other index type to it
     log_u = ctx._log_np[np.flatnonzero(U.member)[1:]]  # U \ {0}
     exp2 = np.concatenate([ctx._exp_np, ctx._exp_np])  # g^i for 0 <= i < 2 mord
-    base: list[int] = []
+    rows = [0] * n
+    rows[0] = (1 << n) - 2  # vertex 0 sees everyone else
     chunk = max(1, _SCATTER_CELLS // n)
     for start in range(0, step, chunk):
         ks = np.arange(start, min(start + chunk, step))
@@ -137,13 +139,11 @@ def _build_rows_tabled(ctx: FieldCtx, U: Subspace) -> list[int]:
         bits.reshape(-1)[cells.reshape(-1)] = True
         bits[:, 0] = True
         packed = np.packbits(bits, axis=1, bitorder="little")
-        base += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    rows = [(1 << n) - 2]  # vertex 0 sees everyone else
-    for v, k in enumerate((ctx._log_np[1:] % step).tolist(), 1):
-        row = base[k]
-        if row >> v & 1:  # v^2 in U: drop the self-loop
-            row ^= 1 << v
-        rows.append(row)
+        for packed_row, orbit in zip(packed, orbits[:, ks].T.tolist()):
+            base = int.from_bytes(packed_row.tobytes(), "little")
+            for v in orbit:
+                # v^2 in U puts v in its own row: drop the self-loop
+                rows[v] = base ^ 1 << v if base >> v & 1 else base
     return rows
 
 
