@@ -11,6 +11,7 @@ from paleyvec.errors import (
     BudgetExceeded,
     CapExceeded,
     NotMaximal,
+    StructureViolation,
     TimeLimitExceeded,
     ZeroDimension,
 )
@@ -590,3 +591,77 @@ class TestDecomposition:
                     q = ctx.q
                     size = len(dec.V2.enumerate_elements())
                     assert size == q**dec.t
+
+
+# SHA-256 of (V2.basis, V1, W.basis) over every maximal clique of every
+# subspace, in enumeration order, with the clique count; recorded from the
+# decomposition that built all three parts with ``span``
+PINNED_DECOMPOSITIONS = {
+    (2, 1, 4): (1220, "f18ec999176e21a70cc09fe46de1a3a860592074ca6fda8840dc9adf9832c805"),
+    (3, 1, 3): (1053, "6572c0f60a2c0c90cfb091e0ea1cd513075ab1c6bcf9730ab069ed76b1ecdc52"),
+    (2, 2, 2): (95, "7cee8ddd209780e246b84c0a8b970506fb2ace007c0e8e7941fe1e628b7a72a4"),
+    (3, 2, 2): (2890, "bfedcfdd93cbec8b27c2812a611e5790117ffcdba5cbbee24dbf6f1ee1dda7ba"),
+    (5, 1, 2): (246, "c4a636f6e731ee0fa804ce5c94725a313c1e35c535f7c5f8dcf1996832fd23f1"),
+}
+
+
+class TestPinnedDecomposition:
+    """Clique decompositions, pinned so that changes to how the parts are
+    checked or built can be shown not to alter them."""
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_DECOMPOSITIONS))
+    def test_every_maximal_clique(self, spec):
+        ctx = build_field(*spec)
+        h = hashlib.sha256()
+        count = 0
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                for c in enumerate_maximal_cliques(G):
+                    dec = decompose_clique(G, c)
+                    h.update(repr((dec.V2.basis, dec.V1, dec.W.basis)).encode())
+                    count += 1
+        assert (count, h.hexdigest()) == PINNED_DECOMPOSITIONS[spec]
+
+
+class TestStructureViolation:
+    """Each structural check of ``decompose_clique`` fires on a forged
+    square mask; genuine maximal cliques never reach them."""
+
+    def _clique(self):
+        # a maximal clique of the trace-zero hyperplane of F_16 whose square
+        # part has dimension 2
+        ctx = build_field(2, 1, 4)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        for clique in enumerate_maximal_cliques(G):
+            dec = decompose_clique(G, clique)
+            if dec.t == 2:
+                return G, clique, dec
+        raise AssertionError("no maximal clique with t = 2")
+
+    def _forged(self, G, vertices):
+        G._sq_mask = sum(1 << v for v in vertices)
+        return G
+
+    def test_square_part_not_a_subspace(self):
+        G, witness, dec = self._clique()
+        # one nonzero vertex without 0: a set of size 1 that spans q elements
+        self._forged(G, [dec.V2.basis[0]])
+        with pytest.raises(StructureViolation, match="square part of the clique is not a subspace"):
+            decompose_clique(G, witness)
+
+    def test_rest_dependent(self):
+        G, witness, dec = self._clique()
+        # only 0 square: the rest is the whole nonzero clique, 4 vectors of rank 3
+        self._forged(G, [0])
+        with pytest.raises(StructureViolation, match="non-square part of the clique is dependent"):
+            decompose_clique(G, witness)
+
+    def test_spans_intersect(self):
+        G, witness, dec = self._clique()
+        # square part {0, a}: the rest holds b and a + b, whose sum is a
+        a, b = dec.V2.basis
+        assert {a ^ b, b} <= set(witness)
+        self._forged(G, [0, a])
+        with pytest.raises(StructureViolation, match="spans of the two parts intersect beyond 0"):
+            decompose_clique(G, witness)

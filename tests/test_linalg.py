@@ -1,5 +1,6 @@
 """Tests for subspace machinery and the hyperplane invariants."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -29,6 +30,7 @@ from paleyvec.linalg import (
     trace_zero_hyperplane,
     zero_subspace,
 )
+from paleyvec.suites import BOUNDS_GRID, survey_family
 
 
 def naive_span_set(ctx, gens):
@@ -251,6 +253,55 @@ class TestDInvariant:
             scaled.add(span(ctx, [ctx.mul(a2, s) for s in sub]))
         for U in all_subspaces(ctx, 2):
             assert (D_invariant(U) == 2) == (U in scaled)
+
+
+# SHA-256 of (U.basis, D) over survey_family, D None when U has no nonzero
+# square, with the family size; recorded from the coset-by-coset D_invariant
+PINNED_D = {
+    (2, 1, 2): (3, "a8d800ee6852b1f316f566c6001228c070ee38d3573dcd418dda2deee8bd6b32"),
+    (2, 1, 3): (14, "c2210ebc14d9f385824dade178e2f0200e7c95b73d2d8fe709b3289a282b1087"),
+    (2, 1, 4): (65, "1fd77a0236a3a20ba1d93b6c5a9ee419144ced39c78e5d953c4ea9fb29b543d4"),
+    (2, 1, 5): (372, "b8a302a5fd6dcf0da61494106bce381a3c52041543a270869e5e49a977203582"),
+    (2, 1, 6): (2823, "9e18723ed921e99c122f91340069e999b185de69ee3313e2d2ff59de1467c7be"),
+    (2, 1, 7): (29210, "ea7535dc9929c30665d87f3c21a44ed7c627927c0da44dc6efb75c734602fbb3"),
+    (2, 1, 8): (11465, "fb1524d3ee1fcaf560573dc91c419cc06bec297fd3e627b0b5a69d96aa3ea4f7"),
+    (3, 1, 2): (4, "fcd21e1d8f2214ba64e3661ee13bcc304db737f6590e171e6d53d6819ad28008"),
+    (3, 1, 3): (26, "8230e97d3d5c1ff68015483b1bcc8ffb1c964794466d73a6771d67c7e0033aca"),
+    (3, 1, 4): (210, "22998180fb36c907215c75b4b04f5c2808bef319c9483cff6b2f7b37f54a1acc"),
+    (3, 1, 5): (1492, "a837fd660feb67ec510ca22aaddba5602cf31656b7d3c3305504f8cbef8f985c"),
+    (2, 2, 2): (5, "57c817dfbaf7a1d8f1fd948878f0f3049cc81e028b1a701ec018ca2d7272d9b9"),
+    (2, 2, 3): (42, "a98d55855e29be3e3667c6fae822d7c1bd0537803cf9a2a63b3b4445363138f7"),
+    (2, 2, 4): (527, "a36ddabe463dfe5e1ea6ea0402165cfca09de2d176f2f8e1c40fc5560a5abe38"),
+    (5, 1, 2): (6, "bb29b34d3f9e6b40dba86142bdbc2afc49c2b7114d6058a7e0df50cf33cd507f"),
+    (5, 1, 3): (62, "fecbb149c9d47a8542badd20795589ddee7017dfdcbef072a5dac499f0fcf509"),
+    (7, 1, 2): (8, "949bdf791a8aa7c8d73d3881027a55d06689502e72de987e9120b22cd6a1d3cb"),
+    (2, 3, 2): (9, "6dee98e8956f6de25e2458b43fa320d14258619d788429c9720ce75f41ec2b06"),
+    (3, 2, 2): (10, "6323457139303aee9fd42530207a68d3e83399b6e45b4f9a6f48a9e6f87b96f3"),
+    (11, 1, 2): (12, "aae6aa29a63c1f301d9dcc17cbf99104d4fd1c4de312cc8e24cc0161ea54cf82"),
+    (13, 1, 2): (14, "2a4e4c21a1789a513b7299a180f96c77c69398adb1c771af741dc36f4c1e21ca"),
+    (2, 4, 2): (17, "1b2599d8c847a6469979253203f94c73f9c22449485c173691e60b1faa45b5c9"),
+}
+
+
+class TestPinnedD:
+    """D over the bounds family, pinned so that changes to how D is
+    computed can be shown not to alter it."""
+
+    def test_grid_is_covered(self):
+        assert sorted(PINNED_D) == sorted(
+            f for f in BOUNDS_GRID if (f[0] ** f[1]) ** f[2] <= 256
+        )
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_D))
+    def test_survey_family(self, spec):
+        ctx = build_field(*spec)
+        h = hashlib.sha256()
+        count = 0
+        for U in survey_family(ctx):
+            D = D_invariant(U) if contains_nonzero_square(U) else None
+            h.update(repr((U.basis, D)).encode())
+            count += 1
+        assert (count, h.hexdigest()) == PINNED_D[spec]
 
 
 class TestSInvariant:
