@@ -24,7 +24,7 @@ from .errors import (
     StructureViolation,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, _rref, nullspace, span
+from .linalg import Subspace, nullspace, rank, span
 
 
 class BilinearForm:
@@ -57,7 +57,7 @@ class BilinearForm:
                 if not 0 <= gram[i][j] < ctx.q:
                     raise DegenerateForm("gram entries must be F_q scalars")
         form = cls(ctx, None, gram)
-        if _rank(ctx, gram) != ctx.n:
+        if rank(ctx, map(ctx.element_from_coords, gram)) != ctx.n:
             raise DegenerateForm("gram matrix is singular")
         return form
 
@@ -72,7 +72,7 @@ class BilinearForm:
                 )
                 for bi in basis
             )
-            if _rank(ctx, gram) != ctx.n:
+            if rank(ctx, map(ctx.element_from_coords, gram)) != ctx.n:
                 raise DegenerateForm(f"trace form with multiplier {self.lam} is degenerate")
             self._gram = gram
         return self._gram
@@ -100,11 +100,6 @@ class BilinearForm:
         if self.lam is not None:
             return f"BilinearForm(trace, lam={self.lam})"
         return f"BilinearForm(gram={self._gram})"
-
-
-def _rank(ctx: FieldCtx, gram) -> int:
-    rows, _ = _rref(ctx, [list(r) for r in gram])
-    return len(rows)
 
 
 def diagonalize(form: BilinearForm) -> tuple[int, ...]:
@@ -408,6 +403,6 @@ def special_basis(ctx: FieldCtx) -> tuple[tuple[int, ...], int]:
             want = 0 if i != j else targets[i]
             if form.evaluate(bi, bj) != want:
                 raise StructureViolation("constructed basis fails its pairing table")
-    if span(ctx, basis).dim != n:
+    if rank(ctx, basis) != n:
         raise StructureViolation("constructed vectors do not form a basis")
     return basis, mu

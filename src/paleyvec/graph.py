@@ -28,10 +28,11 @@ decomposition both take it from there.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     ZeroDimension,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, contains_nonzero_square, span
+from .linalg import Subspace, contains_nonzero_square, rank, span
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
@@ -498,54 +499,63 @@ def is_maximal_clique(G: GraphGU, C) -> bool:
 class CliqueDecomposition:
     """Split of a maximal clique into its square part and the rest.
 
-    V2 is the subspace of clique vertices whose square lies in U, V1 the
-    remaining vertices (always F_q-linearly independent) and W their span.
+    ``square_part`` holds the clique vertices whose square lies in U; they
+    form a subspace of dimension ``t``.  V1 holds the remaining vertices
+    (always F_q-linearly independent).  The canonical subspaces V2 (the
+    square part) and W (the span of V1) are built with ``span`` on first
+    read and kept; ``t`` and ``r`` never build them.
     """
 
-    V2: Subspace
+    ctx: FieldCtx = field(repr=False, compare=False)
+    t: int
     V1: tuple[int, ...]
-    W: Subspace
-
-    @property
-    def t(self) -> int:
-        return self.V2.dim
+    square_part: tuple[int, ...]
 
     @property
     def r(self) -> int:
         return len(self.V1)
 
+    @functools.cached_property
+    def V2(self) -> Subspace:
+        return span(self.ctx, self.square_part)
+
+    @functools.cached_property
+    def W(self) -> Subspace:
+        return span(self.ctx, self.V1)
+
 
 def decompose_clique(G: GraphGU, C) -> CliqueDecomposition:
     """Validate the structural guarantees of a maximal clique and split it.
 
-    Checks: the square part is a subspace, the rest is independent, the
-    two spans meet only at 0, and the size has the shape q^t + r with
-    r <= dim(U) + 1 when t = 0 and r + t <= dim(U) otherwise.
+    Checks, in order: the square part is a subspace, the rest is
+    independent, the two spans meet only at 0, and the size has the shape
+    q^t + r with r <= dim(U) + 1 when t = 0 and r + t <= dim(U) otherwise.
 
-    The square part is read from ``G.square_in_U_mask()``.  The spans V2
-    and W meet only at 0 exactly when dim(V2 + W) = t + r, so that check
-    is one rank computation on the two bases.
+    The square part v2 is read from ``G.square_in_U_mask()`` and v1 is the
+    rest.  The first three checks are rank statements, answered by
+    ``linalg.rank`` without building a subspace: q^rank(v2) = |v2|,
+    rank(v1) = |v1| and rank(v2 + v1) = t + r.
     """
     if not is_maximal_clique(G, C):
         raise NotMaximal(f"{sorted(C)} is not a maximal clique")
     ctx = G.ctx
     U = G.U
     sq_mask = G.square_in_U_mask()
-    verts = sorted(set(C))
-    v2 = [v for v in verts if sq_mask >> v & 1]
-    v1 = tuple(v for v in verts if not sq_mask >> v & 1)
-    V2 = span(ctx, v2)
-    if V2.size != len(v2):
+    v2: list[int] = []
+    v1: list[int] = []
+    for v in sorted(set(C)):
+        (v2 if sq_mask >> v & 1 else v1).append(v)
+    t = rank(ctx, v2)
+    if ctx.q**t != len(v2):
         raise StructureViolation("square part of the clique is not a subspace")
-    W = span(ctx, v1)
-    if W.dim != len(v1):
+    r = len(v1)
+    if rank(ctx, v1) != r:
         raise StructureViolation("non-square part of the clique is dependent")
-    if span(ctx, V2.basis + W.basis).dim != V2.dim + W.dim:
+    if rank(ctx, v2 + v1) != t + r:
         raise StructureViolation("spans of the two parts intersect beyond 0")
-    t, r = V2.dim, len(v1)
     if t == 0:
         if r > U.dim + 1:
             raise StructureViolation(f"t = 0 but r = {r} > dim + 1 = {U.dim + 1}")
     elif r + t > U.dim:
         raise StructureViolation(f"r + t = {r + t} > dim = {U.dim}")
-    return CliqueDecomposition(V2=V2, V1=v1, W=W)
+    return CliqueDecomposition(ctx, t, tuple(v1), tuple(v2))

@@ -11,6 +11,14 @@ enumerating the F_p-span of U with numpy: the index of an element is the
 base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
 when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
 "v^2 in U" for every v at once.
+
+Where only a dimension is needed, ``rank`` answers without building the
+echelon form.  The F_q-rank of a list is the F_p-rank of its m-fold
+expansion {p^j v : j < m}, divided by m, because the indices p^j < q are
+an F_p-basis of the embedded F_q.  The F_p-rank is taken on the indices
+themselves: for p = 2 an index is its own F_2 coordinate row, so the
+kernel is an XOR basis on Python ints; for odd p the rows are the base-p
+digits of the indices, eliminated mod p.
 """
 
 from __future__ import annotations
@@ -189,6 +197,43 @@ def _span_f2(ctx: FieldCtx, gens: list[int]) -> Subspace:
     return Subspace(ctx, tuple(rows))
 
 
+def rank(ctx: FieldCtx, elems: Iterable[int]) -> int:
+    """F_q-dimension of the span of the given elements: ``span(...).dim``
+    without the canonical basis (see the module docstring)."""
+    p, m = ctx.p, ctx.m
+    if m == 1:
+        rows = elems
+    else:
+        rows = [v if j == 0 else ctx.mul(p**j, v) for v in elems for j in range(m)]
+    if p == 2:
+        pivots: dict[int, int] = {}  # leading bit -> row
+        for x in rows:
+            while x:
+                top = x.bit_length()
+                b = pivots.get(top)
+                if b is None:
+                    pivots[top] = x
+                    break
+                x ^= b
+        return len(pivots) // m
+    places = [p**i for i in range(ctx.mn)]
+    reduced: dict[int, list[int]] = {}  # pivot column -> digit row, 1 there
+    for x in rows:
+        row = [x // w % p for w in places]
+        for col in range(ctx.mn):
+            a = row[col]
+            if not a:
+                continue
+            b = reduced.get(col)
+            if b is None:
+                inv = pow(a, p - 2, p)
+                reduced[col] = [y * inv % p for y in row]
+                break
+            # columns before col are zero in row and in b, and stay so
+            row = [(y - a * z) % p for y, z in zip(row, b)]
+    return len(reduced) // m
+
+
 def zero_subspace(ctx: FieldCtx) -> Subspace:
     return Subspace(ctx, ())
 
@@ -279,31 +324,41 @@ def subfield_subspace(ctx: FieldCtx, d: int) -> Subspace:
 
 
 def D_invariant(U: Subspace) -> int:
-    """Greatest divisor d of n with a^2 F_{q^d} inside U for some a != 0."""
+    """Greatest divisor d of n with a^2 F_{q^d} inside U for some a != 0.
+
+    On tabled fields each d is one gather.  F_{q^d}* is generated by
+    zeta = g^step with step = (q^n - 1)/(q^d - 1), so a^2 F_{q^d} depends
+    only on the coset a F_{q^d}*, whose representatives are g^k for
+    k < step.  zeta has degree d over F_q, so zeta^j (j < d) is an
+    F_q-basis of F_{q^d}, and a^2 F_{q^d} lies in the F_q-space U exactly
+    when every g^(2k + j*step) does: one lookup of U's membership array
+    on a (step, d) grid of exp-table indices.
+    """
     ctx = U.ctx
     if not contains_nonzero_square(U):
         raise NoNonzeroSquare("U has no nonzero square, the invariant is undefined")
-    for d in sorted(_divisors(ctx.n), reverse=True):
-        if d > U.dim:
-            continue
-        sub_basis = subfield_subspace(ctx, d).basis
-        if ctx._exp is not None:
+    divisors = [d for d in sorted(_divisors(ctx.n), reverse=True) if d <= U.dim]
+    if ctx._exp_np is not None:
+        for d in divisors:
             step = ctx.mord // (ctx.q**d - 1)
-            reps = (ctx._exp[r] for r in range(step))
-        else:
-            seen: set[int] = set()
-            sub_star = [s for s in ctx.subfield_elements(d) if s]
+            logs = 2 * np.arange(step)[:, None] + step * np.arange(d)
+            if U.member[ctx._exp_np[logs % ctx.mord]].all(axis=1).any():
+                return d
+        raise AssertionError("d = 1 must succeed when U has a nonzero square")
+    for d in divisors:
+        sub_basis = subfield_subspace(ctx, d).basis
+        seen: set[int] = set()
+        sub_star = [s for s in ctx.subfield_elements(d) if s]
 
-            def _reps():
-                for a in range(1, ctx.order):
-                    if a in seen:
-                        continue
-                    for s in sub_star:
-                        seen.add(ctx.mul(s, a))
-                    yield a
+        def _reps():
+            for a in range(1, ctx.order):
+                if a in seen:
+                    continue
+                for s in sub_star:
+                    seen.add(ctx.mul(s, a))
+                yield a
 
-            reps = _reps()
-        for a in reps:
+        for a in _reps():
             a2 = ctx.mul(a, a)
             if all(U.contains(ctx.mul(a2, b)) for b in sub_basis):
                 return d
