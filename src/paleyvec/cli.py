@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import statistics
 import sys
 import time
@@ -43,6 +44,20 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _time_limit(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
+    return value
 
 
 def _field_from_args(args) -> "FieldCtx":
@@ -272,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--max-vertices", type=int, default=None,
                        help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--time-limit", type=float, default=None)
+        p.add_argument("--workers", type=_worker_count, default=1)
+        p.add_argument("--time-limit", type=_time_limit, default=None,
+                       help="seconds, positive and finite")
 
     p_field = sub.add_parser("field", help="build a field tower and show its data")
     p_field.add_argument("field", help="field spec: p^m^n or q=<p^m>,n=<n>")

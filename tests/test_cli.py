@@ -55,6 +55,26 @@ class TestOmega:
         (["omega", "--field", "2^1^3", "--subspace", "basis=1", "--no-dominance"],
          cli.EXIT_USAGE),
         (["bench", "--field", "2^1^3", "--limit", "-1"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "0"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "-3"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "two"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^8", "--subspace", "ker-trace-of=1", "--mode", "exact",
+          "--time-limit", "nan"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^8", "--subspace", "ker-trace-of=1", "--mode", "exact",
+          "--time-limit", "-1"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--time-limit", "0"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--time-limit", "inf"],
+         cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--workers", "0"], cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--time-limit", "-inf"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--workers", "-1"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--time-limit", "nan"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "2",
+          "--time-limit", "30"], cli.EXIT_OK),
     ],
 )
 def test_exit_codes(argv, code, capsys):

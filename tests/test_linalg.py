@@ -24,6 +24,7 @@ from paleyvec.linalg import (
     gaussian_binomial,
     hyperplane_from_functional,
     parse_subspace,
+    rank,
     s_invariant,
     span,
     subfield_subspace,
@@ -115,6 +116,47 @@ MEMBERSHIP_FIELDS = [
     (2, 3, 2, 1 << 20),
     (3, 1, 3, 1),
 ]
+
+
+def _random_list(ctx, rng):
+    """Up to 8 elements with zeros, repeats and F_q-combinations of earlier ones."""
+    out = []
+    for _ in range(rng.randrange(0, 9)):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(0)
+        elif kind < 0.3 and out:
+            out.append(rng.choice(out))
+        elif kind < 0.5 and len(out) >= 2:
+            a, b = rng.sample(out, 2)
+            out.append(ctx.add(ctx.mul(rng.randrange(ctx.q), a), ctx.mul(rng.randrange(ctx.q), b)))
+        else:
+            out.append(rng.randrange(ctx.order))
+    return out
+
+
+class TestRank:
+    @pytest.mark.parametrize(
+        "p,m,n,table_limit",
+        [(2, 1, 5, 1 << 20), (2, 2, 3, 1 << 20), (2, 3, 2, 1 << 20), (3, 1, 3, 1 << 20),
+         (3, 2, 2, 1 << 20), (5, 1, 2, 1 << 20), (3, 1, 3, 1), (2, 2, 2, 1)],
+    )
+    def test_matches_span_dim(self, p, m, n, table_limit):
+        ctx = build_field(p, m, n, table_limit=table_limit)
+        rng = random.Random(f"rank:{p}:{m}:{n}:{table_limit}")
+        dims = set()
+        for _ in range(300):
+            vs = _random_list(ctx, rng)
+            want = span(ctx, vs).dim
+            assert rank(ctx, vs) == want, vs
+            dims.add(want)
+        assert dims == set(range(ctx.n + 1))
+
+    def test_whole_field_and_nothing(self):
+        for spec in [(2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2)]:
+            ctx = build_field(*spec)
+            assert rank(ctx, range(ctx.order)) == ctx.n
+            assert rank(ctx, []) == rank(ctx, [0, 0]) == 0
 
 
 class TestMembership:
@@ -242,6 +284,15 @@ class TestDInvariant:
             U = span(ctx, [ctx.mul(a2, s) for s in sub])
             assert U.dim == 2
             assert D_invariant(U) == 2
+
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
+    def test_tabled_matches_untabled(self, spec):
+        ctx = build_field(*spec)
+        slow = build_field(*spec, table_limit=1)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                if contains_nonzero_square(U):
+                    assert D_invariant(U) == D_invariant(Subspace(slow, U.basis)), U
 
     def test_d_equals_dim_iff_scaled_subfield(self):
         # exhaustive over dimension-2 subspaces of F_16 over F_2

@@ -1,0 +1,54 @@
+"""Tests for the closed-form predictions against the exact solver."""
+
+import json
+
+import pytest
+
+from paleyvec import cli
+from paleyvec.gf import build_field
+from paleyvec.graph import build_graph, clique_number_exact
+from paleyvec.linalg import all_hyperplanes, all_subspaces
+from paleyvec.predict import hyperplane_omega, predict_omega
+
+FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2)]
+
+
+def exact_omega(U):
+    return clique_number_exact(build_graph(U.ctx, U))[0]
+
+
+@pytest.mark.parametrize("spec", FIELDS + [(2, 1, 5)])
+def test_prediction_admits_exact_omega(spec):
+    ctx = build_field(*spec)
+    kinds = set()
+    for d in range(1, ctx.n):
+        for U in all_subspaces(ctx, d):
+            omega = exact_omega(U)
+            pred = predict_omega(U)
+            kinds.add(pred.kind)
+            assert pred.admits(omega), (U, pred.describe(), omega)
+            if pred.kind == "exact":
+                assert pred.value == omega, (U, pred.describe(), omega)
+    # dimension 3 of F_32 is neither 1, 2 nor n - 1: there the prediction is an interval
+    assert kinds == ({"exact", "interval"} if spec == (2, 1, 5) else {"exact"})
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_hyperplane_closed_form(spec):
+    ctx = build_field(*spec)
+    count = 0
+    for _, U in all_hyperplanes(ctx):
+        assert hyperplane_omega(U) == exact_omega(U), U
+        count += 1
+    assert count == (ctx.order - 1) // (ctx.q - 1)
+
+
+def test_cli_exact_is_q_power_plus_r(capsys):
+    ctx = build_field(3, 1, 3)
+    for _, U in all_hyperplanes(ctx):
+        code = cli.main(["omega", "--field", "3^1^3", "--subspace", U.serialize(),
+                         "--mode", "exact"])
+        assert code == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        dec = payload["decomposition"]
+        assert payload["exact"] == ctx.q ** dec["t"] + dec["r"] == len(payload["witness"])

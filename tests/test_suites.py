@@ -1,5 +1,7 @@
 """Tests for the suites' shared solve path."""
 
+import pytest
+
 from paleyvec import suites
 from paleyvec.gf import build_field
 from paleyvec.linalg import trace_zero_hyperplane
@@ -20,3 +22,12 @@ def test_instance_omega_is_cached_by_field_and_basis(monkeypatch):
     again = suites.instance_omega(trace_zero_hyperplane(build_field(3, 1, 3)))
     assert first == again and first[0] == 4
     assert built == [U.basis]
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suite_passes_on_small_grid(name, monkeypatch):
+    # sumproduct has no field with n <= 3 in its grid
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    report = suites.run_suite(name, qmax=5, nmax=4 if name == "sumproduct" else 3)
+    assert report.instances > 0
+    assert report.failures == []
