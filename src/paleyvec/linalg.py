@@ -315,6 +315,9 @@ def contains_nonzero_square(U: Subspace) -> bool:
     nonsquares = (ctx.order - 1) // 2
     if U.size - 1 > nonsquares:
         return True
+    if ctx._exp_np is not None:
+        # the nonzero squares are the even powers of the generator
+        return bool(U.member[ctx._exp_np[::2]].any())
     return any(x and ctx.is_square(x) for x in U.enumerate_elements())
 
 

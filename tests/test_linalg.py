@@ -257,6 +257,17 @@ class TestSquareContent:
         assert not all(flags)
 
 
+    @pytest.mark.parametrize("spec", [(3, 1, 3), (3, 1, 4), (5, 1, 2), (7, 1, 2), (3, 2, 2)])
+    def test_tabled_matches_untabled_and_scan(self, spec):
+        ctx = build_field(*spec)
+        slow = build_field(*spec, table_limit=1)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                want = any(x and ctx.is_square(x) for x in U.enumerate_elements())
+                assert contains_nonzero_square(U) == want, U
+                assert contains_nonzero_square(Subspace(slow, U.basis)) == want, U
+
+
 class TestDInvariant:
     def test_subfield_inside(self):
         ctx = build_field(2, 1, 4)
