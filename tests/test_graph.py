@@ -639,29 +639,29 @@ class TestStructureViolation:
                 return G, clique, dec
         raise AssertionError("no maximal clique with t = 2")
 
-    def _forged(self, G, vertices):
+    @staticmethod
+    def _forge(G, vertices):
         G._sq_mask = sum(1 << v for v in vertices)
-        return G
 
     def test_square_part_not_a_subspace(self):
-        G, witness, dec = self._clique()
+        G, clique, dec = self._clique()
         # one nonzero vertex without 0: a set of size 1 that spans q elements
-        self._forged(G, [dec.V2.basis[0]])
+        self._forge(G, [dec.V2.basis[0]])
         with pytest.raises(StructureViolation, match="square part of the clique is not a subspace"):
-            decompose_clique(G, witness)
+            decompose_clique(G, clique)
 
     def test_rest_dependent(self):
-        G, witness, dec = self._clique()
-        # only 0 square: the rest is the whole nonzero clique, 4 vectors of rank 3
-        self._forged(G, [0])
+        G, clique, dec = self._clique()
+        # only 0 square: the rest holds the three nonzero vectors of a plane
+        self._forge(G, [0])
         with pytest.raises(StructureViolation, match="non-square part of the clique is dependent"):
-            decompose_clique(G, witness)
+            decompose_clique(G, clique)
 
     def test_spans_intersect(self):
-        G, witness, dec = self._clique()
+        G, clique, dec = self._clique()
         # square part {0, a}: the rest holds b and a + b, whose sum is a
         a, b = dec.V2.basis
-        assert {a ^ b, b} <= set(witness)
-        self._forged(G, [0, a])
+        assert {a ^ b, b} <= set(clique)
+        self._forge(G, [0, a])
         with pytest.raises(StructureViolation, match="spans of the two parts intersect beyond 0"):
-            decompose_clique(G, witness)
+            decompose_clique(G, clique)
