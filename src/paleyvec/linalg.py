@@ -340,15 +340,15 @@ def D_invariant(U: Subspace) -> int:
     ctx = U.ctx
     if not contains_nonzero_square(U):
         raise NoNonzeroSquare("U has no nonzero square, the invariant is undefined")
-    divisors = [d for d in sorted(_divisors(ctx.n), reverse=True) if d <= U.dim]
-    if ctx._exp_np is not None:
-        for d in divisors:
+    for d in sorted(_divisors(ctx.n), reverse=True):
+        if d > U.dim:
+            continue
+        if ctx._exp_np is not None:
             step = ctx.mord // (ctx.q**d - 1)
             logs = 2 * np.arange(step)[:, None] + step * np.arange(d)
             if U.member[ctx._exp_np[logs % ctx.mord]].all(axis=1).any():
                 return d
-        raise AssertionError("d = 1 must succeed when U has a nonzero square")
-    for d in divisors:
+            continue
         sub_basis = subfield_subspace(ctx, d).basis
         seen: set[int] = set()
         sub_star = [s for s in ctx.subfield_elements(d) if s]
