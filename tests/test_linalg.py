@@ -152,12 +152,6 @@ class TestRank:
             dims.add(want)
         assert dims == set(range(ctx.n + 1))
 
-    def test_whole_field_and_nothing(self):
-        for spec in [(2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2)]:
-            ctx = build_field(*spec)
-            assert rank(ctx, range(ctx.order)) == ctx.n
-            assert rank(ctx, []) == rank(ctx, [0, 0]) == 0
-
 
 class TestMembership:
     @pytest.mark.parametrize("p,m,n,table_limit", MEMBERSHIP_FIELDS)
