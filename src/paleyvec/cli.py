@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -29,7 +30,13 @@ from .errors import (
 )
 from .forms import BilinearForm, M_of_form, chi_of_form
 from .gf import build_field, parse_field_spec
-from .graph import build_graph, check_vertex_budget, clique_number_exact, decompose_clique
+from .graph import (
+    SolveStats,
+    build_graph,
+    check_vertex_budget,
+    clique_number_exact,
+    decompose_clique,
+)
 from .linalg import (
     all_hyperplanes,
     all_subspaces,
@@ -121,13 +128,15 @@ def cmd_omega(args) -> int:
     if args.mode in ("exact", "both"):
         start = time.monotonic()
         G = build_graph(ctx, U, max_vertices=args.max_vertices)
+        stats = SolveStats()
         omega, witness = clique_number_exact(
-            G, workers=args.workers, time_limit=args.time_limit
+            G, workers=args.workers, time_limit=args.time_limit, stats=stats
         )
         dec = decompose_clique(G, witness)
         payload["exact"] = omega
         payload["witness"] = list(witness)
         payload["decomposition"] = {"t": dec.t, "r": dec.r}
+        payload["search"] = dataclasses.asdict(stats)
         payload["runtime_ms"] = round((time.monotonic() - start) * 1000.0, 3)
         if prediction is not None:
             payload["match"] = prediction.admits(omega)
@@ -245,18 +254,24 @@ def cmd_bench(args) -> int:
             continue
         build_ms: list[float] = []
         solve_ms: list[float] = []
+        nodes: list[int] = []
         for U in family:
             t0 = time.perf_counter()
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
             t1 = time.perf_counter()
-            clique_number_exact(G, workers=args.workers, time_limit=args.time_limit)
+            stats = SolveStats()
+            clique_number_exact(
+                G, workers=args.workers, time_limit=args.time_limit, stats=stats
+            )
             t2 = time.perf_counter()
             build_ms.append((t1 - t0) * 1000)
             solve_ms.append((t2 - t1) * 1000)
+            nodes.append(stats.nodes)
         row = {"class": label, "instances": len(family)}
         for name, times in (("build_graph", build_ms), ("clique_number_exact", solve_ms)):
             row[f"{name}_median_ms"] = round(statistics.median(times), 3)
             row[f"{name}_p95_ms"] = round(_p95(times), 3)
+        row["nodes_median"] = statistics.median(nodes)
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"schema": 1, "classes": rows}, sort_keys=True))

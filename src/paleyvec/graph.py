@@ -20,6 +20,16 @@ U linearly independent in every clique, but the search needs no filter
 for it: each candidate is a common neighbour of the branch, so the branch
 plus the candidate is already a clique and already satisfies it.
 
+The maps x -> lam * x^(p^i) with lam^2 sigma_i(U) = U, sigma_i the
+p^i-power Frobenius, are automorphisms of the graph and form a group
+(``Automorphisms``); it contains F_q*, and for the trace-zero hyperplane
+every power of Frobenius.  The search uses it at the root only: once the
+branch on v has returned, no clique through v can beat the incumbent,
+so neither can a clique through any image of v, and v's whole orbit
+leaves the root's candidates (orbital branching).  The group is built
+lazily, when a root branch returns with 64 nodes expanded in all, so
+that the many small solves never pay for it.
+
 Whether v^2 lies in U is read from one place, ``square_in_U_mask``: U's
 membership array indexed by the field's table of squares, packed into
 an integer once per graph.  The seed cliques and the clique
@@ -33,6 +43,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -164,17 +175,34 @@ def _build_rows_scalar(ctx: FieldCtx, members: list[int]) -> list[int]:
 # -- exact maximum clique ---------------------------------------------------
 
 
+def _check_deadline(deadline: float | None, phase: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeLimitExceeded(f"{phase} exceeded its time limit")
+
+
+# the first root branch to return with this many nodes expanded in all has
+# the search build the automorphism group: most solves never get there
+_ORBIT_NODES = 64
+
+
 class _Search:
     """Colouring branch-and-bound over rows in search labels.
 
     The vertex searched i-th of n has label n - 1 - i (see
     ``_search_rows``), so the next vertex to colour is the highest bit of a
     candidate set and ``bit_length`` finds it without isolating a bit.
+
+    ``symmetry``, when given, returns a group of automorphisms in vertex
+    numbering (see ``Automorphisms``), and ``vertex_of`` maps labels to
+    vertices; the group is built at most once.
     """
 
-    __slots__ = ("adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes")
+    __slots__ = (
+        "adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes",
+        "symmetry", "vertex_of", "label_of", "group", "orbit_skips",
+    )
 
-    def __init__(self, adj, deadline=None):
+    def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None):
         full = (1 << len(adj)) - 1
         self.adj = adj
         self.bits = [1 << v for v in range(len(adj))]
@@ -185,6 +213,11 @@ class _Search:
         self.best_size = 0
         self.deadline = deadline
         self.nodes = 0
+        self.symmetry = symmetry
+        self.vertex_of = vertex_of
+        self.label_of = None
+        self.group = None
+        self.orbit_skips = 0
 
     def seed(self, witness: list[int]) -> None:
         self.best = list(witness)
@@ -216,11 +249,62 @@ class _Search:
             color += 1
         return order, colors
 
+    def build_group(self) -> None:
+        self.group = self.symmetry()
+        n = len(self.adj)
+        self.label_of = np.empty(n, dtype=np.intp)
+        self.label_of[self.vertex_of] = np.arange(n)
+
+    def orbit_mask(self, labels: list[int]) -> int:
+        """The union of the orbits of the given labels, as a bit mask; just
+        the labels while there is no group."""
+        bits = self.bits
+        if self.group is not None:
+            images = self.group.images(self.vertex_of[labels])
+            labels = self.label_of[images].ravel().tolist()
+        mask = 0
+        for w in labels:
+            mask |= bits[w]
+        return mask
+
+    def root(self, cand: int) -> None:
+        """``expand([], cand)``, with the root's branches cut by orbit.
+
+        Once the branch on v has returned, ``best_size`` bounds every
+        clique through v, and so every clique through an image of v, which
+        is the image of one through v.  The orbit of v then leaves the
+        candidates without a branch of its own.  The group is built when a
+        root branch returns with ``_ORBIT_NODES`` nodes expanded in all, and
+        then the orbits of every vertex branched on so far are cleared.
+        """
+        self.nodes += 1
+        order, colors = self._color_order(cand, self.best_size + 1)
+        adj = self.adj
+        branched: list[int] = []
+        for idx in range(len(order) - 1, -1, -1):
+            if colors[idx] <= self.best_size:
+                return
+            v = order[idx]
+            if not cand >> v & 1:
+                self.orbit_skips += 1
+                continue
+            rest = cand & adj[v]
+            if rest:
+                self.expand([v], rest)
+            elif self.best_size < 1:
+                self.best, self.best_size = [v], 1
+            branched.append(v)
+            if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
+                self.build_group()
+                _check_deadline(self.deadline, "the automorphism group")
+                cand &= ~self.orbit_mask(branched)
+            else:
+                cand &= ~self.orbit_mask([v])
+
     def expand(self, stack: list[int], cand: int) -> None:
         self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise TimeLimitExceeded("clique search exceeded its time limit")
+            _check_deadline(self.deadline, "clique search")
         # a vertex of colour below kmin cannot lift the branch past best_size,
         # which only grows while this node's vertices are tried
         order, colors = self._color_order(cand, self.best_size - len(stack) + 1)
@@ -244,11 +328,11 @@ _RELABEL_ROWS = 1024
 
 
 def _search_rows(
-    adj: list[int], order: list[int] | np.ndarray | None
+    adj: list[int], order: list[int] | np.ndarray | None, deadline: float | None = None
 ) -> tuple[list[int], list[int]]:
     """Relabel a graph so that the vertex searched i-th of n gets label
     n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows, which
-    must have no self-loops.
+    must have no self-loops.  The deadline is checked after each block.
 
     Each class of twins is relabelled once, from its first vertex's row.
     A false twin has the same row and shares the relabelled one.  A true
@@ -286,6 +370,7 @@ def _search_rows(
     for start in range(0, len(distinct), _RELABEL_ROWS):
         block = _unpack_rows(distinct[start:start + _RELABEL_ROWS], n)
         relabelled += _pack_rows(block.take(vertex_of, 1))
+        _check_deadline(deadline, "relabelling")
     # the first vertex of a class and its false twins share one row
     shared = [r ^ 1 << i if s else r for r, i, s in zip(relabelled, first, shut)]
     rows = [shared[c] if c >= 0 else relabelled[~c] ^ 1 << i for i, c in enumerate(class_of)]
@@ -355,23 +440,104 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     return best
 
 
+class Automorphisms:
+    """The automorphisms x -> lam * x^(p^i) of a graph on a tabled field.
+
+    The maps with i < mn and lam^2 sigma_i(U) = U, for sigma_i the p^i-power
+    map, are automorphisms, since phi(a) phi(b) = lam^2 sigma_i(ab) lies in
+    U exactly when ab does.  They are closed under composition, so they
+    form a group, and the orbit of v is just the set of its images.
+
+    For each i, mu = lam^2 maps sigma_i(U) onto U, so mu sigma_i(b_0) is
+    some nonzero u in U: the candidates are log mu = log u - p^i log b_0,
+    and a candidate holds when mu sigma_i(b) lies in U for every basis
+    element b, one membership gather.  Each square mu gives lam =
+    g^(log mu / 2) and, for odd q, its negative; for even q the square
+    root is unique.  A map is kept as log lam and p^i.
+    """
+
+    __slots__ = ("ctx", "lam_log", "mult")
+
+    def __init__(self, G: GraphGU):
+        ctx, U = G.ctx, G.U
+        mord, exp, log = ctx.mord, ctx._exp_np, ctx._log_np
+        log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
+        log_b = log[np.asarray(U.basis)]
+        lam_logs, mults = [], []
+        for i in range(ctx.mn):
+            mult = ctx.p**i
+            mu = (log_u - mult * log_b[0]) % mord
+            mu = mu[U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)]
+            if ctx.p == 2:
+                lam = mu * (mord + 1 >> 1) % mord
+            else:
+                half = mu[mu % 2 == 0] >> 1
+                lam = np.concatenate([half, half + (mord >> 1)])
+            lam_logs.append(np.sort(lam))
+            mults.append(np.full(len(lam), mult))
+        self.ctx = ctx
+        self.lam_log = np.concatenate(lam_logs)
+        self.mult = np.concatenate(mults)
+
+    @property
+    def order(self) -> int:
+        return len(self.lam_log)
+
+    def images(self, vertices) -> np.ndarray:
+        """The images of the given vertices, one row per map, the identity
+        first."""
+        ctx = self.ctx
+        x = np.asarray(vertices)
+        out = ctx._exp_np[(self.lam_log[:, None] + self.mult[:, None] * ctx._log_np[x]) % ctx.mord]
+        out[:, x == 0] = 0
+        return out
+
+
+@dataclass
+class SolveStats:
+    """What one exact solve did.
+
+    ``nodes`` counts the search nodes expanded (over all workers) and
+    ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
+    order of the automorphism group that pruned the root, or None when no
+    root branch grew large enough to build it; ``orbit_skips`` counts the
+    root vertices, or parallel subproblems, skipped as orbit-mates.
+    """
+
+    nodes: int = 0
+    seed_size: int = 0
+    group_order: int | None = None
+    orbit_skips: int = 0
+
+
 def max_clique_bitset(
     adj: list[int],
     *,
     order: list[int] | np.ndarray | None = None,
     seed: list[int] | None = None,
     deadline: float | None = None,
+    symmetry: Callable[[], Automorphisms] | None = None,
+    stats: SolveStats | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of a bit-packed graph, with a sorted witness.
 
     ``order`` lists the vertices in the order the search takes them
     (default: by index); ``seed`` is a known clique to start from.
+    ``symmetry`` returns a group of automorphisms of the graph; the search
+    calls it when the first root branch returns with ``_ORBIT_NODES``
+    nodes expanded in all, and from then on prunes the root's branches by
+    orbit.  ``stats`` is filled in.
     """
-    vertex_of, rows = _search_rows(adj, order)
-    search = _Search(rows, deadline)
+    vertex_of, rows = _search_rows(adj, order, deadline)
+    search = _Search(rows, deadline, symmetry, np.asarray(vertex_of))
     if seed:
         search.seed(_labels(vertex_of, seed))
-    search.expand([], (1 << len(rows)) - 1)
+    search.root((1 << len(rows)) - 1)
+    if stats is not None:
+        stats.nodes = search.nodes
+        stats.orbit_skips = search.orbit_skips
+        if search.group is not None:
+            stats.group_order = search.group.order
     return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 
@@ -380,6 +546,7 @@ def clique_number_exact(
     *,
     workers: int = 1,
     time_limit: float | None = None,
+    stats: SolveStats | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with a witness clique.
 
@@ -389,29 +556,58 @@ def clique_number_exact(
     configuration; the clique number itself is independent of the worker
     count.
 
+    The root's branches are cut by the automorphisms x -> lam * x^(p^i)
+    (see ``Automorphisms``): once the branch on v returns, the rest of v's
+    orbit is skipped, since a clique through an image of v is the image of
+    a clique through v.  The serial search builds the group when the first
+    root branch returns with ``_ORBIT_NODES`` nodes expanded in all, so
+    small solves never pay for it; the parallel search builds it before it
+    splits the root.  Fields without tables get no group.
+
+    ``time_limit`` holds in every phase: the clock is checked after the
+    seed, after each relabelled block of rows, after the group is built and
+    every 256 search nodes.  ``stats``, when given, is filled in.
+
     Memory, besides the graph's own rows (n^2/8 bytes at most; false twins
     share one integer): the relabelled rows and the search's complement
     rows take n^2/8 bytes each and its single-bit masks about half that,
     so about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
     65,536.  The relabelling unpacks only the distinct rows, one block of
-    1,024 at a time.
+    1,024 at a time.  The group takes two integers per map.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    stats = SolveStats() if stats is None else stats
     order = np.argsort(-np.asarray(G.degrees), kind="stable")
     seed = greedy_seed_clique(G)
+    stats.seed_size = len(seed)
+    _check_deadline(deadline, "the seed clique")
+    symmetry = functools.partial(Automorphisms, G) if G.ctx._exp_np is not None else None
     if workers <= 1:
-        return max_clique_bitset(G.adjacency, order=order, seed=seed, deadline=deadline)
-    return _solve_parallel(G.adjacency, order, seed, deadline, workers)
+        return max_clique_bitset(
+            G.adjacency, order=order, seed=seed, deadline=deadline, symmetry=symmetry,
+            stats=stats,
+        )
+    return _solve_parallel(G.adjacency, order, seed, deadline, workers, symmetry, stats)
 
 
-def _solve_parallel(adj, order, seed, deadline, workers):
-    vertex_of, rows = _search_rows(adj, order)
-    root_order, _ = _Search(rows)._color_order((1 << len(rows)) - 1, 1)
+def _solve_parallel(adj, order, seed, deadline, workers, symmetry, stats):
+    vertex_of, rows = _search_rows(adj, order, deadline)
+    root = _Search(rows, symmetry=symmetry, vertex_of=np.asarray(vertex_of))
+    if symmetry is not None:
+        root.build_group()
+        stats.group_order = root.group.order
+        _check_deadline(deadline, "the automorphism group")
+    root_order, _ = root._color_order((1 << len(rows)) - 1, 1)
+    # each subproblem is a root branch; an orbit-mate of an earlier one is
+    # dropped, as the serial search skips it
     subproblems = []
     mask = (1 << len(rows)) - 1
     for v in reversed(root_order):
+        if not mask >> v & 1:
+            stats.orbit_skips += 1
+            continue
         subproblems.append((v, mask & rows[v]))
-        mask &= ~(1 << v)
+        mask &= ~root.orbit_mask([v])
     chunks: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
     for i, sub in enumerate(subproblems):
         chunks[i % workers].append(sub)
@@ -422,7 +618,8 @@ def _solve_parallel(adj, order, seed, deadline, workers):
     best_size, best_witness = len(seed), tuple(sorted(seed))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_solve_chunk, [payload_common + (chunk,) for chunk in chunks])
-        for size, witness in results:
+        for size, witness, nodes in results:
+            stats.nodes += nodes
             mapped = tuple(sorted(vertex_of[v] for v in witness))
             if size > best_size or (size == best_size and mapped < best_witness):
                 best_size, best_witness = size, mapped
@@ -435,7 +632,7 @@ def _solve_chunk(payload):
     search.seed(seed)
     for v, cand in chunk:
         search.expand([v], cand)
-    return search.best_size, tuple(search.best)
+    return search.best_size, tuple(search.best), search.nodes
 
 
 # -- maximal clique enumeration ---------------------------------------------

@@ -15,6 +15,22 @@ class TestOmega:
         assert payload["exact"] == payload["predicted"] == 5
         assert payload["match"] is True
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_json_search_stats(self, capsys, workers):
+        # the trace-zero hyperplane of 2^1^9: its greedy seed is optimal and
+        # the Frobenius maps x -> x^(2^i) prune the root
+        code = cli.main(["omega", "--field", "2^1^9", "--subspace", "ker-trace-of=1",
+                         "--mode", "exact", "--workers", workers])
+        assert code == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"schema", "field", "subspace", "mode", "exact", "witness",
+                                "decomposition", "runtime_ms", "search"}
+        search = payload["search"]
+        assert set(search) == {"nodes", "seed_size", "group_order", "orbit_skips"}
+        assert search["seed_size"] == payload["exact"] == 17
+        assert search["group_order"] == 9
+        assert search["nodes"] > 0 and search["orbit_skips"] > 0
+
     def test_csv_format_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["omega", "--field", "2^1^4", "--subspace", "ker-trace-of=1",
@@ -116,9 +132,11 @@ def test_bench_reports_build_and_solve(capsys):
             "class", "instances",
             "build_graph_median_ms", "build_graph_p95_ms",
             "clique_number_exact_median_ms", "clique_number_exact_p95_ms",
+            "nodes_median",
         }
         assert 0 <= r["build_graph_median_ms"] <= r["build_graph_p95_ms"]
         assert 0 <= r["clique_number_exact_median_ms"] <= r["clique_number_exact_p95_ms"]
+        assert r["nodes_median"] >= 1
 
 
 @pytest.mark.parametrize("dim,family", [("2", "all_subspaces"), ("n-1", "all_hyperplanes")])

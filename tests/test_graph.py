@@ -28,6 +28,8 @@ from paleyvec.linalg import (
     zero_subspace,
 )
 from paleyvec.graph import (
+    Automorphisms,
+    SolveStats,
     build_graph,
     clique_number_exact,
     decompose_clique,
@@ -177,6 +179,25 @@ class TestCliqueNumber:
         with pytest.raises(TimeLimitExceeded):
             clique_number_exact(G, time_limit=1e-9)
 
+    def test_time_limit_inside_relabel(self, monkeypatch):
+        # 2,048 distinct rows take two blocks; the clock runs out in the first
+        ctx = build_field(2, 1, 11)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        clock = [0.0]
+        blocks = []
+        real_unpack = graph._unpack_rows
+
+        def unpack(rows, n):
+            blocks.append(len(rows))
+            clock[0] = 10.0
+            return real_unpack(rows, n)
+
+        monkeypatch.setattr(graph.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(graph, "_unpack_rows", unpack)
+        with pytest.raises(TimeLimitExceeded, match="relabelling"):
+            clique_number_exact(G, time_limit=1.0)
+        assert blocks == [graph._RELABEL_ROWS]
+
     def test_time_limit_in_workers(self):
         # workers start their own clock from the remaining budget
         ctx = build_field(2, 1, 8)
@@ -214,15 +235,30 @@ PINNED_SOLUTIONS = {
     (5, 1, 2): (6, "67a1c21a2645d006b8d6a4e16d59275b754f6785cd2bb2f03fae8c997fb57b16"),
 }
 
-# trace-zero hyperplanes: omega, witness and nodes expanded by the serial search
+# trace-zero hyperplanes: omega, witness and nodes expanded by the serial
+# search, without symmetry (recorded before the root was pruned by orbit)
+# and with it
 PINNED_SEARCHES = {
-    (2, 1, 7): (9, (0, 1, 6, 10, 12, 96, 102, 106, 108), 744),
-    (3, 1, 4): (5, (0, 1, 10, 20, 63), 73),
-    (5, 1, 3): (6, (0, 40, 55, 69, 95, 110), 16),
-    (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586),
-    (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 167),
-    (7, 1, 3): (8, (0, 87, 125, 156, 193, 243, 274, 312), 28),
+    (2, 1, 7): (9, (0, 1, 6, 10, 12, 96, 102, 106, 108), 744, 151),
+    (3, 1, 4): (5, (0, 1, 10, 20, 63), 73, 64),
+    (5, 1, 3): (6, (0, 40, 55, 69, 95, 110), 16, 16),
+    (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586, 271),
+    (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 167, 76),
+    (7, 1, 3): (8, (0, 87, 125, 156, 193, 243, 274, 312), 28, 28),
 }
+
+
+class _IdentityOnly(Automorphisms):
+    """The identity alone: the search it drives is the search without symmetry."""
+
+    def __init__(self, G):
+        super().__init__(G)
+        self.lam_log, self.mult = self.lam_log[:1], self.mult[:1]
+
+
+def _solve(G, **kwargs):
+    stats = SolveStats()
+    return clique_number_exact(G, stats=stats, **kwargs), stats
 
 
 class TestPinned:
@@ -243,17 +279,15 @@ class TestPinned:
 
     @pytest.mark.parametrize("spec", sorted(PINNED_SEARCHES))
     def test_search_tree(self, spec, monkeypatch):
-        searches = []
-
-        class Recorded(graph._Search):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                searches.append(self)
-
-        monkeypatch.setattr(graph, "_Search", Recorded)
+        omega, witness, plain_nodes, pruned_nodes = PINNED_SEARCHES[spec]
+        assert pruned_nodes <= plain_nodes
         ctx = build_field(*spec)
-        omega, witness = clique_number_exact(build_graph(ctx, trace_zero_hyperplane(ctx)))
-        assert (omega, witness, sum(s.nodes for s in searches)) == PINNED_SEARCHES[spec]
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        result, stats = _solve(G)
+        assert (result, stats.nodes) == ((omega, witness), pruned_nodes)
+        monkeypatch.setattr(graph, "Automorphisms", _IdentityOnly)
+        result, stats = _solve(G)
+        assert (result, stats.nodes) == ((omega, witness), plain_nodes)
 
     @pytest.mark.parametrize(
         "spec,expected",
@@ -272,6 +306,117 @@ class TestPinned:
                 G = build_graph(ctx, U)
                 best = max(len(c) for c in enumerate_maximal_cliques(G))
                 assert clique_number_exact(G)[0] == best
+
+
+class TestOrbitPruning:
+    """The search pruned by orbit against the search without symmetry."""
+
+    @staticmethod
+    def _plain(G, monkeypatch, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(graph, "Automorphisms", _IdentityOnly)
+            return _solve(G, **kwargs)
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
+    def test_every_subspace(self, spec, monkeypatch):
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                plain, plain_stats = self._plain(G, monkeypatch)
+                assert _solve(G)[0] == plain
+                # the group from the first root branch: the most pruning
+                with monkeypatch.context() as m:
+                    m.setattr(graph, "_ORBIT_NODES", 0)
+                    pruned, stats = _solve(G)
+                assert pruned == plain
+                assert stats.nodes <= plain_stats.nodes
+                # workers split the root, so each finds its own first
+                # maximum clique, and dropping orbit-mates changes which
+                # (the witness differs on some hyperplanes of 2^1^4)
+                size, witness = _solve(G, workers=2)[0]
+                assert size == plain[0] == len(witness)
+                assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+
+    @pytest.mark.parametrize("spec", [(2, 1, 7), (2, 1, 8), (2, 1, 9), (3, 1, 5)])
+    def test_hyperplanes(self, spec, monkeypatch):
+        ctx = build_field(*spec)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        plain, plain_stats = self._plain(G, monkeypatch)
+        pruned, stats = _solve(G)
+        assert pruned == plain
+        # for odd n: lam in F_q*, and sigma_i fixes the trace-zero hyperplane
+        assert stats.group_order == ctx.mn * (ctx.q - 1)
+        assert 0 < stats.orbit_skips
+        assert stats.nodes < plain_stats.nodes
+
+    def test_stats(self):
+        ctx = build_field(2, 1, 9)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        (omega, _), stats = _solve(G)
+        assert stats.seed_size == len(graph.greedy_seed_clique(G)) == omega
+        (_, _), par = _solve(G, workers=2)
+        assert par.group_order == stats.group_order
+        assert par.seed_size == stats.seed_size
+        assert 0 < par.orbit_skips
+
+    def test_untabled_field_has_no_group(self):
+        ctx = build_field(2, 1, 7, table_limit=1)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        (omega, _), stats = _solve(G)
+        assert (omega, stats.group_order, stats.orbit_skips) == (9, None, 0)
+
+
+def _adjacency_matrix(G):
+    return graph._unpack_rows(G.adjacency, G.n_vertices).astype(bool)
+
+
+def _twin_classes(G):
+    """Classes of vertices with equal rows or equal closed rows."""
+    classes = {}
+    for v, row in enumerate(G.adjacency):
+        classes.setdefault(("open", row), []).append(v)
+        classes.setdefault(("closed", row | 1 << v), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
+GROUP_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2), (2, 3, 2)]
+
+
+class TestAutomorphisms:
+    """The maps x -> lam * x^(p^i) with lam^2 sigma_i(U) = U, on every proper
+    subspace of small fields."""
+
+    @pytest.mark.parametrize("spec", GROUP_FIELDS)
+    def test_group(self, spec):
+        ctx = build_field(*spec)
+        n = ctx.order
+        scalars = {tuple(ctx.mul(lam, x) for x in range(n)) for lam in range(1, ctx.q)}
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                images = Automorphisms(G).images(np.arange(n))
+                maps = {tuple(row) for row in images.tolist()}
+                assert len(maps) == len(images)
+                assert images[0].tolist() == list(range(n))
+                # each map permutes the vertices, and row phi(a) of the
+                # adjacency is the image of row a
+                A = _adjacency_matrix(G)
+                for phi in images:
+                    assert sorted(phi.tolist()) == list(range(n))
+                    assert (A[np.ix_(phi, phi)] == A).all()
+                # the group contains F_q* (i = 0)
+                assert scalars <= maps
+                # and is closed under composition: [j2, j1] is phi_j2 after phi_j1
+                composed = images[:, images].reshape(-1, n)
+                assert {tuple(row) for row in composed.tolist()} == maps
+                # orbits are unions of twin classes, except for U = {0, u}:
+                # there v and u/v are true twins with v^2 outside U, swapped
+                # by x -> u/x, which is not of the form lam * x^(p^i)
+                if U.size == 2:
+                    continue
+                for twins in _twin_classes(G):
+                    assert set(twins) <= set(images[:, twins[0]].tolist())
 
 
 def _pinned_subspace(spec):
