@@ -258,13 +258,13 @@ class _Search:
     def orbit_mask(self, labels: list[int]) -> int:
         """The union of the orbits of the given labels, as a bit mask; just
         the labels while there is no group."""
-        bits = self.bits
         if self.group is not None:
-            images = self.group.images(self.vertex_of[labels])
-            labels = self.label_of[images].ravel().tolist()
+            images = [w for v in labels for w in self.group.images(self.vertex_of[v])]
+            labels = self.label_of[images].tolist()
+        bits = self.bits
         mask = 0
-        for w in labels:
-            mask |= bits[w]
+        for v in labels:
+            mask |= bits[v]
         return mask
 
     def root(self, cand: int) -> None:
@@ -453,44 +453,39 @@ class Automorphisms:
     and a candidate holds when mu sigma_i(b) lies in U for every basis
     element b, one membership gather.  Each square mu gives lam =
     g^(log mu / 2) and, for odd q, its negative; for even q the square
-    root is unique.  A map is kept as log lam and p^i.
+    root is unique.  A map is kept as the pair (log lam, p^i).
     """
 
-    __slots__ = ("ctx", "lam_log", "mult")
+    __slots__ = ("ctx", "maps")
 
     def __init__(self, G: GraphGU):
         ctx, U = G.ctx, G.U
         mord, exp, log = ctx.mord, ctx._exp_np, ctx._log_np
         log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
         log_b = log[np.asarray(U.basis)]
-        lam_logs, mults = [], []
+        self.ctx = ctx
+        self.maps: list[tuple[int, int]] = []
         for i in range(ctx.mn):
             mult = ctx.p**i
             mu = (log_u - mult * log_b[0]) % mord
-            mu = mu[U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)]
-            if ctx.p == 2:
-                lam = mu * (mord + 1 >> 1) % mord
-            else:
-                half = mu[mu % 2 == 0] >> 1
-                lam = np.concatenate([half, half + (mord >> 1)])
-            lam_logs.append(np.sort(lam))
-            mults.append(np.full(len(lam), mult))
-        self.ctx = ctx
-        self.lam_log = np.concatenate(lam_logs)
-        self.mult = np.concatenate(mults)
+            holds = U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)
+            for m in mu[holds].tolist():
+                if ctx.p == 2:
+                    self.maps.append((m * (mord + 1 >> 1) % mord, mult))
+                elif m % 2 == 0:
+                    self.maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
 
     @property
     def order(self) -> int:
-        return len(self.lam_log)
+        return len(self.maps)
 
-    def images(self, vertices) -> np.ndarray:
-        """The images of the given vertices, one row per map, the identity
-        first."""
-        ctx = self.ctx
-        x = np.asarray(vertices)
-        out = ctx._exp_np[(self.lam_log[:, None] + self.mult[:, None] * ctx._log_np[x]) % ctx.mord]
-        out[:, x == 0] = 0
-        return out
+    def images(self, v: int) -> list[int]:
+        """The image of vertex v under each map."""
+        if v == 0:
+            return [0] * len(self.maps)
+        exp, mord = self.ctx._exp, self.ctx.mord
+        log_v = self.ctx._log[v]
+        return [exp[(lam + mult * log_v) % mord] for lam, mult in self.maps]
 
 
 @dataclass
@@ -529,7 +524,7 @@ def max_clique_bitset(
     orbit.  ``stats`` is filled in.
     """
     vertex_of, rows = _search_rows(adj, order, deadline)
-    search = _Search(rows, deadline, symmetry, np.asarray(vertex_of))
+    search = _Search(rows, deadline, symmetry, vertex_of)
     if seed:
         search.seed(_labels(vertex_of, seed))
     search.root((1 << len(rows)) - 1)
@@ -573,7 +568,8 @@ def clique_number_exact(
     rows take n^2/8 bytes each and its single-bit masks about half that,
     so about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
     65,536.  The relabelling unpacks only the distinct rows, one block of
-    1,024 at a time.  The group takes two integers per map.
+    1,024 at a time.  The group takes two integers per map, and the
+    search 8 bytes per vertex once it holds the group.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     stats = SolveStats() if stats is None else stats
@@ -592,7 +588,7 @@ def clique_number_exact(
 
 def _solve_parallel(adj, order, seed, deadline, workers, symmetry, stats):
     vertex_of, rows = _search_rows(adj, order, deadline)
-    root = _Search(rows, symmetry=symmetry, vertex_of=np.asarray(vertex_of))
+    root = _Search(rows, symmetry=symmetry, vertex_of=vertex_of)
     if symmetry is not None:
         root.build_group()
         stats.group_order = root.group.order

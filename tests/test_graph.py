@@ -253,7 +253,7 @@ class _IdentityOnly(Automorphisms):
 
     def __init__(self, G):
         super().__init__(G)
-        self.lam_log, self.mult = self.lam_log[:1], self.mult[:1]
+        self.maps = [(0, 1)]
 
 
 def _solve(G, **kwargs):
@@ -395,10 +395,12 @@ class TestAutomorphisms:
         for d in range(1, ctx.n):
             for U in all_subspaces(ctx, d):
                 G = build_graph(ctx, U)
-                images = Automorphisms(G).images(np.arange(n))
+                group = Automorphisms(G)
+                # row j holds the images under map j
+                images = np.array([group.images(v) for v in range(n)]).T
                 maps = {tuple(row) for row in images.tolist()}
                 assert len(maps) == len(images)
-                assert images[0].tolist() == list(range(n))
+                assert tuple(range(n)) in maps
                 # each map permutes the vertices, and row phi(a) of the
                 # adjacency is the image of row a
                 A = _adjacency_matrix(G)
