@@ -279,7 +279,7 @@ class _Search:
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
-        adj = self.adj
+        adj, bits = self.adj, self.bits
         branched: list[int] = []
         for idx in range(len(order) - 1, -1, -1):
             if colors[idx] <= self.best_size:
@@ -293,13 +293,15 @@ class _Search:
                 self.expand([v], rest)
             elif self.best_size < 1:
                 self.best, self.best_size = [v], 1
+            if self.group is not None:
+                cand &= ~self.orbit_mask([v])
+                continue
+            cand ^= bits[v]
             branched.append(v)
-            if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
+            if self.symmetry is not None and self.nodes >= _ORBIT_NODES:
                 self.build_group()
                 _check_deadline(self.deadline, "the automorphism group")
                 cand &= ~self.orbit_mask(branched)
-            else:
-                cand &= ~self.orbit_mask([v])
 
     def expand(self, stack: list[int], cand: int) -> None:
         self.nodes += 1
