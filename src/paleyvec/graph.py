@@ -574,17 +574,18 @@ def clique_number_exact(
     search 8 bytes per vertex once it holds the group.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    stats = SolveStats() if stats is None else stats
     order = np.argsort(-np.asarray(G.degrees), kind="stable")
     seed = greedy_seed_clique(G)
-    stats.seed_size = len(seed)
     _check_deadline(deadline, "the seed clique")
+    if stats is not None:
+        stats.seed_size = len(seed)
     symmetry = functools.partial(Automorphisms, G) if G.ctx._exp_np is not None else None
     if workers <= 1:
         return max_clique_bitset(
             G.adjacency, order=order, seed=seed, deadline=deadline, symmetry=symmetry,
             stats=stats,
         )
+    stats = SolveStats() if stats is None else stats
     return _solve_parallel(G.adjacency, order, seed, deadline, workers, symmetry, stats)
 
 
