@@ -496,9 +496,10 @@ class SolveStats:
 
     ``nodes`` counts the search nodes expanded (over all workers) and
     ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
-    order of the automorphism group that pruned the root, or None when no
-    root branch grew large enough to build it; ``orbit_skips`` counts the
-    root vertices, or parallel subproblems, skipped as orbit-mates.
+    order of the automorphism group that pruned the root, or None when the
+    search never built it (a small solve, or a field without tables);
+    ``orbit_skips`` counts the root vertices, or parallel subproblems,
+    skipped as orbit-mates.
     """
 
     nodes: int = 0
