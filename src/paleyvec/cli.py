@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -40,11 +39,9 @@ from .graph import (
 from .linalg import (
     all_hyperplanes,
     all_subspaces,
-    contains_nonzero_square,
     parse_subspace,
-    s_invariant,
 )
-from .predict import D_invariant, predict_omega
+from .predict import predict_omega
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -174,12 +171,10 @@ def cmd_survey(args) -> int:
     exact_mismatch = False
     for d in dims:
         for U in all_subspaces(ctx, d):
-            has_sq = contains_nonzero_square(U)
-            D = D_invariant(U) if has_sq else ""
-            s = ""
-            if ctx.p != 2 and ctx.n % 2 == 0 and d == ctx.n - 1:
-                s = s_invariant(U)
             pred = predict_omega(U)
+            inv = pred.invariants
+            D = "" if inv.D is None else inv.D
+            s = "" if inv.s is None else inv.s
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
             omega, _ = clique_number_exact(
                 G, workers=args.workers, time_limit=args.time_limit
@@ -192,9 +187,8 @@ def cmd_survey(args) -> int:
             else:
                 basis_txt = ",".join(str(b) for b in U.basis)
             predicted = pred.value if pred.kind == "exact" else f"{pred.lo}..{pred.hi}"
-            writer.writerow(
-                [field_str, basis_txt, d, int(has_sq), D, s, predicted, omega, int(match)]
-            )
+            writer.writerow([field_str, basis_txt, d, int(inv.has_square), D, s,
+                             predicted, omega, int(match)])
     return EXIT_VERIFICATION if exact_mismatch else EXIT_OK
 
 
@@ -275,14 +269,10 @@ def cmd_bench(args) -> int:
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"schema": 1, "classes": rows}, sort_keys=True))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if rows:
-            writer.writerow(rows[0].keys())
-            for r in rows:
-                writer.writerow(r.values())
-        print(buf.getvalue(), end="")
+    elif rows:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(r.values() for r in rows)
     return EXIT_OK
 
 
@@ -298,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="json", formats=("json", "csv", "human")):
-        p.add_argument("--format", choices=formats, default=fmt_default)
+    def add_common(p, formats):
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--max-vertices", type=int, default=None,
                        help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
         p.add_argument("--workers", type=_worker_count, default=1)
@@ -326,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated dimensions, n-1 allowed")
     p_survey.add_argument("--pretty", action="store_true",
                           help="render basis elements as polynomials")
-    add_common(p_survey, fmt_default="csv")
+    add_common(p_survey, formats=("csv",))
     p_survey.set_defaults(func=cmd_survey)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -348,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dim", default="")
     p_bench.add_argument("--limit", type=int, default=50,
                          help="instances per class")
-    add_common(p_bench, fmt_default="human")
+    add_common(p_bench, formats=("csv", "json"))
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

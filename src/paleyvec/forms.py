@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     ConstructionFailed,
     DegenerateForm,
@@ -24,7 +22,8 @@ from .errors import (
     StructureViolation,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, nullspace, rank, span
+from .graph import build_graph, max_clique_bitset
+from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
 
 
 class BilinearForm:
@@ -255,28 +254,16 @@ def t_of_form(form: BilinearForm) -> tuple[int, Subspace]:
 
 
 def orthogonality_adjacency(form: BilinearForm) -> list[int]:
-    """Bit-packed graph on the field with edges where the form vanishes."""
+    """Bit-packed graph on the field with edges where the form vanishes.
+
+    For a trace form this is the graph of the hyperplane U = ker Tr(lam x),
+    since Tr(lam x y) = 0 exactly when xy lies in U.  A Gram form is
+    evaluated pair by pair.
+    """
     ctx = form.ctx
+    if form.lam is not None:
+        return build_graph(ctx, hyperplane_from_functional(ctx, form.lam)).adjacency
     n = ctx.order
-    if form.lam is not None and ctx._exp_np is not None:
-        trace = np.array(ctx._trace, dtype=np.int64)
-        rows = [(1 << n) - 2]
-        nbytes = (n + 7) // 8
-        log_lam = int(ctx._log_np[form.lam]) if form.lam else 0
-        vs = np.arange(1, n, dtype=np.int64)
-        log_v = ctx._log_np[vs] + log_lam
-        ws = np.arange(1, n, dtype=np.int64)
-        log_w = ctx._log_np[ws]
-        prod = ctx._exp_np[(log_v[:, None] + log_w[None, :]) % ctx.mord]
-        orth = trace[prod] == 0
-        bits = np.zeros((n - 1, n), dtype=bool)
-        bits[:, 1:] = orth
-        bits[:, 0] = True
-        bits[np.arange(n - 1), vs] = False
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        for i in range(n - 1):
-            rows.append(int.from_bytes(packed[i, :nbytes].tobytes(), "little"))
-        return rows
     rows = [(1 << n) - 2]
     for v in range(1, n):
         row = 1
@@ -301,8 +288,6 @@ class FormInvariants:
 
 def orthogonal_set_max(form: BilinearForm):
     """Exact largest pairwise-orthogonal set, by clique search."""
-    from .graph import max_clique_bitset  # local import to avoid a cycle
-
     return max_clique_bitset(orthogonality_adjacency(form))
 
 
@@ -314,22 +299,16 @@ def M_of_form(form: BilinearForm, with_witness: bool = True) -> FormInvariants:
     (n + 1 when q = 2 and t <= 2, else q^t + n - 2t).
     """
     ctx = form.ctx
-    n = ctx.n
+    t, witness_W = t_of_form(form)
+    M = ctx.q**t + ctx.n - 2 * t
     if ctx.p != 2:
-        chi = chi_of_form(form)
-        t, witness_W = t_of_form(form)
-        M = ctx.q**t + n - 2 * t
         witness_E: tuple[int, ...] = ()
         if with_witness:
             found, witness_E = orthogonal_set_max(form)
             if found != M:
                 raise StructureViolation(f"orthogonal-set search reached {found}, expected {M}")
-        return FormInvariants(chi, t, witness_W, M, witness_E, None)
-    t, witness_W = t_of_form(form)
-    if ctx.q == 2 and t <= 2:
-        upper = n + 1
-    else:
-        upper = ctx.q**t + n - 2 * t
+        return FormInvariants(chi_of_form(form), t, witness_W, M, witness_E, None)
+    upper = ctx.n + 1 if ctx.q == 2 and t <= 2 else M
     M, witness_E = orthogonal_set_max(form)
     if M > upper:
         raise StructureViolation(f"M = {M} exceeds the bound {upper}")

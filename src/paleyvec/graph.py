@@ -56,7 +56,7 @@ from .errors import (
     ZeroDimension,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, contains_nonzero_square, rank, span
+from .linalg import Subspace, rank, span
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
@@ -327,6 +327,8 @@ class _Search:
 
 
 _RELABEL_ROWS = 1024
+# and at most this many cells, so that one block of a large graph is quick
+_RELABEL_CELLS = 1 << 22
 
 
 def _search_rows(
@@ -350,27 +352,30 @@ def _search_rows(
     distinct: list[int] = []  # the row each class relabels
     shut: list[bool] = []  # whether that row is the closed one
     class_of: list[int] = []  # by label; ~c for a true twin in class c
-    for i, v in enumerate(vertices):
-        row = adj[v]
-        new = len(first)
-        c = by_row.setdefault(row, new)
-        if c == new:
-            closed_row = row | 1 << v
-            c = by_closed.setdefault(closed_row, new)
+    for start in range(0, n, _RELABEL_ROWS):
+        _check_deadline(deadline, "relabelling")
+        for i, v in enumerate(vertices[start:start + _RELABEL_ROWS], start):
+            row = adj[v]
+            new = len(first)
+            c = by_row.setdefault(row, new)
             if c == new:
-                first.append(i)
-                distinct.append(row)
-                shut.append(False)
-            else:
-                del by_row[row]
-                distinct[c] = closed_row
-                shut[c] = True
-                c = ~c
-        class_of.append(c)
+                closed_row = row | 1 << v
+                c = by_closed.setdefault(closed_row, new)
+                if c == new:
+                    first.append(i)
+                    distinct.append(row)
+                    shut.append(False)
+                else:
+                    del by_row[row]
+                    distinct[c] = closed_row
+                    shut[c] = True
+                    c = ~c
+            class_of.append(c)
     relabelled: list[int] = []
     # a block of rows at a time: the unpacked block takes n bytes per row
-    for start in range(0, len(distinct), _RELABEL_ROWS):
-        block = _unpack_rows(distinct[start:start + _RELABEL_ROWS], n)
+    step = max(1, min(_RELABEL_ROWS, _RELABEL_CELLS // n))
+    for start in range(0, len(distinct), step):
+        block = _unpack_rows(distinct[start:start + step], n)
         relabelled += _pack_rows(block.take(vertex_of, 1))
         _check_deadline(deadline, "relabelling")
     # the first vertex of a class and its false twins share one row
@@ -397,6 +402,15 @@ def _pack_rows(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i].tobytes(), "little") for i in range(mat.shape[0])]
 
 
+def _nonzero_in_coordinate_order(U: Subspace) -> list[int]:
+    """U's nonzero elements in the order of ``enumerate_elements``: by the
+    coordinates, so the sort key reads the base-q digits from the lowest."""
+    q, n = U.ctx.q, U.ctx.n
+    members = np.flatnonzero(U.member)[1:]
+    key = sum(members // q**i % q * q ** (n - 1 - i) for i in range(n))
+    return members[np.argsort(key)].tolist()
+
+
 def greedy_seed_clique(G: GraphGU) -> list[int]:
     """Constructive starter cliques, greedily extended.
 
@@ -407,17 +421,17 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     """
     ctx = G.ctx
     U = G.U
-    members = U.enumerate_elements()
+    members = _nonzero_in_coordinate_order(U)
     seeds: list[list[int]] = []
-    u0 = next(u for u in members if u)
+    u0 = members[0]
     full = (1 << G.n_vertices) - 1
     # 0 is in U, so any vertex with its square outside U is nonzero
     sq_out = ~G.square_in_U_mask() & full
     if sq_out:
         a_out = (sq_out & -sq_out).bit_length() - 1
         seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
-    if contains_nonzero_square(U):
-        w = next(u for u in members if u and ctx.is_square(u))
+    w = next((u for u in members if ctx.is_square(u)), None)
+    if w is not None:
         a = ctx.sqrt(w)
         line = [ctx.mul(a, lam) for lam in range(ctx.q)]
         if U.dim > 1:
@@ -571,8 +585,9 @@ def clique_number_exact(
     rows take n^2/8 bytes each and its single-bit masks about half that,
     so about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
     65,536.  The relabelling unpacks only the distinct rows, one block of
-    1,024 at a time.  The group takes two integers per map, and the
-    search 8 bytes per vertex once it holds the group.
+    at most 1,024 rows and 4 M cells at a time.  The group takes two
+    integers per map, and the search 8 bytes per vertex once it holds the
+    group.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     order = np.argsort(-np.asarray(G.degrees), kind="stable")

@@ -2,10 +2,15 @@
 
 This module is the reconciliation layer between the formulas (exact
 values for dimensions 1, 2 and n-1, bounds everywhere else) and the
-exact solver.  Every check is phrased so that a pass/fail decision never
-rests on floating-point rounding: power comparisons are exact integer
-arithmetic where the exponent is rational, and certified rational
-enclosures (width well under 2^-40) where it is not.
+exact solver.  ``SubspaceInvariants`` records what they rest on, and
+``BOUND_CHECKS`` states each of the paper's inequalities once; the
+interval endpoints, ``admits``, ``bounds_report`` and
+``check_corollary_q_power`` are all read off that table.
+
+Every check is phrased so that a pass/fail decision never rests on
+floating-point rounding: power comparisons are exact integer arithmetic
+where the exponent is rational, and certified rational enclosures (width
+well under 2^-40) where it is not.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .errors import NoNonzeroSquare, PreconditionViolated, WrongDimension
 from .gf import FieldCtx, _divisors
@@ -33,7 +40,7 @@ def omega_qn(q: int, n: int) -> int:
     return q ** (n // 2)
 
 
-# -- the exponent bound -------------------------------------------------------
+# -- the invariants record ----------------------------------------------------
 
 
 def _log2_enclosure(v: int) -> tuple[Fraction, Fraction]:
@@ -47,57 +54,131 @@ def _log2_enclosure(v: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class KappaBound:
-    """The exponent cap max(D, 7d/8 + 7/(32 log2 q)), held exactly or enclosed."""
+    """The exponent cap max(D, 7d/8 + 7/(32 log2 q)): exactly hi, or at most hi."""
 
-    d_U: int
-    D_U: int
-    q: int
-    lo: Fraction
     hi: Fraction
     exact: bool
 
-    @property
-    def value(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
-    def upper_holds(self, omega: int) -> bool:
-        """Whether omega <= q^kappa + d_U, failing only when the whole
-        enclosure fails."""
-        rem = omega - self.d_U
-        if rem <= 1:
-            return True
-        if self.exact and self.hi.denominator == 1:
-            return rem <= self.q ** int(self.hi)
-        if self.exact:
-            # q is a power of two here, so the exponent of 2 is rational
-            m = self.q.bit_length() - 1
-            expo = self.hi * m
-            return rem**expo.denominator <= 2**expo.numerator
-        lhs_lo, _ = _log2_enclosure(rem)
-        llo, lhi = _log2_enclosure(self.q)
-        rhs_hi = self.hi * lhi
-        return not lhs_lo > rhs_hi
+class SubspaceInvariants:
+    """The nonzero-square test, D, s and kappa of one subspace U, each
+    computed on first read.  D and kappa are None when U has no nonzero
+    square; s is None unless q is odd, n even and U a hyperplane."""
 
-    def lower_value(self) -> int:
-        return self.q**self.D_U
+    def __init__(self, U: Subspace):
+        self.U = U
+        self.q, self.n, self.d = U.ctx.q, U.ctx.n, U.dim
+
+    @cached_property
+    def has_square(self) -> bool:
+        return contains_nonzero_square(self.U)
+
+    @cached_property
+    def D(self) -> int | None:
+        return D_invariant(self.U) if self.has_square else None
+
+    @cached_property
+    def s(self) -> int | None:
+        if self.U.ctx.p == 2 or self.n % 2 or self.d != self.n - 1:
+            return None
+        return s_invariant(self.U)
+
+    @cached_property
+    def kappa(self) -> KappaBound | None:
+        if not self.has_square:
+            return None
+        ctx, d, D = self.U.ctx, self.d, Fraction(self.D)
+        if ctx.p == 2:
+            k = max(D, Fraction(7, 8) * d + Fraction(7, 32 * ctx.m))
+            return KappaBound(k, True)
+        hi = max(D, Fraction(7, 8) * d + Fraction(7, 32) / _log2_enclosure(ctx.q)[0])
+        return KappaBound(hi, hi <= D)
 
 
 def kappa_U(U: Subspace) -> KappaBound:
     """Exponent bound for the clique number of the graph of U."""
-    ctx = U.ctx
-    if not contains_nonzero_square(U):
+    kb = SubspaceInvariants(U).kappa
+    if kb is None:
         raise NoNonzeroSquare("the exponent bound needs a nonzero square in U")
-    D = D_invariant(U)
-    d = U.dim
-    if ctx.p == 2:
-        f = Fraction(7, 8) * d + Fraction(7, 32 * ctx.m)
-        k = max(Fraction(D), f)
-        return KappaBound(d, D, ctx.q, k, k, True)
-    flo_l, fhi_l = _log2_enclosure(ctx.q)
-    flo = Fraction(7, 8) * d + Fraction(7, 32) / fhi_l
-    fhi = Fraction(7, 8) * d + Fraction(7, 32) / flo_l
-    lo, hi = max(Fraction(D), flo), max(Fraction(D), fhi)
-    return KappaBound(d, D, ctx.q, lo, hi, hi <= D)
+    return kb
+
+
+# -- the bounds table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """One result of the paper: the subspaces it applies to, and its exact
+    test on omega or, for a lower or upper bound, the bound's value."""
+
+    name: str
+    applies: Callable[[SubspaceInvariants], bool]
+    test: Callable[[SubspaceInvariants, int], bool] | None = None
+    lower: Callable[[SubspaceInvariants], int] | None = None
+    upper: Callable[[SubspaceInvariants], int] | None = None
+
+    def holds(self, inv: SubspaceInvariants, omega: int) -> bool:
+        if self.lower is not None:
+            return omega >= self.lower(inv)
+        if self.upper is not None:
+            return omega <= self.upper(inv)
+        return self.test(inv, omega)
+
+
+def _kappa_upper_holds(inv: SubspaceInvariants, omega: int) -> bool:
+    """Whether omega <= q^kappa + d, failing only when the whole enclosure
+    of kappa fails."""
+    q, kb, rem = inv.q, inv.kappa, omega - inv.d
+    if rem <= 1:
+        return True
+    if kb.exact and kb.hi.denominator == 1:
+        return rem <= q ** int(kb.hi)
+    if kb.exact:
+        # q is a power of two here, so the exponent of 2 is rational
+        expo = kb.hi * (q.bit_length() - 1)
+        return rem**expo.denominator <= 2**expo.numerator
+    return not _log2_enclosure(rem)[0] > kb.hi * _log2_enclosure(q)[1]
+
+
+def _shape_feasible(inv: SubspaceInvariants, omega: int) -> bool:
+    """Is omega = q^t + r for some admissible split (t, r)?"""
+    q, d = inv.q, inv.d
+    t = 0
+    while q**t <= omega:
+        r = omega - q**t
+        if t == 0:
+            if r <= d + 1 and omega <= d + 2:
+                return True
+        elif r + t <= d:
+            if omega <= d + 2 or not inv.kappa.hi < t:
+                return True
+        t += 1
+    return False
+
+
+# In the order bounds_report lists them.
+BOUND_CHECKS = (
+    BoundCheck("at-least-3", lambda inv: True, lower=lambda inv: 3),
+    BoundCheck("no-square-exact-3", lambda inv: not inv.has_square, lambda inv, w: w == 3),
+    BoundCheck("no-square-upper", lambda inv: not inv.has_square, upper=lambda inv: inv.d + 2),
+    BoundCheck("subfield-lower", lambda inv: inv.has_square, lower=lambda inv: inv.q**inv.D),
+    BoundCheck("square-lower", lambda inv: inv.has_square,
+               lower=lambda inv: inv.q + min(1, inv.d - 1)),
+    BoundCheck("kappa-upper", lambda inv: inv.has_square, _kappa_upper_holds),
+    BoundCheck("shape", lambda inv: inv.has_square, _shape_feasible),
+    BoundCheck("global-upper", lambda inv: True, upper=lambda inv: omega_qn(inv.q, inv.n)),
+    # the q^d corollary, with its equality case
+    BoundCheck("power-upper", lambda inv: inv.d >= 2, upper=lambda inv: inv.q**inv.d),
+    BoundCheck("power-gap", lambda inv: inv.d >= 2,
+               lambda inv, w: w == inv.q**inv.d or w <= inv.q ** (inv.d - 1) + 1),
+    BoundCheck("power-equality-iff", lambda inv: inv.d >= 2,
+               lambda inv, w: (w == inv.q**inv.d) == (inv.q == inv.d == 2 or inv.D == inv.d)),
+)
+_COROLLARY_CHECKS = tuple(c for c in BOUND_CHECKS if c.name.startswith("power-"))
+
+
+def _run_checks(checks, inv: SubspaceInvariants, omega: int) -> dict[str, bool]:
+    return {c.name: c.holds(inv, omega) for c in checks if c.applies(inv)}
 
 
 # -- predictions --------------------------------------------------------------
@@ -109,46 +190,25 @@ class OmegaPrediction:
 
     kind: str  # "exact" or "interval"
     value: int | None
-    lo: int | None
-    hi: int | None
+    lo: int
+    hi: int
     source: str
-    q: int
-    n: int
-    d_U: int
-    has_square: bool
-    D_U: int | None
-    kappa: KappaBound | None
+    invariants: SubspaceInvariants
 
     @property
-    def exact_value(self) -> int | None:
-        return self.value if self.kind == "exact" else None
+    def has_square(self) -> bool:
+        return self.invariants.has_square
+
+    @property
+    def D_U(self) -> int | None:
+        return self.invariants.D
 
     def admits(self, omega: int) -> bool:
+        """An exact value admits itself; an interval admits every omega
+        that passes each applicable check of BOUND_CHECKS."""
         if self.kind == "exact":
             return omega == self.value
-        return self._interval_admits(omega)
-
-    def _interval_admits(self, omega: int) -> bool:
-        q, d = self.q, self.d_U
-        if not self.has_square:
-            return omega == 3
-        if omega < 3 or omega < q + min(1, d - 1):
-            return False
-        if omega > omega_qn(q, self.n):
-            return False
-        if omega < q**self.D_U:
-            return False
-        if not self.kappa.upper_holds(omega):
-            return False
-        if d >= 2:
-            if omega > q**d:
-                return False
-            if omega != q**d and omega > q ** (d - 1) + 1:
-                return False
-            equality_allowed = (q == 2 and d == 2) or self.D_U == d
-            if omega == q**d and not equality_allowed:
-                return False
-        return _shape_feasible(omega, q, d, self.kappa)
+        return all(_run_checks(BOUND_CHECKS, self.invariants, omega).values())
 
     def describe(self):
         if self.kind == "exact":
@@ -156,43 +216,22 @@ class OmegaPrediction:
         return {"kind": "interval", "lo": self.lo, "hi": self.hi, "source": self.source}
 
 
-def _shape_feasible(omega: int, q: int, d: int, kappa: KappaBound | None) -> bool:
-    """Is omega = q^t + r for some admissible split (t, r)?"""
-    t = 0
-    while q**t <= omega:
-        r = omega - q**t
-        if t == 0:
-            if r <= d + 1 and omega <= d + 2:
-                return True
-        elif r + t <= d:
-            if omega <= d + 2:
-                return True
-            if kappa is None or not kappa.hi < t:
-                return True
-        t += 1
-    return False
-
-
 def predict_omega(U: Subspace) -> OmegaPrediction:
     """Best available prediction for the clique number of the graph of U.
 
     Exact for dimension 1, dimension 2, dimension n-1, and for any
-    subspace without a nonzero square; an intersected-bound interval
-    otherwise.
+    subspace without a nonzero square; otherwise the interval between
+    the largest applicable lower bound and the smallest upper bound.
     """
-    ctx = U.ctx
-    q, n, d = ctx.q, ctx.n, U.dim
+    q, n, d = U.ctx.q, U.ctx.n, U.dim
     if not 1 <= d <= n - 1:
         raise WrongDimension(f"need 1 <= dim <= {n - 1}, got {d}")
-    has_sq = contains_nonzero_square(U)
+    inv = SubspaceInvariants(U)
 
     def exact(v, source):
-        return OmegaPrediction(
-            "exact", v, v, v, source, q, n, d, has_sq,
-            D_invariant(U) if has_sq else None, kappa_U(U) if has_sq else None,
-        )
+        return OmegaPrediction("exact", v, v, v, source, inv)
 
-    if not has_sq:
+    if not inv.has_square:
         return exact(3, "no-nonzero-square")
     if d == 1:
         if q in (2, 3):
@@ -201,33 +240,31 @@ def predict_omega(U: Subspace) -> OmegaPrediction:
     if d == 2:
         if q == 2:
             return exact(4, "dim-2")
-        D = D_invariant(U)
-        if n % 2 == 0 and D == 2:
+        if n % 2 == 0 and inv.D == 2:
             return exact(q * q, "dim-2 scaled-quadratic-subfield")
         return exact(q + 1, "dim-2")
     if d == n - 1:
-        return exact(hyperplane_omega(U), "dim-(n-1)")
-    D = D_invariant(U)
-    kb = kappa_U(U)
-    lo = max(3, q + min(1, d - 1), q**D)
-    hi = min(omega_qn(q, n), q**d)
-    return OmegaPrediction("interval", None, lo, hi, "bound-intersection",
-                           q, n, d, True, D, kb)
+        return exact(_hyperplane_omega(inv), "dim-(n-1)")
+    lo = max(c.lower(inv) for c in BOUND_CHECKS if c.lower and c.applies(inv))
+    hi = min(c.upper(inv) for c in BOUND_CHECKS if c.upper and c.applies(inv))
+    return OmegaPrediction("interval", None, lo, hi, "bound-intersection", inv)
 
 
 def hyperplane_omega(U: Subspace) -> int:
     """Exact clique number of the graph of a dimension-(n-1) subspace."""
-    ctx = U.ctx
-    q, n = ctx.q, ctx.n
-    if U.dim != n - 1:
-        raise WrongDimension(f"need dimension {n - 1}, got {U.dim}")
+    return _hyperplane_omega(SubspaceInvariants(U))
+
+
+def _hyperplane_omega(inv: SubspaceInvariants) -> int:
+    q, n = inv.q, inv.n
+    if inv.d != n - 1:
+        raise WrongDimension(f"need dimension {n - 1}, got {inv.d}")
     if q == 2 and n <= 5:
         return n + 1
-    if ctx.p == 2 or n % 2 == 1:
+    if q % 2 == 0 or n % 2 == 1:
         return q ** (n // 2) + n - 2 * (n // 2)
-    s = s_invariant(U)
     big = {(1, 0, -1), (3, 0, -1), (3, 2, 1), (1, 2, -1)}
-    if (q % 4, n % 4, s) in big:
+    if (q % 4, n % 4, inv.s) in big:
         return q ** (n // 2)
     return q ** (n // 2 - 1) + 2
 
@@ -235,47 +272,24 @@ def hyperplane_omega(U: Subspace) -> int:
 # -- bound reports ------------------------------------------------------------
 
 
-def bounds_report(U: Subspace, omega: int) -> dict:
-    """Check every applicable bound for an exactly computed clique number."""
-    ctx = U.ctx
-    q, d = ctx.q, U.dim
-    has_sq = contains_nonzero_square(U)
-    checks: dict[str, bool] = {"at-least-3": omega >= 3}
-    if not has_sq:
-        checks["no-square-exact-3"] = omega == 3
-        checks["no-square-upper"] = omega <= d + 2
-    else:
-        kb = kappa_U(U)
-        checks["subfield-lower"] = omega >= kb.lower_value()
-        checks["square-lower"] = omega >= q + min(1, d - 1)
-        checks["kappa-upper"] = kb.upper_holds(omega)
-        checks["shape"] = _shape_feasible(omega, q, d, kb)
-    checks["global-upper"] = omega <= omega_qn(q, ctx.n)
-    if d >= 2:
-        checks.update(_corollary_checks(U, omega, has_sq))
-    return {"omega": omega, "dim": d, "has_square": has_sq,
+def bounds_report(U: Subspace, omega: int, *,
+                  invariants: SubspaceInvariants | None = None) -> dict:
+    """Check every applicable bound for an exactly computed clique number;
+    ``invariants``, from a prediction of U, saves computing them again."""
+    inv = invariants or SubspaceInvariants(U)
+    checks = _run_checks(BOUND_CHECKS, inv, omega)
+    return {"omega": omega, "dim": inv.d, "has_square": inv.has_square,
             "checks": checks, "ok": all(checks.values())}
 
 
-def _corollary_checks(U: Subspace, omega: int, has_sq: bool) -> dict[str, bool]:
-    ctx = U.ctx
-    q, d = ctx.q, U.dim
-    out = {"power-upper": omega <= q**d}
-    out["power-gap"] = omega == q**d or omega <= q ** (d - 1) + 1
-    equality_expected = (q == 2 and d == 2) or (has_sq and D_invariant(U) == d)
-    out["power-equality-iff"] = (omega == q**d) == equality_expected
-    return out
-
-
-def check_corollary_q_power(U: Subspace, omega: int, graph=None) -> dict:
+def check_corollary_q_power(U: Subspace, omega: int, graph=None, *,
+                            invariants: SubspaceInvariants | None = None) -> dict:
     """The q^dim upper bound, its equality condition, and (for q = dim = 2,
     when the graph is supplied) the exact shape of every maximum clique."""
-    ctx = U.ctx
-    q, d = ctx.q, U.dim
+    q, d = U.ctx.q, U.dim
     if d < 2:
         raise WrongDimension("the power bound needs dim >= 2")
-    has_sq = contains_nonzero_square(U)
-    checks = _corollary_checks(U, omega, has_sq)
+    checks = _run_checks(_COROLLARY_CHECKS, invariants or SubspaceInvariants(U), omega)
     if graph is not None and q == 2 and d == 2 and omega == 4:
         checks["max-clique-shape"] = _check_q2_d2_shape(U, graph)
     return {"omega": omega, "checks": checks, "ok": all(checks.values())}

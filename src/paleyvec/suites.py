@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .errors import CapExceeded, PaleyvecError, PreconditionViolated
 from .forms import (
     BilinearForm,
-    M_of_form,
     chi_of_form,
     isotropic_dimension_search,
     orthogonal_set_max,
@@ -255,18 +254,18 @@ def suite_main3(qmax=None, nmax=None) -> SuiteReport:
         for U in survey_family(ctx):
             report.instances += 1
             omega, _ = instance_omega(U)
-            rep = bounds_report(U, omega)
+            pred = predict_omega(U)
+            rep = bounds_report(U, omega, invariants=pred.invariants)
             if not rep["ok"]:
                 report.fail(field=[p, m, n], basis=list(U.basis), report=rep)
                 continue
-            pred = predict_omega(U)
             if not pred.admits(omega):
                 report.fail(field=[p, m, n], basis=list(U.basis),
                             error=f"prediction {pred.describe()} rejects {omega}")
                 continue
-            if U.dim >= 2 and ctx.q == 2 and U.dim == 2:
+            if ctx.q == 2 and U.dim == 2:
                 G = build_graph(ctx, U)
-                cor = check_corollary_q_power(U, omega, graph=G)
+                cor = check_corollary_q_power(U, omega, graph=G, invariants=pred.invariants)
                 if not cor["ok"]:
                     report.fail(field=[p, m, n], basis=list(U.basis), report=cor)
     return report

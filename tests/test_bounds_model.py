@@ -14,8 +14,10 @@ import json
 
 import pytest
 
+from paleyvec import predict, suites
 from paleyvec.gf import build_field
 from paleyvec.predict import (
+    BOUND_CHECKS,
     bounds_report,
     check_corollary_q_power,
     omega_qn,
@@ -60,3 +62,42 @@ def _bounds_digest(ctx) -> str:
 @pytest.mark.parametrize("spec", [f for f in BOUNDS_GRID if (f[0] ** f[1]) ** f[2] <= 64])
 def test_bounds_pin(spec):
     assert _bounds_digest(build_field(*spec)) == BOUNDS_PINS[spec]
+
+
+# fields with interval predictions: every subspace of 2^1^5, seeded samples of the rest
+INTERVAL_FIELDS = [(2, 1, 5), (2, 1, 8), (3, 1, 5)]
+
+
+@pytest.mark.parametrize("spec", INTERVAL_FIELDS)
+def test_interval_is_the_check_table(spec):
+    ctx = build_field(*spec)
+    q, n = ctx.q, ctx.n
+    intervals = 0
+    for U in survey_family(ctx):
+        pred = predict_omega(U)
+        if pred.kind != "interval":
+            continue
+        intervals += 1
+        inv, d = pred.invariants, U.dim
+        # the endpoints as predict_omega stated them before the table
+        assert pred.lo == max(3, q + min(1, d - 1), q**pred.D_U)
+        assert pred.hi == min(omega_qn(q, n), q**d)
+        for omega in _omega_range(U):
+            passes = all(c.holds(inv, omega) for c in BOUND_CHECKS if c.applies(inv))
+            assert pred.admits(omega) == passes == bounds_report(U, omega)["ok"], (U, omega)
+    assert intervals > 0
+
+
+def test_main3_computes_D_once_per_instance(monkeypatch):
+    calls = []
+    real = predict.D_invariant
+
+    def counted(U):
+        calls.append(U)
+        return real(U)
+
+    monkeypatch.setattr(predict, "D_invariant", counted)
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    report = suites.run_suite("main3", qmax=3, nmax=4)
+    assert report.failures == []
+    assert 0 < len(calls) <= report.instances

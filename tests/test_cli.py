@@ -91,6 +91,13 @@ class TestOmega:
         (["bench", "--field", "2^1^3", "--time-limit", "nan"], cli.EXIT_USAGE),
         (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "2",
           "--time-limit", "30"], cli.EXIT_OK),
+        (["survey", "--field", "2^1^3", "--format", "csv"], cli.EXIT_OK),
+        (["survey", "--field", "2^1^3", "--format", "json"], cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--format", "human"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--format", "csv"], cli.EXIT_OK),
+        (["bench", "--field", "2^1^3", "--format", "json"], cli.EXIT_OK),
+        (["bench", "--field", "2^1^3", "--format", "human"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--format", "xml"], cli.EXIT_USAGE),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -137,6 +144,19 @@ def test_bench_reports_build_and_solve(capsys):
         assert 0 <= r["build_graph_median_ms"] <= r["build_graph_p95_ms"]
         assert 0 <= r["clique_number_exact_median_ms"] <= r["clique_number_exact_p95_ms"]
         assert r["nodes_median"] >= 1
+
+
+def test_bench_prints_csv_by_default(capsys):
+    argv = ["bench", "--field", "2^1^4", "--dim", "1", "--limit", "2"]
+    outputs = []
+    for extra in ([], ["--format", "csv"]):
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out.splitlines())
+    for lines in outputs:
+        assert lines[0] == ("class,instances,build_graph_median_ms,build_graph_p95_ms,"
+                            "clique_number_exact_median_ms,clique_number_exact_p95_ms,"
+                            "nodes_median")
+        assert len(lines) == 2 and lines[1].startswith("dim-1,2,")
 
 
 @pytest.mark.parametrize("dim,family", [("2", "all_subspaces"), ("n-1", "all_hyperplanes")])

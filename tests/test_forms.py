@@ -238,6 +238,15 @@ class TestOrthogonalSets:
                 expect = u != w and B.evaluate(u, w) == 0
                 assert bool(adj[u] >> w & 1) == expect
 
+    @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 4), (2, 2, 2)])
+    def test_trace_form_graph_is_hyperplane_graph(self, spec):
+        # the same form given by its Gram matrix is evaluated pair by pair
+        ctx = build_field(*spec)
+        for lam in range(1, ctx.order):
+            B = BilinearForm.trace_form(ctx, lam)
+            by_pairs = orthogonality_adjacency(BilinearForm.from_gram(ctx, B.gram_matrix()))
+            assert orthogonality_adjacency(B) == by_pairs, lam
+
     def test_even_q_bound(self):
         for spec in [(2, 1, 3), (2, 1, 4), (2, 2, 2)]:
             ctx = build_field(*spec)

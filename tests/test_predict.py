@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from paleyvec import cli
+from paleyvec import cli, predict
 from paleyvec.gf import build_field
 from paleyvec.graph import build_graph, clique_number_exact
-from paleyvec.linalg import all_hyperplanes, all_subspaces
+from paleyvec.linalg import all_hyperplanes, all_subspaces, parse_subspace
 from paleyvec.predict import hyperplane_omega, predict_omega
 
 FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2)]
@@ -52,3 +52,27 @@ def test_cli_exact_is_q_power_plus_r(capsys):
         payload = json.loads(capsys.readouterr().out)
         dec = payload["decomposition"]
         assert payload["exact"] == ctx.q ** dec["t"] + dec["r"] == len(payload["witness"])
+
+
+# fields above the table limit, where D and kappa would walk every element
+UNTABLED_EXACT = [("2^1^21", "ker-trace-of=1", 1025), ("2^1^21", "basis=1", 3),
+                  ("3^1^13", "basis=1", 3)]
+
+
+@pytest.mark.parametrize("field,subspace,omega", UNTABLED_EXACT)
+def test_exact_prediction_reads_no_D_or_kappa(monkeypatch, field, subspace, omega):
+    def refuse(U):
+        raise AssertionError("an exact prediction does not need D or kappa")
+
+    monkeypatch.setattr(predict, "D_invariant", refuse)
+    monkeypatch.setattr(predict, "kappa_U", refuse)
+    ctx = build_field(*map(int, field.split("^")))
+    pred = predict_omega(parse_subspace(ctx, subspace))
+    assert pred.kind == "exact" and pred.value == omega
+
+
+def test_cli_predict_above_table_limit(capsys):
+    code = cli.main(["omega", "--field", "2^1^21", "--subspace", "ker-trace-of=1",
+                     "--mode", "predict"])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["predicted"] == 1025
