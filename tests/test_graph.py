@@ -198,6 +198,38 @@ class TestCliqueNumber:
             clique_number_exact(G, time_limit=1.0)
         assert blocks == [graph._RELABEL_ROWS]
 
+    def test_time_limit_while_sorting_twins(self, monkeypatch):
+        # the clock is read for the deadline, after the seed, and before each
+        # 1,024 vertices of the twin sort; it runs out before the second block
+        ctx = build_field(2, 1, 11)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        reads = itertools.count()
+        unpacked = []
+        monkeypatch.setattr(graph.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 10.0)
+        monkeypatch.setattr(graph, "_unpack_rows", lambda *args: unpacked.append(args))
+        with pytest.raises(TimeLimitExceeded, match="relabelling"):
+            clique_number_exact(G, time_limit=1.0)
+        assert unpacked == []
+
+    def test_relabel_block_is_capped_in_cells(self, monkeypatch):
+        # 8,192 vertices: a block of 1,024 rows would be 8 M cells
+        ctx = build_field(2, 1, 13)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        clock = [0.0]
+        blocks = []
+        real_unpack = graph._unpack_rows
+
+        def unpack(rows, n):
+            blocks.append(len(rows))
+            clock[0] = 10.0
+            return real_unpack(rows, n)
+
+        monkeypatch.setattr(graph.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(graph, "_unpack_rows", unpack)
+        with pytest.raises(TimeLimitExceeded, match="relabelling"):
+            clique_number_exact(G, time_limit=1.0)
+        assert blocks == [graph._RELABEL_CELLS // ctx.order] == [512]
+
     def test_time_limit_in_workers(self):
         # workers start their own clock from the remaining budget
         ctx = build_field(2, 1, 8)
