@@ -11,8 +11,11 @@ so lam U = U for every lam in F_q*, and the q - 1 vertices of each
 F_q*-orbit share that set.  When v^2 is outside U the orbit's vertices
 are false twins (pairwise non-adjacent, equal rows: one shared integer);
 when v^2 lies in U they are true twins (pairwise adjacent, equal rows
-once each vertex's own bit is added).  The graph build packs one row per
-orbit, and the search relabels one row per twin class.
+once each vertex's own bit is added).  In discrete-log coordinates every
+row is U's membership vector shifted by the log of its vertex, so one
+kernel (``_orbit_rows``) packs one row per orbit, in any labelling of the
+vertices: by index for the graph, and in search labels for the solver,
+which so never relabels a tabled field's graph.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
@@ -112,51 +115,117 @@ def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) 
     """Build the bit-packed adjacency of the product-subspace graph.
 
     Row v is v^-1 U with 0 added and v itself removed.  On tabled fields
-    one row is packed per F_q*-orbit and shared by the orbit, which costs
-    O(q^n * q^dim / (q - 1)) scatter work instead of O(q^2n) membership
-    tests; the scalar path sets the bit of u / v for every u and v.
+    ``_orbit_rows`` packs one row per F_q*-orbit and shares it with the
+    orbit: a dense U costs one q^n-byte column gather per orbit, a sparse
+    U a scatter of q^dim cells, instead of O(q^2n) membership tests; the
+    scalar path sets the bit of u / v for every u and v.
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
     check_vertex_budget(ctx.order, max_vertices)
     if ctx._exp_np is not None:
-        rows = _build_rows_tabled(ctx, U)
+        rows = _orbit_rows(ctx, U)
     else:
         rows = _build_rows_scalar(ctx, [u for u in U.enumerate_elements() if u])
     return GraphGU(ctx, U, rows)
 
 
-# booleans per block of base rows: small blocks keep the scatter in cache
-_SCATTER_CELLS = 1 << 18
+# cells per block of base rows (a byte each), and so per deadline check
+_BLOCK_CELLS = 1 << 20
+# a U holding at least this share of the field is gathered, a smaller one
+# scattered: the two fills cross over at about 1/16 to 1/32
+_DENSE_SHARE = 16
 
 
-def _build_rows_tabled(ctx: FieldCtx, U: Subspace) -> list[int]:
-    n, mord = ctx.order, ctx.mord
-    # F_q* is generated by g^step, so column k of this view of the exp
-    # table is the orbit of g^k, whose vertices share the set g^-k U
+def _orbit_rows(
+    ctx: FieldCtx,
+    U: Subspace,
+    vertex_of: np.ndarray | None = None,
+    deadline: float | None = None,
+) -> list[int]:
+    """The rows of G_U in the labelling ``vertex_of`` (label -> vertex,
+    default the identity): row i holds bit j when vertex_of[i] and
+    vertex_of[j] are adjacent.  Needs the field's tables.
+
+    The row of g^k is g^-k U, the same for every vertex of the orbit
+    g^k F_q*, so one base row is filled per orbit.  A block of base rows
+    is filled label-major, cell (j, i) for label j and base row start + i:
+    - dense U (|U| >= q^n / _DENSE_SHARE): member[i] says whether g^i lies
+      in U (i mod q^n - 1), so the cells of label j are the run of member
+      from start + log v, for v its vertex.  They are row log v of a
+      window over member, and one gather by the logs copies every run;
+    - sparse U: the labels of g^(log u - k), u in U, u != 0, are scattered.
+    Vertex 0's cells are then set and each orbit's first vertex's own cell
+    cleared, so that vertex takes the packed row as it is.  False twins
+    share that int; a true twin (v^2 in U) swaps its own bit for the first
+    vertex's.  The deadline is checked after each block.
+    """
+    n, mord, exp, log = ctx.order, ctx.mord, ctx._exp_np, ctx._log_np
+    if vertex_of is None:
+        vertex_of = label_of = np.arange(n)
+    else:
+        label_of = np.empty(n, dtype=np.intp)
+        label_of[vertex_of] = np.arange(n)
+    lexp = label_of[exp]  # the label of g^i
+    zero = int(label_of[0])
+    # F_q* is generated by g^step, so column k holds the orbit of g^k
     step = mord // (ctx.q - 1)
-    orbits = ctx._exp_np.reshape(ctx.q - 1, step)
-    # indices stay int64 (intp): numpy casts any other index type to it
-    log_u = ctx._log_np[np.flatnonzero(U.member)[1:]]  # U \ {0}
-    exp2 = np.concatenate([ctx._exp_np, ctx._exp_np])  # g^i for 0 <= i < 2 mord
+    orbits = lexp.reshape(ctx.q - 1, step)
+    # labels come in whole bytes and base rows in whole words of 8
+    height = 8 * ((n + 7) // 8)
+    chunk = 8 * max(1, min(_BLOCK_CELLS // (8 * height), -(-step // 8)))
+    dense = _DENSE_SHARE * U.size >= n
+    if dense:
+        member = np.resize(U.member[exp], step + chunk + mord)
+        logs = np.zeros(height, dtype=np.intp)
+        logs[:n] = log[vertex_of]  # vertex 0's cells are set below
+    else:
+        # indices stay int64 (intp): numpy casts any other index type to it
+        log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
+        lexp2 = np.concatenate([lexp, lexp])
     rows = [0] * n
-    rows[0] = (1 << n) - 2  # vertex 0 sees everyone else
-    chunk = max(1, _SCATTER_CELLS // n)
+    rows[zero] = (1 << n) - 1 ^ 1 << zero  # vertex 0 sees everyone else
     for start in range(0, step, chunk):
-        ks = np.arange(start, min(start + chunk, step))
-        # bit g^(log u - k) of base row k, at its offset in the flat block
-        cells = exp2[log_u[None, :] + (mord - ks)[:, None]]
-        cells += (np.arange(len(ks)) * n)[:, None]
-        bits = np.zeros((len(ks), n), dtype=bool)
-        bits.reshape(-1)[cells.reshape(-1)] = True
-        bits[:, 0] = True
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        for packed_row, orbit in zip(packed, orbits[:, ks].T.tolist()):
-            base = int.from_bytes(packed_row.tobytes(), "little")
-            for v in orbit:
-                # v^2 in U puts v in its own row: drop the self-loop
-                rows[v] = base ^ 1 << v if base >> v & 1 else base
+        count = min(chunk, step - start)
+        if dense:
+            window = np.ndarray(
+                (mord, chunk), dtype=bool, buffer=member, offset=start, strides=(1, 1)
+            )
+            cells = window[logs]
+            cells[n:] = False
+        else:
+            # the label of g^(log u - k) for base row k, at its cell in the block
+            at = lexp2[log_u[None, :] + np.arange(mord - start, mord - start - count, -1)[:, None]]
+            cells = np.zeros((height, chunk), dtype=bool)
+            cells.reshape(-1)[(at * chunk + np.arange(count)[:, None]).reshape(-1)] = True
+        cells[zero] = True
+        diagonal = (lexp[start:start + count], np.arange(count))
+        loops = cells[diagonal].tolist()  # v^2 in U: v sees itself in the base row
+        cells[diagonal] = False
+        packed = _pack_columns(cells, count)
+        for row, orbit, loop in zip(packed, orbits[:, start:start + count].T.tolist(), loops):
+            first = orbit[0]
+            rows[first] = row
+            for w in orbit[1:]:
+                rows[w] = row ^ (1 << first | 1 << w) if loop else row
+        _check_deadline(deadline, "relabelling")
     return rows
+
+
+# bit j of a byte, in each byte of a word
+_BYTE_BITS = np.uint64(1) << np.arange(8, dtype=np.uint64)
+
+
+def _pack_columns(cells: np.ndarray, count: int) -> list[int]:
+    """The first ``count`` columns of a 0/1 matrix as ints, bit j from row j.
+    Rows come in whole bytes and columns in whole words of 8."""
+    # a word holds one row of eight columns, a byte each; the sum of eight
+    # rows' words, weighted by 2^j, packs a byte per column
+    words = cells.view(np.uint64).reshape(-1, 8, cells.shape[1] // 8)
+    packed = np.matmul(_BYTE_BITS, words)
+    nbytes = len(packed)
+    raw = np.ascontiguousarray(packed.view(np.uint8).T[:count]).tobytes()
+    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, count * nbytes, nbytes)]
 
 
 def _build_rows_scalar(ctx: FieldCtx, members: list[int]) -> list[int]:
@@ -326,61 +395,27 @@ class _Search:
             cand ^= bits[v]
 
 
-_RELABEL_ROWS = 1024
-# and at most this many cells, so that one block of a large graph is quick
-_RELABEL_CELLS = 1 << 22
-
-
 def _search_rows(
     adj: list[int], order: list[int] | np.ndarray | None, deadline: float | None = None
 ) -> tuple[list[int], list[int]]:
     """Relabel a graph so that the vertex searched i-th of n gets label
     n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows, which
-    must have no self-loops.  The deadline is checked after each block.
+    must have no self-loops.
 
-    Each class of twins is relabelled once, from its first vertex's row.
-    A false twin has the same row and shares the relabelled one.  A true
-    twin has the same closed row (row plus own bit); a class with one
-    relabels the closed row, and each member clears its own label's bit.
+    Rows are unpacked, their columns permuted with one ``take`` and packed
+    again, a block of at most ``_BLOCK_CELLS`` cells at a time; the deadline
+    is checked after each block.  ``clique_number_exact`` builds the rows of
+    a tabled field in search labels with ``_orbit_rows`` instead.
     """
     n = len(adj)
     vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
     vertices = vertex_of.tolist()
-    by_row: dict[int, int] = {}  # a class's first row -> class
-    by_closed: dict[int, int] = {}  # and its closed row -> class
-    first: list[int] = []  # label of each class's first vertex
-    distinct: list[int] = []  # the row each class relabels
-    shut: list[bool] = []  # whether that row is the closed one
-    class_of: list[int] = []  # by label; ~c for a true twin in class c
-    for start in range(0, n, _RELABEL_ROWS):
+    rows: list[int] = []
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        block = _unpack_rows([adj[v] for v in vertices[start:start + step]], n)
+        rows += _pack_rows(block.take(vertex_of, 1))
         _check_deadline(deadline, "relabelling")
-        for i, v in enumerate(vertices[start:start + _RELABEL_ROWS], start):
-            row = adj[v]
-            new = len(first)
-            c = by_row.setdefault(row, new)
-            if c == new:
-                closed_row = row | 1 << v
-                c = by_closed.setdefault(closed_row, new)
-                if c == new:
-                    first.append(i)
-                    distinct.append(row)
-                    shut.append(False)
-                else:
-                    del by_row[row]
-                    distinct[c] = closed_row
-                    shut[c] = True
-                    c = ~c
-            class_of.append(c)
-    relabelled: list[int] = []
-    # a block of rows at a time: the unpacked block takes n bytes per row
-    step = max(1, min(_RELABEL_ROWS, _RELABEL_CELLS // n))
-    for start in range(0, len(distinct), step):
-        block = _unpack_rows(distinct[start:start + step], n)
-        relabelled += _pack_rows(block.take(vertex_of, 1))
-        _check_deadline(deadline, "relabelling")
-    # the first vertex of a class and its false twins share one row
-    shared = [r ^ 1 << i if s else r for r, i, s in zip(relabelled, first, shut)]
-    rows = [shared[c] if c >= 0 else relabelled[~c] ^ 1 << i for i, c in enumerate(class_of)]
     return vertices, rows
 
 
@@ -513,13 +548,24 @@ class SolveStats:
     order of the automorphism group that pruned the root, or None when the
     search never built it (a small solve, or a field without tables);
     ``orbit_skips`` counts the root vertices, or parallel subproblems,
-    skipped as orbit-mates.
+    skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and ``search_ms`` time
+    the search rows, the seed clique and the search itself (with the group
+    and, in parallel, the worker pool); ``workers`` is the number of
+    processes that searched.
     """
 
     nodes: int = 0
     seed_size: int = 0
     group_order: int | None = None
     orbit_skips: int = 0
+    rows_ms: float = 0.0
+    seed_ms: float = 0.0
+    search_ms: float = 0.0
+    workers: int = 1
+
+
+def _ms_since(start: float) -> float:
+    return round((time.perf_counter() - start) * 1e3, 3)
 
 
 def max_clique_bitset(
@@ -540,16 +586,24 @@ def max_clique_bitset(
     nodes expanded in all, and from then on prunes the root's branches by
     orbit.  ``stats`` is filled in.
     """
+    stats = SolveStats() if stats is None else stats
+    start = time.perf_counter()
     vertex_of, rows = _search_rows(adj, order, deadline)
+    stats.rows_ms = _ms_since(start)
+    start = time.perf_counter()
+    result = _solve_serial(vertex_of, rows, seed or [], deadline, symmetry, stats)
+    stats.search_ms = _ms_since(start)
+    return result
+
+
+def _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats):
     search = _Search(rows, deadline, symmetry, vertex_of)
-    if seed:
-        search.seed(_labels(vertex_of, seed))
+    search.seed(_labels(vertex_of, seed))
     search.root((1 << len(rows)) - 1)
-    if stats is not None:
-        stats.nodes = search.nodes
-        stats.orbit_skips = search.orbit_skips
-        if search.group is not None:
-            stats.group_order = search.group.order
+    stats.nodes = search.nodes
+    stats.orbit_skips = search.orbit_skips
+    if search.group is not None:
+        stats.group_order = search.group.order
     return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 
@@ -566,7 +620,8 @@ def clique_number_exact(
     bit-packed candidate sets, and starts from the constructive
     lower-bound cliques.  Results are deterministic for a fixed
     configuration; the clique number itself is independent of the worker
-    count.
+    count.  On tabled fields the rows are built in search labels by
+    ``_orbit_rows``; otherwise the graph's rows are relabelled.
 
     The root's branches are cut by the automorphisms x -> lam * x^(p^i)
     (see ``Automorphisms``): once the branch on v returns, the rest of v's
@@ -577,36 +632,49 @@ def clique_number_exact(
     splits the root.  Fields without tables get no group.
 
     ``time_limit`` holds in every phase: the clock is checked after the
-    seed, after each relabelled block of rows, after the group is built and
+    seed, after each block of search rows, after the group is built and
     every 256 search nodes.  ``stats``, when given, is filled in.
 
     Memory, besides the graph's own rows (n^2/8 bytes at most; false twins
-    share one integer): the relabelled rows and the search's complement
-    rows take n^2/8 bytes each and its single-bit masks about half that,
-    so about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
-    65,536.  The relabelling unpacks only the distinct rows, one block of
-    at most 1,024 rows and 4 M cells at a time.  The group takes two
+    share one integer): the search rows and the search's complement rows
+    take n^2/8 bytes each and its single-bit masks about half that, so
+    about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
+    65,536.  The rows are filled one block of at most 1 M cells at a time
+    (``_BLOCK_CELLS``, a byte each), from a membership table of about
+    2 q^n bytes when U is dense; an untabled field's rows are relabelled
+    through an unpacked block of that size instead.  The group takes two
     integers per map, and the search 8 bytes per vertex once it holds the
     group.
     """
+    stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
     order = np.argsort(-np.asarray(G.degrees), kind="stable")
+    start = time.perf_counter()
     seed = greedy_seed_clique(G)
+    stats.seed_ms = _ms_since(start)
     _check_deadline(deadline, "the seed clique")
-    if stats is not None:
-        stats.seed_size = len(seed)
-    symmetry = functools.partial(Automorphisms, G) if G.ctx._exp_np is not None else None
+    stats.seed_size = len(seed)
+    start = time.perf_counter()
+    if G.ctx._exp_np is not None:
+        vertex_of = order[::-1]
+        rows = _orbit_rows(G.ctx, G.U, vertex_of, deadline)
+        vertex_of = vertex_of.tolist()
+        symmetry = functools.partial(Automorphisms, G)
+    else:
+        vertex_of, rows = _search_rows(G.adjacency, order, deadline)
+        symmetry = None
+    stats.rows_ms = _ms_since(start)
+    stats.workers = max(1, workers)
+    start = time.perf_counter()
     if workers <= 1:
-        return max_clique_bitset(
-            G.adjacency, order=order, seed=seed, deadline=deadline, symmetry=symmetry,
-            stats=stats,
-        )
-    stats = SolveStats() if stats is None else stats
-    return _solve_parallel(G.adjacency, order, seed, deadline, workers, symmetry, stats)
+        result = _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats)
+    else:
+        result = _solve_parallel(vertex_of, rows, seed, deadline, workers, symmetry, stats)
+    stats.search_ms = _ms_since(start)
+    return result
 
 
-def _solve_parallel(adj, order, seed, deadline, workers, symmetry, stats):
-    vertex_of, rows = _search_rows(adj, order, deadline)
+def _solve_parallel(vertex_of, rows, seed, deadline, workers, symmetry, stats):
     root = _Search(rows, symmetry=symmetry, vertex_of=vertex_of)
     if symmetry is not None:
         root.build_group()

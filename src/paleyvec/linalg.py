@@ -336,10 +336,11 @@ def D_invariant(U: Subspace) -> int:
     F_q-basis of F_{q^d}, and a^2 F_{q^d} lies in the F_q-space U exactly
     when every g^(2k + j*step) does: one lookup of U's membership array
     on a (step, d) grid of exp-table indices.
+
+    The last step, d = 1, asks whether a^2 lies in U for some a != 0, which
+    is the square test itself: when it fails, U has no nonzero square.
     """
     ctx = U.ctx
-    if not contains_nonzero_square(U):
-        raise NoNonzeroSquare("U has no nonzero square, the invariant is undefined")
     for d in sorted(_divisors(ctx.n), reverse=True):
         if d > U.dim:
             continue
@@ -365,7 +366,7 @@ def D_invariant(U: Subspace) -> int:
             a2 = ctx.mul(a, a)
             if all(U.contains(ctx.mul(a2, b)) for b in sub_basis):
                 return d
-    raise AssertionError("d = 1 must succeed when U has a nonzero square")
+    raise NoNonzeroSquare("U has no nonzero square, the invariant is undefined")
 
 
 def s_invariant(U: Subspace) -> int:

@@ -26,10 +26,15 @@ class TestOmega:
         assert set(payload) == {"schema", "field", "subspace", "mode", "exact", "witness",
                                 "decomposition", "runtime_ms", "search"}
         search = payload["search"]
-        assert set(search) == {"nodes", "seed_size", "group_order", "orbit_skips"}
+        assert set(search) == {"nodes", "seed_size", "group_order", "orbit_skips",
+                               "rows_ms", "seed_ms", "search_ms", "workers"}
         assert search["seed_size"] == payload["exact"] == 17
         assert search["group_order"] == 9
         assert search["nodes"] > 0 and search["orbit_skips"] > 0
+        assert search["workers"] == int(workers)
+        phases = [search["rows_ms"], search["seed_ms"], search["search_ms"]]
+        assert all(ms >= 0 for ms in phases)
+        assert sum(phases) <= payload["runtime_ms"]
 
     def test_csv_format_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -179,56 +179,39 @@ class TestCliqueNumber:
         with pytest.raises(TimeLimitExceeded):
             clique_number_exact(G, time_limit=1e-9)
 
-    def test_time_limit_inside_relabel(self, monkeypatch):
-        # 2,048 distinct rows take two blocks; the clock runs out in the first
-        ctx = build_field(2, 1, 11)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+    @staticmethod
+    def _one_block(G, monkeypatch):
+        """Solve with a clock that runs out once the first block of search
+        rows is filled; return the shapes of the blocks packed."""
         clock = [0.0]
         blocks = []
-        real_unpack = graph._unpack_rows
+        real_pack = graph._pack_columns
 
-        def unpack(rows, n):
-            blocks.append(len(rows))
+        def pack(cells, count):
+            blocks.append(cells.shape)
+            assert len(blocks) == 1, "a second block was filled after the deadline"
             clock[0] = 10.0
-            return real_unpack(rows, n)
+            return real_pack(cells, count)
 
         monkeypatch.setattr(graph.time, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(graph, "_unpack_rows", unpack)
+        monkeypatch.setattr(graph, "_pack_columns", pack)
         with pytest.raises(TimeLimitExceeded, match="relabelling"):
             clique_number_exact(G, time_limit=1.0)
-        assert blocks == [graph._RELABEL_ROWS]
+        return blocks
 
-    def test_time_limit_while_sorting_twins(self, monkeypatch):
-        # the clock is read for the deadline, after the seed, and before each
-        # 1,024 vertices of the twin sort; it runs out before the second block
+    def test_time_limit_inside_relabel(self, monkeypatch):
+        # 2,047 base rows take four blocks of 512; the clock runs out in the first
         ctx = build_field(2, 1, 11)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        reads = itertools.count()
-        unpacked = []
-        monkeypatch.setattr(graph.time, "monotonic", lambda: 0.0 if next(reads) < 3 else 10.0)
-        monkeypatch.setattr(graph, "_unpack_rows", lambda *args: unpacked.append(args))
-        with pytest.raises(TimeLimitExceeded, match="relabelling"):
-            clique_number_exact(G, time_limit=1.0)
-        assert unpacked == []
+        assert self._one_block(G, monkeypatch) == [(ctx.order, 512)]
 
     def test_relabel_block_is_capped_in_cells(self, monkeypatch):
-        # 8,192 vertices: a block of 1,024 rows would be 8 M cells
+        # 8,192 vertices: a block holds 128 base rows of 8,192 cells
         ctx = build_field(2, 1, 13)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        clock = [0.0]
-        blocks = []
-        real_unpack = graph._unpack_rows
-
-        def unpack(rows, n):
-            blocks.append(len(rows))
-            clock[0] = 10.0
-            return real_unpack(rows, n)
-
-        monkeypatch.setattr(graph.time, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(graph, "_unpack_rows", unpack)
-        with pytest.raises(TimeLimitExceeded, match="relabelling"):
-            clique_number_exact(G, time_limit=1.0)
-        assert blocks == [graph._RELABEL_CELLS // ctx.order] == [512]
+        [(labels, base_rows)] = self._one_block(G, monkeypatch)
+        assert labels * base_rows <= graph._BLOCK_CELLS
+        assert (labels, base_rows) == (ctx.order, graph._BLOCK_CELLS // ctx.order) == (8192, 128)
 
     def test_time_limit_in_workers(self):
         # workers start their own clock from the remaining budget
@@ -399,6 +382,20 @@ class TestOrbitPruning:
         assert par.seed_size == stats.seed_size
         assert 0 < par.orbit_skips
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tabled_solve_never_relabels(self, monkeypatch, workers):
+        # on tabled fields the search rows come from the orbit-row kernel
+        def refuse(*args):
+            raise AssertionError("_search_rows called on a tabled field")
+
+        monkeypatch.setattr(graph, "_search_rows", refuse)
+        for spec, omega in [((3, 1, 3), 4), ((2, 1, 6), 8), ((2, 2, 2), 4)]:
+            ctx = build_field(*spec)
+            G = build_graph(ctx, trace_zero_hyperplane(ctx))
+            size, witness = clique_number_exact(G, workers=workers)
+            assert size == omega == len(witness)
+            assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+
     def test_untabled_field_has_no_group(self):
         ctx = build_field(2, 1, 7, table_limit=1)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
@@ -525,6 +522,15 @@ class TestPinnedRows:
     def test_rows(self, spec):
         assert _pinned_rows(spec) == PINNED_ROWS[spec]
 
+    @pytest.mark.parametrize("spec", sorted(PINNED_ROWS))
+    def test_search_rows_from_orbit_kernel(self, spec):
+        # the rows clique_number_exact searches on a tabled field
+        U = _pinned_subspace(spec)
+        G = build_graph(U.ctx, U)
+        vertex_of = np.argsort(-np.asarray(G.degrees), kind="stable")[::-1]
+        rows = graph._orbit_rows(U.ctx, U, vertex_of)
+        assert _rows_digest(rows, G.n_vertices, vertex_of) == PINNED_ROWS[spec][1]
+
 
 def old_search_rows(adj, order):
     """The relabelling before twins shared rows: every row unpacked, its
@@ -587,13 +593,24 @@ def _relabel_case(name):
     return build_graph(ctx, U(ctx)).adjacency
 
 
-class TestRowsCrossCheck:
-    """The orbit-shared build and the twin-shared relabel against the
-    row-by-row paths they replace."""
+CROSS_CHECK_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
 
-    @pytest.mark.parametrize(
-        "spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
-    )
+
+def _orders(n, degrees):
+    """The four search orders of ``test_relabel_matches_row_by_row``."""
+    return [
+        None,
+        np.argsort(-np.asarray(degrees), kind="stable"),
+        random.Random(33).sample(range(n), n),
+        list(range(n - 1, -1, -1)),  # vertex 0 searched last, so relabelled first
+    ]
+
+
+class TestRowsCrossCheck:
+    """The orbit-row kernel and the relabel against the row-by-row paths
+    they replace."""
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
     def test_tabled_build_matches_scalar(self, spec):
         tabled = build_field(*spec)
         plain = build_field(*spec, table_limit=1)
@@ -612,15 +629,30 @@ class TestRowsCrossCheck:
     def test_relabel_matches_row_by_row(self, name, twins):
         adj = _relabel_case(name)
         assert _twins(adj) == twins
-        n = len(adj)
-        orders = [
-            None,
-            np.argsort(-np.asarray([row.bit_count() for row in adj]), kind="stable"),
-            random.Random(33).sample(range(n), n),
-            list(range(n - 1, -1, -1)),  # vertex 0 searched last, so relabelled first
-        ]
-        for order in orders:
+        for order in _orders(len(adj), [row.bit_count() for row in adj]):
             assert graph._search_rows(adj, order) == old_search_rows(adj, order)
+
+    @pytest.mark.parametrize("fill", ["dense", "sparse"])
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_orbit_rows_match_relabel(self, spec, fill, monkeypatch):
+        # each fill on every subspace: a share of 0 scatters every U, a
+        # share of q^n gathers every U
+        ctx = build_field(*spec)
+        n = ctx.order
+        monkeypatch.setattr(graph, "_DENSE_SHARE", n if fill == "dense" else 0)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                for order in _orders(n, G.degrees):
+                    vertices, rows = old_search_rows(G.adjacency, order)
+                    assert graph._orbit_rows(ctx, U, np.asarray(vertices)) == rows
+
+    def test_threshold_picks_both_fills(self):
+        # 2^1^6 with d = 1 is scattered and with d = 2 gathered
+        ctx = build_field(2, 1, 6)
+        dense = {d: graph._DENSE_SHARE * U.size >= ctx.order
+                 for d in (1, 2) for U in all_subspaces(ctx, d)}
+        assert dense == {1: False, 2: True}
 
 
 class TestInvariance:
