@@ -533,8 +533,8 @@ class TestPinnedRows:
 
 
 def old_search_rows(adj, order):
-    """The relabelling before twins shared rows: every row unpacked, its
-    columns permuted with ``take`` and packed again."""
+    """The relabelling row by row: every row unpacked, its columns
+    permuted with ``take`` and packed again."""
     n = len(adj)
     vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
     vertices = vertex_of.tolist()
