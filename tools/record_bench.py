@@ -2,13 +2,13 @@
 
 Run from the root of a checkout:
 
-    python3 tools/record_bench.py --seeds 1 --runs 1 --seconds 25
+    python3 tools/record_bench.py --runs 1 --seconds 25
 
-For each run, seed and workload named in ``BENCHMARK.json``, in that
-nesting, it runs ``perfbench/run.py --workload W --seed S --seconds N
---trace 0`` in a fresh process and keeps what the run printed: the last
-line, a JSON object with the metrics, and the log lines before it.  The
-file also holds the revision, whether ``src/`` or ``perfbench/`` differ
+For each run and each workload named in ``BENCHMARK.json`` it runs
+``perfbench/run.py --workload W --seed 1 --seconds N --trace 0`` in a
+fresh process (seed 1 is the benchmark's default) and keeps what the
+run printed: the last line, a JSON object with the metrics, and the log
+lines before it.  The file also holds the revision, whether ``src/`` or ``perfbench/`` differ
 from it, the Python and numpy versions and the CPU count.  A run that
 exits non-zero stops the recording, and no file is written.
 """
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def git(*args: str) -> str:
@@ -45,10 +46,9 @@ def run_workload(workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--runs", type=int, default=1, help="runs of each workload and seed")
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--runs", type=int, default=1, help="runs of each workload")
+    parser.add_argument("--seconds", type=float, default=25, help="length of each run")
+    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the file goes")
     args = parser.parse_args(argv)
     if args.runs < 1 or args.seconds <= 0:
         parser.error("--runs and --seconds must be positive")
@@ -63,18 +63,16 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed {SEED} --seconds {args.seconds:g} --trace 0",
         "runs": [],
     }
     for run in range(args.runs):
-        for seed in args.seeds:
-            for workload in workloads:
-                entry = run_workload(workload, seed, args.seconds)
-                record["runs"].append({"run": run, **entry})
-                metrics = entry["result"]["metrics"]
-                print(f"{workload} seed {seed} run {run}: wall_s "
-                      f"{metrics['wall_s']['value']:.4g}, failed {entry['result']['failed']}",
-                      file=sys.stderr)
+        for workload in workloads:
+            entry = run_workload(workload, SEED, args.seconds)
+            record["runs"].append({"run": run, **entry})
+            metrics = entry["result"]["metrics"]
+            print(f"{workload} run {run}: wall_s {metrics['wall_s']['value']:.4g}, "
+                  f"failed {entry['result']['failed']}", file=sys.stderr)
     path = args.out_dir / f"BENCH_{rev}.json"
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
