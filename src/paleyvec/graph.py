@@ -46,7 +46,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -568,32 +567,10 @@ def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1e3, 3)
 
 
-def max_clique_bitset(
-    adj: list[int],
-    *,
-    order: list[int] | np.ndarray | None = None,
-    seed: list[int] | None = None,
-    deadline: float | None = None,
-    symmetry: Callable[[], Automorphisms] | None = None,
-    stats: SolveStats | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique of a bit-packed graph, with a sorted witness.
-
-    ``order`` lists the vertices in the order the search takes them
-    (default: by index); ``seed`` is a known clique to start from.
-    ``symmetry`` returns a group of automorphisms of the graph; the search
-    calls it when the first root branch returns with ``_ORBIT_NODES``
-    nodes expanded in all, and from then on prunes the root's branches by
-    orbit.  ``stats`` is filled in.
-    """
-    stats = SolveStats() if stats is None else stats
-    start = time.perf_counter()
-    vertex_of, rows = _search_rows(adj, order, deadline)
-    stats.rows_ms = _ms_since(start)
-    start = time.perf_counter()
-    result = _solve_serial(vertex_of, rows, seed or [], deadline, symmetry, stats)
-    stats.search_ms = _ms_since(start)
-    return result
+def max_clique_bitset(adj: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum clique of a bit-packed graph, with a sorted witness."""
+    vertex_of, rows = _search_rows(adj, None)
+    return _solve_serial(vertex_of, rows, [], None, None, SolveStats())
 
 
 def _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats):

@@ -326,6 +326,9 @@ def subfield_subspace(ctx: FieldCtx, d: int) -> Subspace:
     return span(ctx, ctx.subfield_elements(d))
 
 
+_NO_SQUARE = "U has no nonzero square, the invariant is undefined"
+
+
 def D_invariant(U: Subspace) -> int:
     """Greatest divisor d of n with a^2 F_{q^d} inside U for some a != 0.
 
@@ -339,8 +342,12 @@ def D_invariant(U: Subspace) -> int:
 
     The last step, d = 1, asks whether a^2 lies in U for some a != 0, which
     is the square test itself: when it fails, U has no nonzero square.
+    Without tables each d walks every field element, so there the square
+    test, which reads only U, comes first.
     """
     ctx = U.ctx
+    if ctx._exp_np is None and not contains_nonzero_square(U):
+        raise NoNonzeroSquare(_NO_SQUARE)
     for d in sorted(_divisors(ctx.n), reverse=True):
         if d > U.dim:
             continue
@@ -366,7 +373,7 @@ def D_invariant(U: Subspace) -> int:
             a2 = ctx.mul(a, a)
             if all(U.contains(ctx.mul(a2, b)) for b in sub_basis):
                 return d
-    raise NoNonzeroSquare("U has no nonzero square, the invariant is undefined")
+    raise NoNonzeroSquare(_NO_SQUARE)
 
 
 def s_invariant(U: Subspace) -> int:

@@ -647,12 +647,22 @@ class TestRowsCrossCheck:
                     vertices, rows = old_search_rows(G.adjacency, order)
                     assert graph._orbit_rows(ctx, U, np.asarray(vertices)) == rows
 
-    def test_threshold_picks_both_fills(self):
-        # 2^1^6 with d = 1 is scattered and with d = 2 gathered
+    def test_threshold_picks_both_fills(self, monkeypatch):
+        # 2^1^6 with d = 1 is scattered and with d = 2 gathered; only the
+        # gather lays U's membership out by log with np.resize
         ctx = build_field(2, 1, 6)
-        dense = {d: graph._DENSE_SHARE * U.size >= ctx.order
-                 for d in (1, 2) for U in all_subspaces(ctx, d)}
-        assert dense == {1: False, 2: True}
+        resize, gathers = np.resize, []
+
+        def counted(*args):
+            gathers.append(1)
+            return resize(*args)
+
+        monkeypatch.setattr(np, "resize", counted)
+        for d in (1, 2):
+            for U in itertools.islice(all_subspaces(ctx, d), 20):
+                gathers.clear()
+                graph._orbit_rows(ctx, U)
+                assert len(gathers) == (d == 2)
 
 
 class TestInvariance:

@@ -302,8 +302,9 @@ class TestDInvariant:
 
     @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 2), (2, 1, 4)])
     def test_makes_no_separate_square_test(self, spec, monkeypatch):
-        # the divisor loop's d = 1 step is the square test: D is defined
-        # exactly when U has a nonzero square, with or without tables
+        # on tabled fields the divisor loop's d = 1 step is the square test;
+        # without tables the square test runs first: either way D is defined
+        # exactly when U has a nonzero square
         ctx = build_field(*spec)
         slow = build_field(*spec, table_limit=1)
         subspaces = [U for d in range(1, ctx.n) for U in all_subspaces(ctx, d)]
@@ -311,17 +312,22 @@ class TestDInvariant:
         # odd q and even n: some lines hold no nonzero square
         assert all(has_square) == (ctx.p == 2 or ctx.n % 2 == 1)
 
-        def refuse(U):
-            raise AssertionError("D_invariant ran the square test")
-
-        monkeypatch.setattr(linalg, "contains_nonzero_square", refuse)
-        for U, square in zip(subspaces, has_square):
-            for V in (U, Subspace(slow, U.basis)):
+        def check(field):
+            for U, square in zip(subspaces, has_square):
+                V = Subspace(field, U.basis)
                 if square:
                     assert D_invariant(V) >= 1
                 else:
                     with pytest.raises(NoNonzeroSquare, match="no nonzero square"):
                         D_invariant(V)
+
+        check(slow)
+
+        def refuse(U):
+            raise AssertionError("D_invariant ran the square test")
+
+        monkeypatch.setattr(linalg, "contains_nonzero_square", refuse)
+        check(ctx)
 
     def test_d_equals_dim_iff_scaled_subfield(self):
         # exhaustive over dimension-2 subspaces of F_16 over F_2

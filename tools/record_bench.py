@@ -2,15 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 tools/record_bench.py --runs 1 --seconds 25
+    python3 tools/record_bench.py [--out-dir D]
 
-For each run and each workload named in ``BENCHMARK.json`` it runs
-``perfbench/run.py --workload W --seed 1 --seconds N --trace 0`` in a
-fresh process (seed 1 is the benchmark's default) and keeps what the
-run printed: the last line, a JSON object with the metrics, and the log
-lines before it.  The file also holds the revision, whether ``src/`` or ``perfbench/`` differ
-from it, the Python and numpy versions and the CPU count.  A run that
-exits non-zero stops the recording, and no file is written.
+For each of two runs and each workload named in ``BENCHMARK.json`` it
+runs ``perfbench/run.py --workload W --seed 1 --trace 0`` in a fresh
+process (seed 1 is the benchmark's default, and the run length is
+``run.py``'s own) and keeps what the run printed: the last line, a JSON
+object with the metrics, and the log lines before it.  The file also
+holds the revision, whether ``src/`` or ``perfbench/`` differ from it,
+the Python and numpy versions and the CPU count.  A run that exits
+non-zero stops the recording, and no file is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+RUNS = 2
 
 
 def git(*args: str) -> str:
@@ -34,9 +36,9 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_workload(workload: str, seed: int, seconds: float) -> dict:
+def run_workload(workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -46,12 +48,8 @@ def run_workload(workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=1, help="runs of each workload")
-    parser.add_argument("--seconds", type=float, default=25, help="length of each run")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the file goes")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.seconds <= 0:
-        parser.error("--runs and --seconds must be positive")
 
     with open(ROOT / "BENCHMARK.json") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
@@ -63,12 +61,12 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "command": f"perfbench/run.py --workload W --seed {SEED} --seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed {SEED} --trace 0",
         "runs": [],
     }
-    for run in range(args.runs):
+    for run in range(RUNS):
         for workload in workloads:
-            entry = run_workload(workload, SEED, args.seconds)
+            entry = run_workload(workload, SEED)
             record["runs"].append({"run": run, **entry})
             metrics = entry["result"]["metrics"]
             print(f"{workload} run {run}: wall_s {metrics['wall_s']['value']:.4g}, "
