@@ -28,7 +28,7 @@ from .errors import (
     TimeLimitExceeded,
 )
 from .forms import BilinearForm, M_of_form, chi_of_form
-from .gf import build_field, parse_field_spec
+from .gf import DEFAULT_TABLE_LIMIT, build_field, parse_field_spec
 from .graph import (
     SolveStats,
     build_graph,
@@ -107,7 +107,13 @@ def cmd_omega(args) -> int:
     if args.mode in ("exact", "both"):
         # refuse before the field build, which alone can take minutes
         p, m, n = parse_field_spec(args.field)
-        check_vertex_budget(p ** (m * n), args.max_vertices)
+        order = p ** (m * n)
+        check_vertex_budget(order, args.max_vertices)
+        if order > DEFAULT_TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"exact solves need the field's tables: order {p}^{m * n} exceeds"
+                f" the table limit {DEFAULT_TABLE_LIMIT}"
+            )
     ctx = _field_from_args(args)
     U = parse_subspace(ctx, args.subspace)
     if not 1 <= U.dim <= ctx.n - 1:

@@ -22,7 +22,7 @@ from .errors import (
     StructureViolation,
 )
 from .gf import FieldCtx
-from .graph import build_graph, max_clique_bitset
+from .graph import build_graph, clique_number_exact, max_clique_bitset
 from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
 
 
@@ -254,16 +254,9 @@ def t_of_form(form: BilinearForm) -> tuple[int, Subspace]:
 
 
 def orthogonality_adjacency(form: BilinearForm) -> list[int]:
-    """Bit-packed graph on the field with edges where the form vanishes.
-
-    For a trace form this is the graph of the hyperplane U = ker Tr(lam x),
-    since Tr(lam x y) = 0 exactly when xy lies in U.  A Gram form is
-    evaluated pair by pair.
-    """
-    ctx = form.ctx
-    if form.lam is not None:
-        return build_graph(ctx, hyperplane_from_functional(ctx, form.lam)).adjacency
-    n = ctx.order
+    """Bit-packed graph on the field with edges where the form vanishes,
+    evaluated pair by pair."""
+    n = form.ctx.order
     rows = [(1 << n) - 2]
     for v in range(1, n):
         row = 1
@@ -287,7 +280,15 @@ class FormInvariants:
 
 
 def orthogonal_set_max(form: BilinearForm):
-    """Exact largest pairwise-orthogonal set, by clique search."""
+    """Exact largest pairwise-orthogonal set, by clique search.
+
+    A trace form's orthogonality graph is G_U for the hyperplane
+    U = ker Tr(lam x), since Tr(lam x y) = 0 exactly when xy lies in U; a
+    Gram form's is built pair by pair (``orthogonality_adjacency``).
+    """
+    ctx = form.ctx
+    if form.lam is not None:
+        return clique_number_exact(build_graph(ctx, hyperplane_from_functional(ctx, form.lam)))
     return max_clique_bitset(orthogonality_adjacency(form))
 
 

@@ -23,7 +23,8 @@ the base-p expansion (a plain XOR when p = 2).  The tables are built by
 doubling: multiplication by the generator is F_p-linear on base-p digit
 vectors, so each step is one numpy matrix product (see _power_tables).
 Fields above the table budget fall back to polynomial arithmetic, which
-is slower but has no size limit below the construction cap.
+is slower but has no size limit below the construction cap; it serves
+predictions there, while graphs (and ``squares``) need the tables.
 """
 
 from __future__ import annotations
@@ -452,12 +453,6 @@ class FieldCtx:
             sq[self._exp_np[::2]] = True
             self._sq = sq.tolist()
 
-    def __reduce__(self):
-        return (
-            _rebuild_field,
-            (self.p, self.m, self.n, self.max_order, self.table_limit),
-        )
-
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, n={self.n}, order={self.order})"
 
@@ -529,15 +524,11 @@ class FieldCtx:
     def squares(self) -> np.ndarray:
         """Read-only array mapping every element index v to the index of v^2.
 
-        Built on first use and kept: from the log tables when the field is
-        tabled, otherwise once with ``mul``.
+        Built from the log tables on first use and kept; needs the tables.
         """
         if self._squares is None:
-            if self._exp_np is not None:
-                sq = self._exp_np[(2 * self._log_np) % self.mord]
-                sq[0] = 0
-            else:
-                sq = np.array([self.mul(v, v) for v in range(self.order)], dtype=np.int64)
+            sq = self._exp_np[(2 * self._log_np) % self.mord]
+            sq[0] = 0
             sq.flags.writeable = False
             self._squares = sq
         return self._squares
@@ -667,10 +658,6 @@ class FieldCtx:
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, m: int, n: int, max_order: int, table_limit: int) -> FieldCtx:
     return FieldCtx(p, m, n, max_order=max_order, table_limit=table_limit)
-
-
-def _rebuild_field(p, m, n, max_order, table_limit):
-    return _cached_field(p, m, n, max_order, table_limit)
 
 
 def build_field(

@@ -15,7 +15,8 @@ once each vertex's own bit is added).  In discrete-log coordinates every
 row is U's membership vector shifted by the log of its vertex, so one
 kernel (``_orbit_rows``) packs one row per orbit, in any labelling of the
 vertices: by index for the graph, and in search labels for the solver,
-which so never relabels a tabled field's graph.
+which so never relabels a graph.  The kernel reads the field's log
+tables, so graphs are built on tabled fields only.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
@@ -33,10 +34,11 @@ leaves the root's candidates (orbital branching).  The group is built
 lazily, when a root branch returns with 64 nodes expanded in all, so
 that the many small solves never pay for it.
 
-Whether v^2 lies in U is read from one place, ``square_in_U_mask``: U's
-membership array indexed by the field's table of squares, packed into
-an integer once per graph.  The seed cliques and the clique
-decomposition both take it from there.
+Whether v^2 lies in U is read from one place: U's membership array
+indexed by the field's table of squares, once per graph.  It gives the
+degrees (v != 0 has |U| neighbours, less one when v^2 lies in U) and,
+packed into an integer, ``square_in_U_mask``, from which the seed
+cliques and the clique decomposition take it.
 """
 
 from __future__ import annotations
@@ -96,37 +98,41 @@ class GraphGU:
         self.U = U
         self.n_vertices = ctx.order
         self.adjacency = adjacency
-        self.degrees = [row.bit_count() for row in adjacency]
-        self._sq_mask = None
+        # the row of v != 0 is v^-1 U less v itself when v^2 lies in U
+        square_in_U = U.member[ctx.squares()]
+        degrees = U.size - square_in_U.astype(np.intp)
+        degrees[0] = ctx.order - 1
+        self.degrees = degrees.tolist()
+        packed = np.packbits(square_in_U, bitorder="little").tobytes()
+        self._sq_mask = int.from_bytes(packed, "little")
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.adjacency[a] >> b & 1)
 
     def square_in_U_mask(self) -> int:
-        """Bit mask of the vertices whose square lies in U, built once per graph."""
-        if self._sq_mask is None:
-            square_in_U = self.U.member[self.ctx.squares()]
-            self._sq_mask = _pack_rows(square_in_U[None, :])[0]
+        """Bit mask of the vertices whose square lies in U."""
         return self._sq_mask
 
 
 def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) -> GraphGU:
     """Build the bit-packed adjacency of the product-subspace graph.
 
-    Row v is v^-1 U with 0 added and v itself removed.  On tabled fields
-    ``_orbit_rows`` packs one row per F_q*-orbit and shares it with the
-    orbit: a dense U costs one q^n-byte column gather per orbit, a sparse
-    U a scatter of q^dim cells, instead of O(q^2n) membership tests; the
-    scalar path sets the bit of u / v for every u and v.
+    Row v is v^-1 U with 0 added and v itself removed.  ``_orbit_rows``
+    packs one row per F_q*-orbit and shares it with the orbit: a dense U
+    costs one q^n-byte column gather per orbit, a sparse U a scatter of
+    q^dim cells.  It reads the field's log tables, so a field without
+    them is refused; above the default table limit the rows alone would
+    take at least 128 GB.
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
     check_vertex_budget(ctx.order, max_vertices)
-    if ctx._exp_np is not None:
-        rows = _orbit_rows(ctx, U)
-    else:
-        rows = _build_rows_scalar(ctx, [u for u in U.enumerate_elements() if u])
-    return GraphGU(ctx, U, rows)
+    if not ctx.tabled:
+        raise BudgetExceeded(
+            f"graphs need the field's tables: order {ctx.order} exceeds"
+            f" the table limit {ctx.table_limit}"
+        )
+    return GraphGU(ctx, U, _orbit_rows(ctx, U))
 
 
 # cells per block of base rows (a byte each), and so per deadline check
@@ -227,19 +233,6 @@ def _pack_columns(cells: np.ndarray, count: int) -> list[int]:
     return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, count * nbytes, nbytes)]
 
 
-def _build_rows_scalar(ctx: FieldCtx, members: list[int]) -> list[int]:
-    n = ctx.order
-    rows = [(1 << n) - 2]
-    for v in range(1, n):
-        inv_v = ctx.inv(v)
-        row = 1  # bit 0
-        for u in members:
-            row |= 1 << ctx.mul(u, inv_v)
-        row &= ~(1 << v)
-        rows.append(row)
-    return rows
-
-
 # -- exact maximum clique ---------------------------------------------------
 
 
@@ -256,9 +249,9 @@ _ORBIT_NODES = 64
 class _Search:
     """Colouring branch-and-bound over rows in search labels.
 
-    The vertex searched i-th of n has label n - 1 - i (see
-    ``_search_rows``), so the next vertex to colour is the highest bit of a
-    candidate set and ``bit_length`` finds it without isolating a bit.
+    The vertex searched i-th of n has label n - 1 - i, so the next vertex
+    to colour is the highest bit of a candidate set and ``bit_length``
+    finds it without isolating a bit.
 
     ``symmetry``, when given, returns a group of automorphisms in vertex
     numbering (see ``Automorphisms``), and ``vertex_of`` maps labels to
@@ -394,46 +387,9 @@ class _Search:
             cand ^= bits[v]
 
 
-def _search_rows(
-    adj: list[int], order: list[int] | np.ndarray | None, deadline: float | None = None
-) -> tuple[list[int], list[int]]:
-    """Relabel a graph so that the vertex searched i-th of n gets label
-    n - 1 - i.  Returns ``vertex_of`` (label -> vertex) and the rows, which
-    must have no self-loops.
-
-    Rows are unpacked, their columns permuted with one ``take`` and packed
-    again, a block of at most ``_BLOCK_CELLS`` cells at a time; the deadline
-    is checked after each block.  ``clique_number_exact`` builds the rows of
-    a tabled field in search labels with ``_orbit_rows`` instead.
-    """
-    n = len(adj)
-    vertex_of = np.arange(n - 1, -1, -1) if order is None else np.asarray(order)[::-1]
-    vertices = vertex_of.tolist()
-    rows: list[int] = []
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        block = _unpack_rows([adj[v] for v in vertices[start:start + step]], n)
-        rows += _pack_rows(block.take(vertex_of, 1))
-        _check_deadline(deadline, "relabelling")
-    return vertices, rows
-
-
 def _labels(vertex_of: list[int], vertices) -> list[int]:
     label_of = {v: i for i, v in enumerate(vertex_of)}
     return [label_of[v] for v in vertices]
-
-
-def _unpack_rows(adj: list[int], n: int) -> np.ndarray:
-    """Rows as a 0/1 uint8 matrix of n columns."""
-    nbytes = (n + 7) // 8
-    raw = b"".join(row.to_bytes(nbytes, "little") for row in adj)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-
-
-def _pack_rows(mat: np.ndarray) -> list[int]:
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(packed[i].tobytes(), "little") for i in range(mat.shape[0])]
 
 
 def _nonzero_in_coordinate_order(U: Subspace) -> list[int]:
@@ -545,7 +501,7 @@ class SolveStats:
     ``nodes`` counts the search nodes expanded (over all workers) and
     ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
     order of the automorphism group that pruned the root, or None when the
-    search never built it (a small solve, or a field without tables);
+    search never built it (a small solve);
     ``orbit_skips`` counts the root vertices, or parallel subproblems,
     skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and ``search_ms`` time
     the search rows, the seed clique and the search itself (with the group
@@ -568,9 +524,11 @@ def _ms_since(start: float) -> float:
 
 
 def max_clique_bitset(adj: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique of a bit-packed graph, with a sorted witness."""
-    vertex_of, rows = _search_rows(adj, None)
-    return _solve_serial(vertex_of, rows, [], None, None, SolveStats())
+    """Exact maximum clique of a bit-packed graph without self-loops, with a
+    sorted witness.  The rows are searched as given, label = vertex."""
+    search = _Search(adj)
+    search.root((1 << len(adj)) - 1)
+    return search.best_size, tuple(sorted(search.best))
 
 
 def _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats):
@@ -597,8 +555,8 @@ def clique_number_exact(
     bit-packed candidate sets, and starts from the constructive
     lower-bound cliques.  Results are deterministic for a fixed
     configuration; the clique number itself is independent of the worker
-    count.  On tabled fields the rows are built in search labels by
-    ``_orbit_rows``; otherwise the graph's rows are relabelled.
+    count.  The search rows are built in search labels by ``_orbit_rows``,
+    the vertex searched i-th of n taking label n - 1 - i.
 
     The root's branches are cut by the automorphisms x -> lam * x^(p^i)
     (see ``Automorphisms``): once the branch on v returns, the rest of v's
@@ -606,7 +564,7 @@ def clique_number_exact(
     a clique through v.  The serial search builds the group when the first
     root branch returns with ``_ORBIT_NODES`` nodes expanded in all, so
     small solves never pay for it; the parallel search builds it before it
-    splits the root.  Fields without tables get no group.
+    splits the root.
 
     ``time_limit`` holds in every phase: the clock is checked after the
     seed, after each block of search rows, after the group is built and
@@ -618,10 +576,8 @@ def clique_number_exact(
     about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
     65,536.  The rows are filled one block of at most 1 M cells at a time
     (``_BLOCK_CELLS``, a byte each), from a membership table of about
-    2 q^n bytes when U is dense; an untabled field's rows are relabelled
-    through an unpacked block of that size instead.  The group takes two
-    integers per map, and the search 8 bytes per vertex once it holds the
-    group.
+    2 q^n bytes when U is dense.  The group takes two integers per map,
+    and the search 8 bytes per vertex once it holds the group.
     """
     stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -632,14 +588,10 @@ def clique_number_exact(
     _check_deadline(deadline, "the seed clique")
     stats.seed_size = len(seed)
     start = time.perf_counter()
-    if G.ctx._exp_np is not None:
-        vertex_of = order[::-1]
-        rows = _orbit_rows(G.ctx, G.U, vertex_of, deadline)
-        vertex_of = vertex_of.tolist()
-        symmetry = functools.partial(Automorphisms, G)
-    else:
-        vertex_of, rows = _search_rows(G.adjacency, order, deadline)
-        symmetry = None
+    vertex_of = order[::-1]
+    rows = _orbit_rows(G.ctx, G.U, vertex_of, deadline)
+    vertex_of = vertex_of.tolist()
+    symmetry = functools.partial(Automorphisms, G)
     stats.rows_ms = _ms_since(start)
     stats.workers = max(1, workers)
     start = time.perf_counter()
@@ -653,10 +605,9 @@ def clique_number_exact(
 
 def _solve_parallel(vertex_of, rows, seed, deadline, workers, symmetry, stats):
     root = _Search(rows, symmetry=symmetry, vertex_of=vertex_of)
-    if symmetry is not None:
-        root.build_group()
-        stats.group_order = root.group.order
-        _check_deadline(deadline, "the automorphism group")
+    root.build_group()
+    stats.group_order = root.group.order
+    _check_deadline(deadline, "the automorphism group")
     root_order, _ = root._color_order((1 << len(rows)) - 1, 1)
     # each subproblem is a root branch; an orbit-mate of an earlier one is
     # dropped, as the serial search skips it

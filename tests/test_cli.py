@@ -1,6 +1,7 @@
 """Tests for the command-line contract: exit codes and refused options."""
 
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,21 @@ class TestOmega:
                          "--mode", mode, *extra])
         assert code == cli.EXIT_BUDGET
         assert built == []
+
+    def test_untabled_field_refused_before_build(self, monkeypatch, capsys):
+        # 2^21 vertices fit this budget but not the table limit: the exact
+        # solve is refused at once, without building the field
+        built = []
+        real_build = cli.build_field
+        monkeypatch.setattr(cli, "build_field",
+                            lambda *args, **kw: built.append(args) or real_build(*args, **kw))
+        start = time.monotonic()
+        code = cli.main(["omega", "--field", "2^1^21", "--subspace", "basis=1",
+                         "--mode", "exact", "--max-vertices", "3000000"])
+        assert time.monotonic() - start < 5.0
+        assert code == cli.EXIT_BUDGET
+        assert built == []
+        assert "table limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ from paleyvec.forms import (
     t_of_form,
     verify_orthogonal_set,
 )
-from paleyvec.linalg import span, zero_subspace
+from paleyvec.graph import build_graph
+from paleyvec.linalg import hyperplane_from_functional, span, zero_subspace
+from paleyvec.suites import FORMS_GRID
 
 
 def random_invertible(ctx, rng):
@@ -240,12 +242,31 @@ class TestOrthogonalSets:
 
     @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 4), (2, 2, 2)])
     def test_trace_form_graph_is_hyperplane_graph(self, spec):
-        # the same form given by its Gram matrix is evaluated pair by pair
+        # the graph orthogonal_set_max solves for a trace form, against the
+        # same form given by its Gram matrix, evaluated pair by pair
         ctx = build_field(*spec)
         for lam in range(1, ctx.order):
             B = BilinearForm.trace_form(ctx, lam)
             by_pairs = orthogonality_adjacency(BilinearForm.from_gram(ctx, B.gram_matrix()))
-            assert orthogonality_adjacency(B) == by_pairs, lam
+            G = build_graph(ctx, hyperplane_from_functional(ctx, lam))
+            assert G.adjacency == by_pairs, lam
+
+    @pytest.mark.parametrize("spec", [(p, m, n) for p, m, n in FORMS_GRID if p**(m * n) <= 81])
+    def test_gram_form_search_matches_trace_form(self, spec):
+        # a trace form is solved on its hyperplane graph, the same form given
+        # by its Gram matrix on the rows built pair by pair
+        ctx = build_field(*spec)
+        found = set()
+        for lam in range(1, ctx.order, 7):
+            B = BilinearForm.trace_form(ctx, lam)
+            G = BilinearForm.from_gram(ctx, B.gram_matrix())
+            M, E = orthogonal_set_max(B)
+            M_gram, E_gram = orthogonal_set_max(G)
+            assert M == M_gram == len(E) == len(E_gram), lam
+            assert verify_orthogonal_set(B, E) and verify_orthogonal_set(G, E_gram)
+            found.add(chi_of_form(B))
+        # both classes of form are met
+        assert found == {-1, 1}
 
     def test_even_q_bound(self):
         for spec in [(2, 1, 3), (2, 1, 4), (2, 2, 2)]:

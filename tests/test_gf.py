@@ -304,8 +304,8 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
     def test_squares_table(self, spec):
-        for ctx in (build_field(*spec), build_field(*spec, table_limit=1)):
-            assert ctx.squares().tolist() == [ctx.mul(v, v) for v in range(ctx.order)]
+        ctx = build_field(*spec)
+        assert ctx.squares().tolist() == [ctx.mul(v, v) for v in range(ctx.order)]
 
 
 class TestFrobeniusAndTrace:

@@ -16,7 +16,6 @@ from paleyvec.errors import (
     ZeroDimension,
 )
 from paleyvec import graph
-from paleyvec.forms import BilinearForm, orthogonality_adjacency
 from paleyvec.gf import build_field
 from paleyvec.linalg import (
     all_hyperplanes,
@@ -47,6 +46,35 @@ def brute_force_omega(G):
             if all(G.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
                 return k
     return 0
+
+
+def build_rows_scalar(ctx, members):
+    """G_U's rows from scalar arithmetic: bit u / v of row v for each
+    nonzero u in ``members``, and vertex 0 adjacent to everything."""
+    n = ctx.order
+    rows = [(1 << n) - 2]
+    for v in range(1, n):
+        inv_v = ctx.inv(v)
+        row = 1  # bit 0
+        for u in members:
+            if u:
+                row |= 1 << ctx.mul(u, inv_v)
+        row &= ~(1 << v)
+        rows.append(row)
+    return rows
+
+
+def unpack_rows(adj, n):
+    """Rows as a 0/1 uint8 matrix of n columns."""
+    nbytes = (n + 7) // 8
+    raw = b"".join(row.to_bytes(nbytes, "little") for row in adj)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+
+
+def pack_rows(mat):
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def random_subspace(ctx, rng, max_gens=3):
@@ -98,7 +126,13 @@ class TestBuild:
         plain = build_field(3, 1, 2, table_limit=1)
         U_t = trace_zero_hyperplane(tabled)
         U_p = trace_zero_hyperplane(plain)
-        assert build_graph(tabled, U_t).adjacency == build_graph(plain, U_p).adjacency
+        want = build_rows_scalar(plain, U_p.enumerate_elements())
+        assert build_graph(tabled, U_t).adjacency == want
+
+    def test_untabled_field_is_refused(self):
+        ctx = build_field(2, 1, 7, table_limit=1)
+        with pytest.raises(BudgetExceeded, match="tables"):
+            build_graph(ctx, trace_zero_hyperplane(ctx))
 
     def test_errors(self):
         ctx = build_field(2, 1, 2)
@@ -382,29 +416,9 @@ class TestOrbitPruning:
         assert par.seed_size == stats.seed_size
         assert 0 < par.orbit_skips
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_tabled_solve_never_relabels(self, monkeypatch, workers):
-        # on tabled fields the search rows come from the orbit-row kernel
-        def refuse(*args):
-            raise AssertionError("_search_rows called on a tabled field")
-
-        monkeypatch.setattr(graph, "_search_rows", refuse)
-        for spec, omega in [((3, 1, 3), 4), ((2, 1, 6), 8), ((2, 2, 2), 4)]:
-            ctx = build_field(*spec)
-            G = build_graph(ctx, trace_zero_hyperplane(ctx))
-            size, witness = clique_number_exact(G, workers=workers)
-            assert size == omega == len(witness)
-            assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
-
-    def test_untabled_field_has_no_group(self):
-        ctx = build_field(2, 1, 7, table_limit=1)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        (omega, _), stats = _solve(G)
-        assert (omega, stats.group_order, stats.orbit_skips) == (9, None, 0)
-
 
 def _adjacency_matrix(G):
-    return graph._unpack_rows(G.adjacency, G.n_vertices).astype(bool)
+    return unpack_rows(G.adjacency, G.n_vertices).astype(bool)
 
 
 def _twin_classes(G):
@@ -509,7 +523,7 @@ def _pinned_rows(spec):
     U = _pinned_subspace(spec)
     G = build_graph(U.ctx, U)
     order = np.argsort(-np.asarray(G.degrees), kind="stable")
-    vertices, rows = graph._search_rows(G.adjacency, order)
+    vertices, rows = old_search_rows(G.adjacency, order)
     n = G.n_vertices
     return _rows_digest(G.adjacency, n), _rows_digest(rows, n, vertices)
 
@@ -540,64 +554,17 @@ def old_search_rows(adj, order):
     vertices = vertex_of.tolist()
     rows = []
     for start in range(0, n, 1024):
-        block = graph._unpack_rows([adj[v] for v in vertices[start:start + 1024]], n)
-        rows += graph._pack_rows(block.take(vertex_of, 1))
+        block = unpack_rows([adj[v] for v in vertices[start:start + 1024]], n)
+        rows += pack_rows(block.take(vertex_of, 1))
     return vertices, rows
-
-
-def _random_twin_graph(seed, n=40, copies=30):
-    """A random graph plus copies of random vertices, each a false twin
-    (equal row, a separate int) or a true twin (also joined to its source)."""
-    rng = random.Random(seed)
-    nbrs = [set() for _ in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        if rng.random() < 0.5:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    for _ in range(copies):
-        src, new = rng.randrange(len(nbrs)), len(nbrs)
-        nbrs.append(set(nbrs[src]))
-        for w in nbrs[src]:
-            nbrs[w].add(new)
-        if rng.random() < 0.5:
-            nbrs[src].add(new)
-            nbrs[new].add(src)
-    return [sum(1 << w for w in row) for row in nbrs]
-
-
-def _twins(adj):
-    """Whether the graph has false twins (equal rows) and true twins
-    (equal closed rows)."""
-    closed = {row | 1 << v for v, row in enumerate(adj)}
-    return len(set(adj)) < len(adj), len(closed) < len(adj)
-
-
-def _relabel_case(name):
-    if name == "form":
-        return orthogonality_adjacency(BilinearForm.trace_form(build_field(3, 1, 3), 1))
-    if name == "random":
-        return _random_twin_graph(32)
-    if name == "directed":
-        # not symmetric (2 sees 0, 0 does not see 2): 0 and 1 are true
-        # twins and 1 and 2 false twins, but 0 and 2 are not twins
-        return [0b1010, 0b1001, 0b1001, 0]
-    spec, U = {
-        # v^2 in U on the orbit of 1, so that orbit is a class of true twins
-        "true": ((3, 1, 5), lambda ctx: span(ctx, [1, ctx.basis_element(1)])),
-        # a nonsquare's F_3-line holds no nonzero square: only false twins
-        "false": ((3, 1, 4), lambda ctx: span(ctx, [ctx.generator])),
-        # q = 2: no F_q*-orbits to share a row
-        "neither": ((2, 1, 8), trace_zero_hyperplane),
-    }[name]
-    ctx = build_field(*spec)
-    return build_graph(ctx, U(ctx)).adjacency
 
 
 CROSS_CHECK_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
 
 
 def _orders(n, degrees):
-    """The four search orders of ``test_relabel_matches_row_by_row``."""
+    """Four search orders: none (vertex 0 searched first), by degree,
+    random, and vertex 0 searched last."""
     return [
         None,
         np.argsort(-np.asarray(degrees), kind="stable"),
@@ -607,8 +574,8 @@ def _orders(n, degrees):
 
 
 class TestRowsCrossCheck:
-    """The orbit-row kernel and the relabel against the row-by-row paths
-    they replace."""
+    """The orbit-row kernel against the row-by-row build and relabel it
+    replaced."""
 
     @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
     def test_tabled_build_matches_scalar(self, spec):
@@ -619,18 +586,18 @@ class TestRowsCrossCheck:
             pairs = zip(all_subspaces(tabled, d), all_subspaces(plain, d), strict=True)
             for U, V in pairs:
                 assert U.basis == V.basis
-                assert build_graph(tabled, U).adjacency == build_graph(plain, V).adjacency
+                want = build_rows_scalar(plain, V.enumerate_elements())
+                assert build_graph(tabled, U).adjacency == want
 
-    @pytest.mark.parametrize(
-        "name,twins",
-        [("true", (True, True)), ("false", (True, False)), ("neither", (False, False)),
-         ("form", (True, True)), ("random", (True, True)), ("directed", (True, True))],
-    )
-    def test_relabel_matches_row_by_row(self, name, twins):
-        adj = _relabel_case(name)
-        assert _twins(adj) == twins
-        for order in _orders(len(adj), [row.bit_count() for row in adj]):
-            assert graph._search_rows(adj, order) == old_search_rows(adj, order)
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_degrees_from_closed_form(self, spec):
+        # every subspace, the whole field included
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n + 1):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                assert G.degrees == [row.bit_count() for row in G.adjacency]
+                assert all(type(deg) is int for deg in G.degrees)
 
     @pytest.mark.parametrize("fill", ["dense", "sparse"])
     @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
@@ -764,7 +731,7 @@ class TestSquareMask:
     @pytest.mark.parametrize(
         "p,m,n,table_limit",
         [(2, 1, 4, 1 << 20), (3, 1, 3, 1 << 20), (2, 2, 2, 1 << 20),
-         (3, 2, 2, 1 << 20), (2, 3, 2, 1 << 20), (3, 1, 3, 1)],
+         (3, 2, 2, 1 << 20), (2, 3, 2, 1 << 20)],
     )
     def test_mask_matches_squares(self, p, m, n, table_limit):
         ctx = build_field(p, m, n, table_limit=table_limit)
