@@ -403,6 +403,7 @@ class FieldCtx:
         self._trace = None
         self._sq = None
         self._squares = None
+        self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
         if self.tabled:
             self._build_tables()
 

@@ -60,7 +60,7 @@ from .errors import (
     ZeroDimension,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, rank, span
+from .linalg import Subspace, extend_echelon, rank, span
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
@@ -213,7 +213,7 @@ def _orbit_rows(
             rows[first] = row
             for w in orbit[1:]:
                 rows[w] = row ^ (1 << first | 1 << w) if loop else row
-        _check_deadline(deadline, "relabelling")
+        _check_deadline(deadline, "search-row build")
     return rows
 
 
@@ -687,17 +687,27 @@ def enumerate_maximal_cliques(G: GraphGU, cap: int = DEFAULT_CLIQUE_CAP):
     yield from recurse([], (1 << G.n_vertices) - 1, 0)
 
 
-def is_maximal_clique(G: GraphGU, C) -> bool:
+def _maximal_clique_vertices(G: GraphGU, C) -> list[int] | None:
+    """C's vertices in increasing order when they form a maximal clique of
+    G, else None: one sweep over the rows against the clique's mask, each
+    row holding the rest of the clique, and their AND nothing outside it."""
     verts = sorted(set(C))
     mask = 0
     for v in verts:
         mask |= 1 << v
-    common = (1 << G.n_vertices) - 1
+    adj = G.adjacency
+    common = -1
     for v in verts:
-        if (G.adjacency[v] & mask).bit_count() != len(verts) - 1:
-            return False
-        common &= G.adjacency[v]
-    return common & ~mask == 0
+        row = adj[v]
+        if row & mask != mask ^ 1 << v:
+            return None
+        common &= row
+    return None if common & ~mask else verts
+
+
+def is_maximal_clique(G: GraphGU, C) -> bool:
+    """True when the vertices C form an inclusion-maximal clique of G."""
+    return _maximal_clique_vertices(G, C) is not None
 
 
 # -- maximal clique decomposition -------------------------------------------
@@ -738,28 +748,35 @@ def decompose_clique(G: GraphGU, C) -> CliqueDecomposition:
     Checks, in order: the square part is a subspace, the rest is
     independent, the two spans meet only at 0, and the size has the shape
     q^t + r with r <= dim(U) + 1 when t = 0 and r + t <= dim(U) otherwise.
+    A clique that is not maximal raises ``NotMaximal`` before any of them.
 
     The square part v2 is read from ``G.square_in_U_mask()`` and v1 is the
-    rest.  The first three checks are rank statements, answered by
-    ``linalg.rank`` without building a subspace: q^rank(v2) = |v2|,
-    rank(v1) = |v1| and rank(v2 + v1) = t + r.
+    rest.  One echelon (``linalg.extend_echelon``) is fed v2, which gives
+    t, and then v1: the second and third checks, rank(v1) = r and
+    rank(v2 + v1) = t + r, hold together exactly when every element of v1
+    adds to the rank, so a valid clique takes a single pass.  Only when
+    that pass fails is rank(v1) taken alone: a dependent v1 raises the
+    second check's message, as when the checks ran one by one, and
+    otherwise the spans intersect.
     """
-    if not is_maximal_clique(G, C):
+    verts = _maximal_clique_vertices(G, C)
+    if verts is None:
         raise NotMaximal(f"{sorted(C)} is not a maximal clique")
     ctx = G.ctx
     U = G.U
     sq_mask = G.square_in_U_mask()
     v2: list[int] = []
     v1: list[int] = []
-    for v in sorted(set(C)):
+    for v in verts:
         (v2 if sq_mask >> v & 1 else v1).append(v)
-    t = rank(ctx, v2)
+    echelon: dict = {}
+    t = extend_echelon(ctx, echelon, v2)
     if ctx.q**t != len(v2):
         raise StructureViolation("square part of the clique is not a subspace")
     r = len(v1)
-    if rank(ctx, v1) != r:
-        raise StructureViolation("non-square part of the clique is dependent")
-    if rank(ctx, v2 + v1) != t + r:
+    if extend_echelon(ctx, echelon, v1) != r:
+        if rank(ctx, v1) != r:
+            raise StructureViolation("non-square part of the clique is dependent")
         raise StructureViolation("spans of the two parts intersect beyond 0")
     if t == 0:
         if r > U.dim + 1:

@@ -12,13 +12,17 @@ base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
 when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
 "v^2 in U" for every v at once.
 
-Where only a dimension is needed, ``rank`` answers without building the
-echelon form.  The F_q-rank of a list is the F_p-rank of its m-fold
-expansion {p^j v : j < m}, divided by m, because the indices p^j < q are
-an F_p-basis of the embedded F_q.  The F_p-rank is taken on the indices
-themselves: for p = 2 an index is its own F_2 coordinate row, so the
-kernel is an XOR basis on Python ints; for odd p the rows are the base-p
-digits of the indices, eliminated mod p.
+Where only a dimension is needed, ``rank`` answers without the canonical
+basis, by one incremental kernel, ``extend_echelon``, which feeds
+elements one at a time into an F_p echelon and counts those that add to
+its rank; ``graph.decompose_clique`` feeds a clique's two parts into one
+echelon.  The F_q-rank of a list is the F_p-rank of its m-fold expansion
+{p^j v : j < m}, divided by m, because the indices p^j < q are an F_p-basis
+of the embedded F_q.  The F_p-rank is taken on the indices themselves:
+for p = 2 an index is its own F_2 coordinate row, so the kernel is an XOR
+basis on Python ints; for odd p the rows are the base-p digits of the
+indices, eliminated mod p.  Each element's rows are computed once per
+field, on first sight, and kept in the field's memo.
 """
 
 from __future__ import annotations
@@ -197,41 +201,76 @@ def _span_f2(ctx: FieldCtx, gens: list[int]) -> Subspace:
     return Subspace(ctx, tuple(rows))
 
 
+def _fp_rows(ctx: FieldCtx, v: int) -> tuple:
+    """The F_p rows of F_q v: the expansion {p^j v : j < m}, as indices for
+    p = 2 and as base-p digit tuples for odd p."""
+    p = ctx.p
+    expansion = [v] + [ctx.mul(p**j, v) for j in range(1, ctx.m)]
+    if p == 2:
+        return tuple(expansion)
+    return tuple(tuple(x // p**i % p for i in range(ctx.mn)) for x in expansion)
+
+
+def extend_echelon(ctx: FieldCtx, echelon: dict, elems: Iterable[int]) -> int:
+    """Feed elements, in order, into ``echelon``, the F_p echelon form of an
+    F_q-span (an empty dict for the zero space; see the module docstring),
+    and return how many lay outside the span at their turn.
+
+    An element lies inside exactly when its first row, the element itself,
+    reduces to 0; otherwise each of its m rows adds a pivot, keyed by its
+    leading bit for p = 2 and by its pivot column for odd p.  Rows come from
+    the field's memo, so each element's expansion and digits are computed
+    once; for q = 2 the index is its own row and nothing is kept.
+    """
+    gained = 0
+    if ctx.p == 2:
+        memo = None if ctx.m == 1 else ctx._fp_rows
+        for v in elems:
+            if memo is None:
+                rows = (v,)
+            else:
+                rows = memo.get(v)
+                if rows is None:
+                    rows = memo[v] = _fp_rows(ctx, v)
+            for x in rows:
+                while x:
+                    b = echelon.get(x.bit_length())
+                    if b is None:
+                        break
+                    x ^= b
+                if not x:
+                    break  # v lies in the span: its first row reduced to 0
+                echelon[x.bit_length()] = x
+            else:
+                gained += 1
+        return gained
+    p, mn, memo = ctx.p, ctx.mn, ctx._fp_rows
+    for v in elems:
+        rows = memo.get(v)
+        if rows is None:
+            rows = memo[v] = _fp_rows(ctx, v)
+        for row in rows:
+            for col in range(mn):
+                a = row[col]
+                if a:
+                    b = echelon.get(col)
+                    if b is None:
+                        break
+                    # columns before col are zero in row and in b, and stay so
+                    row = [(y - a * z) % p for y, z in zip(row, b)]
+            else:
+                break  # v lies in the span: its first row reduced to 0
+            inv = pow(a, p - 2, p)
+            echelon[col] = [y * inv % p for y in row]  # 1 at col
+        else:
+            gained += 1
+    return gained
+
+
 def rank(ctx: FieldCtx, elems: Iterable[int]) -> int:
     """F_q-dimension of the span of the given elements: ``span(...).dim``
-    without the canonical basis (see the module docstring)."""
-    p, m = ctx.p, ctx.m
-    if m == 1:
-        rows = elems
-    else:
-        rows = [v if j == 0 else ctx.mul(p**j, v) for v in elems for j in range(m)]
-    if p == 2:
-        pivots: dict[int, int] = {}  # leading bit -> row
-        for x in rows:
-            while x:
-                top = x.bit_length()
-                b = pivots.get(top)
-                if b is None:
-                    pivots[top] = x
-                    break
-                x ^= b
-        return len(pivots) // m
-    places = [p**i for i in range(ctx.mn)]
-    reduced: dict[int, list[int]] = {}  # pivot column -> digit row, 1 there
-    for x in rows:
-        row = [x // w % p for w in places]
-        for col in range(ctx.mn):
-            a = row[col]
-            if not a:
-                continue
-            b = reduced.get(col)
-            if b is None:
-                inv = pow(a, p - 2, p)
-                reduced[col] = [y * inv % p for y in row]
-                break
-            # columns before col are zero in row and in b, and stay so
-            row = [(y - a * z) % p for y, z in zip(row, b)]
-    return len(reduced) // m
+    without the canonical basis, from an empty echelon."""
+    return extend_echelon(ctx, {}, elems)
 
 
 def zero_subspace(ctx: FieldCtx) -> Subspace:

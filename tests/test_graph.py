@@ -229,17 +229,17 @@ class TestCliqueNumber:
 
         monkeypatch.setattr(graph.time, "monotonic", lambda: clock[0])
         monkeypatch.setattr(graph, "_pack_columns", pack)
-        with pytest.raises(TimeLimitExceeded, match="relabelling"):
+        with pytest.raises(TimeLimitExceeded, match="search-row build"):
             clique_number_exact(G, time_limit=1.0)
         return blocks
 
-    def test_time_limit_inside_relabel(self, monkeypatch):
+    def test_time_limit_inside_search_row_build(self, monkeypatch):
         # 2,047 base rows take four blocks of 512; the clock runs out in the first
         ctx = build_field(2, 1, 11)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
         assert self._one_block(G, monkeypatch) == [(ctx.order, 512)]
 
-    def test_relabel_block_is_capped_in_cells(self, monkeypatch):
+    def test_search_row_block_is_capped_in_cells(self, monkeypatch):
         # 8,192 vertices: a block holds 128 base rows of 8,192 cells
         ctx = build_field(2, 1, 13)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
@@ -860,3 +860,144 @@ class TestStructureViolation:
         self._forge(G, [0, a])
         with pytest.raises(StructureViolation, match="spans of the two parts intersect beyond 0"):
             decompose_clique(G, clique)
+
+
+def three_rank_rank(ctx, elems):
+    """The F_q-rank by the F_p-rank of the m-fold expansion, eliminated afresh
+    on every call: ``linalg.rank`` as it stood before the incremental echelon."""
+    p, m = ctx.p, ctx.m
+    rows = [v if j == 0 else ctx.mul(p**j, v) for v in elems for j in range(m)]
+    if p == 2:
+        pivots = {}
+        for x in rows:
+            while x:
+                b = pivots.get(x.bit_length())
+                if b is None:
+                    pivots[x.bit_length()] = x
+                    break
+                x ^= b
+        return len(pivots) // m
+    places = [p**i for i in range(ctx.mn)]
+    reduced = {}
+    for x in rows:
+        row = [x // w % p for w in places]
+        for col in range(ctx.mn):
+            a = row[col]
+            if not a:
+                continue
+            b = reduced.get(col)
+            if b is None:
+                inv = pow(a, p - 2, p)
+                reduced[col] = [y * inv % p for y in row]
+                break
+            row = [(y - a * z) % p for y, z in zip(row, b)]
+    return len(reduced) // m
+
+
+def three_rank_decompose(G, C):
+    """``decompose_clique`` as it stood before the single pass: a maximality
+    test by bit counts, then three separate ranks, checked one by one."""
+    verts = sorted(set(C))
+    mask = 0
+    for v in verts:
+        mask |= 1 << v
+    common = (1 << G.n_vertices) - 1
+    for v in verts:
+        if (G.adjacency[v] & mask).bit_count() != len(verts) - 1:
+            raise NotMaximal(f"{sorted(C)} is not a maximal clique")
+        common &= G.adjacency[v]
+    if common & ~mask:
+        raise NotMaximal(f"{sorted(C)} is not a maximal clique")
+    ctx, U = G.ctx, G.U
+    sq_mask = G.square_in_U_mask()
+    v2 = [v for v in verts if sq_mask >> v & 1]
+    v1 = [v for v in verts if not sq_mask >> v & 1]
+    t = three_rank_rank(ctx, v2)
+    if ctx.q**t != len(v2):
+        raise StructureViolation("square part of the clique is not a subspace")
+    r = len(v1)
+    if three_rank_rank(ctx, v1) != r:
+        raise StructureViolation("non-square part of the clique is dependent")
+    if three_rank_rank(ctx, v2 + v1) != t + r:
+        raise StructureViolation("spans of the two parts intersect beyond 0")
+    if t == 0:
+        if r > U.dim + 1:
+            raise StructureViolation(f"t = 0 but r = {r} > dim + 1 = {U.dim + 1}")
+    elif r + t > U.dim:
+        raise StructureViolation(f"r + t = {r + t} > dim = {U.dim}")
+    return t, tuple(v1), tuple(v2)
+
+
+def _outcome(decompose, G, C):
+    """The split, or the class and message of the exception raised."""
+    try:
+        dec = decompose(G, C)
+    except (NotMaximal, StructureViolation) as exc:
+        return type(exc).__name__, str(exc)
+    return dec if isinstance(dec, tuple) else (dec.t, dec.V1, dec.square_part)
+
+
+class TestSinglePassCrossCheck:
+    """The single-pass decomposition against the three-rank one it
+    replaced: the same split, or the same exception and message, on every
+    maximal clique of every proper subspace, under the true square mask
+    and under forged ones, and on vertex sets that are not maximal cliques."""
+
+    FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2), (5, 1, 2)]
+
+    @staticmethod
+    def _forged_mask(rng, G, clique):
+        # vertices outside the clique never matter; inside it, a random
+        # subset, {0} alone, or the true square part less or plus a vertex
+        kind = rng.randrange(4)
+        if kind == 0:
+            chosen = [v for v in clique if rng.random() < 0.5]
+        elif kind == 1:
+            chosen = [0]
+        else:
+            chosen = [v for v in clique if G._sq_mask >> v & 1]
+            rest = [v for v in clique if not G._sq_mask >> v & 1]
+            if kind == 2 and len(chosen) > 1:
+                chosen.remove(rng.choice(chosen[1:]))
+            elif rest:
+                chosen.append(rng.choice(rest))
+        return sum(1 << v for v in chosen)
+
+    def test_matches_three_rank_reference(self):
+        rng = random.Random(2210)
+        seen = set()
+        for spec in self.FIELDS:
+            ctx = build_field(*spec)
+            for d in range(1, ctx.n):
+                for U in all_subspaces(ctx, d):
+                    G = build_graph(ctx, U)
+                    true_mask = G._sq_mask
+                    for clique in enumerate_maximal_cliques(G):
+                        G._sq_mask = true_mask
+                        want = _outcome(three_rank_decompose, G, clique)
+                        assert isinstance(want[0], int), (spec, U, clique, want)
+                        assert _outcome(decompose_clique, G, clique) == want
+                        G._sq_mask = self._forged_mask(rng, G, clique)
+                        want = _outcome(three_rank_decompose, G, clique)
+                        assert _outcome(decompose_clique, G, clique) == want
+                        seen.add(want[1] if isinstance(want[0], str) else "split")
+                        # less a vertex, or plus one outside: never maximal
+                        G._sq_mask = true_mask
+                        if len(clique) > 1 and rng.random() < 0.2:
+                            dropped = rng.choice(clique)
+                            smaller = [v for v in clique if v != dropped]
+                            assert not is_maximal_clique(G, smaller)
+                            assert _outcome(decompose_clique, G, smaller) == _outcome(
+                                three_rank_decompose, G, smaller
+                            )
+                            outside = [v for v in range(ctx.order) if v not in clique]
+                            bigger = list(clique) + [rng.choice(outside)]
+                            assert not is_maximal_clique(G, bigger)
+                            assert _outcome(decompose_clique, G, bigger)[0] == "NotMaximal"
+        # every branch, the choice after a failed single pass included
+        assert seen >= {
+            "split",
+            "square part of the clique is not a subspace",
+            "non-square part of the clique is dependent",
+            "spans of the two parts intersect beyond 0",
+        }

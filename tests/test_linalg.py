@@ -21,6 +21,7 @@ from paleyvec.linalg import (
     all_hyperplanes,
     all_subspaces,
     contains_nonzero_square,
+    extend_echelon,
     functional_of_hyperplane,
     gaussian_binomial,
     hyperplane_from_functional,
@@ -152,6 +153,29 @@ class TestRank:
             assert rank(ctx, vs) == want, vs
             dims.add(want)
         assert dims == set(range(ctx.n + 1))
+
+
+class TestExtendEchelon:
+    """The incremental kernel behind ``rank``: a list fed in two parts
+    gives the prefix's rank, then the whole list's."""
+
+    @pytest.mark.parametrize(
+        "p,m,n,table_limit",
+        [(2, 1, 5, 1 << 20), (2, 2, 3, 1 << 20), (2, 3, 2, 1 << 20), (3, 1, 3, 1 << 20),
+         (3, 2, 2, 1 << 20), (5, 1, 2, 1 << 20), (3, 1, 3, 1), (2, 2, 2, 1)],
+    )
+    def test_prefix_then_rest(self, p, m, n, table_limit):
+        ctx = build_field(p, m, n, table_limit=table_limit)
+        rng = random.Random(f"echelon:{p}:{m}:{n}:{table_limit}")
+        for _ in range(100):
+            vs = _random_list(ctx, rng)
+            cut = rng.randrange(len(vs) + 1)
+            echelon = {}
+            head = extend_echelon(ctx, echelon, vs[:cut])
+            assert head == rank(ctx, vs[:cut]) == span(ctx, vs[:cut]).dim
+            assert len(echelon) == m * head  # m F_p pivots per unit of F_q-rank
+            tail = extend_echelon(ctx, echelon, vs[cut:])
+            assert head + tail == span(ctx, vs).dim, (vs, cut)
 
 
 class TestMembership:
