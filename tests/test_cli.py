@@ -1,5 +1,6 @@
 """Tests for the command-line contract: exit codes and refused options."""
 
+import hashlib
 import json
 import time
 
@@ -194,3 +195,23 @@ def test_bench_draws_at_most_limit(monkeypatch, capsys, dim, family):
     monkeypatch.setattr(cli, family, counted)
     assert cli.main(["bench", "--field", "2^1^6", "--dim", dim, "--limit", "2"]) == cli.EXIT_OK
     assert 0 < len(drawn) <= 2
+
+
+# SHA-256 of the `form` JSON lines for lambda = 1, ..., q^n - 1 in turn: t, M,
+# both witnesses, and chi (q odd) or M_upper (q even)
+PINNED_FORMS = {
+    "3^1^3": (27, "64fae451559ba2936c1120545510d5545f25cfb46e8257501eee306f96732d18"),
+    "5^1^2": (25, "eb4d4b33d831f4f15916face7bab07aba66a7d994608713dd85eef757b41ee32"),
+    "2^1^4": (16, "7ee1a707d312d5d5ec298a40df6f8fe4bf3e74ba681a928c27fd54284319eeec"),
+    "2^2^2": (16, "f5b9f6d228d4ca41e91936bfc32d54d06efd82e2c26424ff1e6363fcddd9964d"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PINNED_FORMS))
+def test_form_json_pinned(field, capsys):
+    order, want = PINNED_FORMS[field]
+    digest = hashlib.sha256()
+    for lam in range(1, order):
+        assert cli.main(["form", "--field", field, "--lambda", str(lam)]) == cli.EXIT_OK
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == want

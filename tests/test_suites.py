@@ -2,7 +2,7 @@
 
 import pytest
 
-from paleyvec import suites
+from paleyvec import cli, suites
 from paleyvec.gf import build_field
 from paleyvec.linalg import trace_zero_hyperplane
 
@@ -31,3 +31,12 @@ def test_suite_passes_on_small_grid(name, monkeypatch):
     report = suites.run_suite(name, qmax=5, nmax=4 if name == "sumproduct" else 3)
     assert report.instances > 0
     assert report.failures == []
+
+
+def test_crucial_report_pinned(monkeypatch, capsys):
+    # the whole grid, solved afresh
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    assert cli.main(["verify", "--suite", "crucial"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        '{"failures": [], "instances": 208, "passes": 208, "schema": 1, "suite": "crucial"}\n'
+    )
