@@ -214,7 +214,7 @@ def cmd_verify(args) -> int:
 def cmd_form(args) -> int:
     ctx = _field_from_args(args)
     B = BilinearForm.trace_form(ctx, args.lam)
-    inv = M_of_form(B, with_witness=True)
+    inv = M_of_form(B)
     payload = {
         "schema": 1,
         "field": {"p": ctx.p, "m": ctx.m, "n": ctx.n, "q": ctx.q, "order": ctx.order},

@@ -8,7 +8,9 @@ The invariants computed here are the sign of the diagonalized form (odd
 q), the largest totally isotropic dimension t, and the largest size M of
 a pairwise orthogonal set of field elements.  For odd q both t and M
 have closed forms; the searches that produce witnesses double as
-independent oracles for them.
+independent oracles for them.  The sign, the complement and t take either
+kind of form; M is solved for trace forms only, as the clique number of a
+hyperplane graph (see ``orthogonal_set_max``).
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .errors import (
     ConstructionFailed,
     DegenerateForm,
     EvenCharacteristic,
+    PreconditionViolated,
     StructureViolation,
 )
 from .gf import FieldCtx
-from .graph import build_graph, clique_number_exact, max_clique_bitset
+from .graph import build_graph, clique_number_exact
 from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
 
 
@@ -253,20 +256,6 @@ def t_of_form(form: BilinearForm) -> tuple[int, Subspace]:
 # -- pairwise orthogonal sets -------------------------------------------------
 
 
-def orthogonality_adjacency(form: BilinearForm) -> list[int]:
-    """Bit-packed graph on the field with edges where the form vanishes,
-    evaluated pair by pair."""
-    n = form.ctx.order
-    rows = [(1 << n) - 2]
-    for v in range(1, n):
-        row = 1
-        for w in range(1, n):
-            if w != v and form.evaluate(v, w) == 0:
-                row |= 1 << w
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class FormInvariants:
     """Invariants of a form: sign, isotropic dimension, orthogonal-set size."""
@@ -280,40 +269,38 @@ class FormInvariants:
 
 
 def orthogonal_set_max(form: BilinearForm):
-    """Exact largest pairwise-orthogonal set, by clique search.
+    """Exact largest pairwise-orthogonal set of a trace form, by clique search.
 
-    A trace form's orthogonality graph is G_U for the hyperplane
-    U = ker Tr(lam x), since Tr(lam x y) = 0 exactly when xy lies in U; a
-    Gram form's is built pair by pair (``orthogonality_adjacency``).
+    The form's orthogonality graph is G_U for the hyperplane
+    U = ker Tr(lam x), since Tr(lam x y) = 0 exactly when xy lies in U.  A
+    form given by its Gram matrix is refused.
     """
+    if form.lam is None:
+        raise PreconditionViolated("orthogonal sets are solved for trace forms only")
     ctx = form.ctx
-    if form.lam is not None:
-        return clique_number_exact(build_graph(ctx, hyperplane_from_functional(ctx, form.lam)))
-    return max_clique_bitset(orthogonality_adjacency(form))
+    return clique_number_exact(build_graph(ctx, hyperplane_from_functional(ctx, form.lam)))
 
 
-def M_of_form(form: BilinearForm, with_witness: bool = True) -> FormInvariants:
-    """Largest pairwise-orthogonal set size, with witness and bound data.
+def M_of_form(form: BilinearForm) -> FormInvariants:
+    """Largest pairwise-orthogonal set size of a trace form, with witness
+    and bound data.
 
     Odd q: the closed form q^t + n - 2t; the witness search must reach it.
     Even q: exact value by search, checked against the stated bound
     (n + 1 when q = 2 and t <= 2, else q^t + n - 2t).
     """
     ctx = form.ctx
+    found, witness_E = orthogonal_set_max(form)
     t, witness_W = t_of_form(form)
     M = ctx.q**t + ctx.n - 2 * t
     if ctx.p != 2:
-        witness_E: tuple[int, ...] = ()
-        if with_witness:
-            found, witness_E = orthogonal_set_max(form)
-            if found != M:
-                raise StructureViolation(f"orthogonal-set search reached {found}, expected {M}")
+        if found != M:
+            raise StructureViolation(f"orthogonal-set search reached {found}, expected {M}")
         return FormInvariants(chi_of_form(form), t, witness_W, M, witness_E, None)
     upper = ctx.n + 1 if ctx.q == 2 and t <= 2 else M
-    M, witness_E = orthogonal_set_max(form)
-    if M > upper:
-        raise StructureViolation(f"M = {M} exceeds the bound {upper}")
-    return FormInvariants(None, t, witness_W, M, witness_E, upper)
+    if found > upper:
+        raise StructureViolation(f"M = {found} exceeds the bound {upper}")
+    return FormInvariants(None, t, witness_W, found, witness_E, upper)
 
 
 def verify_orthogonal_set(form: BilinearForm, E) -> bool:

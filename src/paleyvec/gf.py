@@ -353,10 +353,13 @@ class _BaseArith:
 
 
 class FieldCtx:
-    """Immutable context for the tower F_p <= F_q = F_{p^m} <= F_{q^n}.
+    """Context for the tower F_p <= F_q = F_{p^m} <= F_{q^n}.
 
-    All operations are pure functions of the context and their integer
-    arguments, so one context may be shared freely across workers.
+    The moduli, the generator and the tables are fixed at construction,
+    and every operation is a function of them and its integer arguments.
+    Two memos grow on use: the table of squares (``squares``) and each
+    element's F_p rows (see ``linalg.extend_echelon``).  A context stays in
+    its process: a parallel solve sends its workers rows only.
     """
 
     def __init__(
@@ -401,7 +404,6 @@ class FieldCtx:
         self._exp = self._log = None
         self._exp_np = self._log_np = None
         self._trace = None
-        self._sq = None
         self._squares = None
         self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
         if self.tabled:
@@ -427,7 +429,7 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         """exp/log tables from the least generator by digit-row doubling
-        (see ``_power_tables``), then trace, squareness and scalar lists."""
+        (see ``_power_tables``), then the trace and the scalar lists."""
         p = self.p
         self.generator = _find_generator(self.order, self._mul_poly)
         rows, self._exp_np, self._log_np = _power_tables(
@@ -445,14 +447,6 @@ class FieldCtx:
         self._trace = trace.tolist()
         self._exp = self._exp_np.tolist()
         self._log = self._log_np.tolist()
-
-        if p == 2:
-            self._sq = None  # every element is a square
-        else:
-            sq = np.zeros(self.order, dtype=bool)
-            sq[0] = True
-            sq[self._exp_np[::2]] = True
-            self._sq = sq.tolist()
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, n={self.n}, order={self.order})"
@@ -580,8 +574,9 @@ class FieldCtx:
             raise NotInSubfield(f"element {a} is not in F_{self.q}^{d}")
         if self.p == 2:
             return True
-        if d == self.n and self._sq is not None:
-            return self._sq[a]
+        if d == self.n and self._exp is not None:
+            # the nonzero squares are the even powers of the generator
+            return self._log[a] % 2 == 0
         return self.pow(a, (self.q**d - 1) // 2) == 1
 
     def quadratic_character(self, a: int) -> int:

@@ -392,15 +392,6 @@ def _labels(vertex_of: list[int], vertices) -> list[int]:
     return [label_of[v] for v in vertices]
 
 
-def _nonzero_in_coordinate_order(U: Subspace) -> list[int]:
-    """U's nonzero elements in the order of ``enumerate_elements``: by the
-    coordinates, so the sort key reads the base-q digits from the lowest."""
-    q, n = U.ctx.q, U.ctx.n
-    members = np.flatnonzero(U.member)[1:]
-    key = sum(members // q**i % q * q ** (n - 1 - i) for i in range(n))
-    return members[np.argsort(key)].tolist()
-
-
 def greedy_seed_clique(G: GraphGU) -> list[int]:
     """Constructive starter cliques, greedily extended.
 
@@ -411,7 +402,7 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     """
     ctx = G.ctx
     U = G.U
-    members = _nonzero_in_coordinate_order(U)
+    members = U.enumerate_elements()[1:]
     seeds: list[list[int]] = []
     u0 = members[0]
     full = (1 << G.n_vertices) - 1
@@ -521,14 +512,6 @@ class SolveStats:
 
 def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1e3, 3)
-
-
-def max_clique_bitset(adj: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique of a bit-packed graph without self-loops, with a
-    sorted witness.  The rows are searched as given, label = vertex."""
-    search = _Search(adj)
-    search.root((1 << len(adj)) - 1)
-    return search.best_size, tuple(sorted(search.best))
 
 
 def _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats):

@@ -10,7 +10,7 @@ indices.  The array is built on first use, never on construction, by
 enumerating the F_p-span of U with numpy: the index of an element is the
 base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
 when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
-"v^2 in U" for every v at once.
+"v^2 in U" for every v at once, and sorted by coordinates it lists U.
 
 Where only a dimension is needed, ``rank`` answers without the canonical
 basis, by one incremental kernel, ``extend_echelon``, which feeds
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .gf import FieldCtx, _divisors
 
-DEFAULT_ENUM_BUDGET = 1 << 20
+ENUM_BUDGET = 1 << 20  # the largest subspace whose elements are listed
 
 
 def _rref(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -151,17 +151,16 @@ class Subspace:
     def contains(self, x: int) -> bool:
         return bool(self.member[x])
 
-    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
-        """All elements, ordered lexicographically by coordinate vector."""
-        ctx = self.ctx
-        if self.size > budget:
-            raise BudgetExceeded(f"subspace of size {self.size} exceeds budget {budget}")
-        out = [0]
-        for b in self.basis:
-            scaled = [ctx.mul(lam, b) for lam in range(1, ctx.q)]
-            out = [ctx.add(x, s) for s in [0] + scaled for x in out]
-        out = sorted(set(out), key=ctx.element_coords)
-        return out
+    def enumerate_elements(self) -> list[int]:
+        """All elements, ordered lexicographically by coordinate vector: the
+        members sorted by a key that reads an index's base-q digits from the
+        lowest, the first coordinate being the most significant."""
+        if self.size > ENUM_BUDGET:
+            raise BudgetExceeded(f"subspace of size {self.size} exceeds budget {ENUM_BUDGET}")
+        q, n = self.ctx.q, self.ctx.n
+        members = np.flatnonzero(self.member)
+        key = sum(members // q**i % q * q ** (n - 1 - i) for i in range(n))
+        return members[np.argsort(key)].tolist()
 
     def serialize(self) -> str:
         return "basis=" + ",".join(str(b) for b in self.basis)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .errors import NoNonzeroSquare, PreconditionViolated, WrongDimension
+from .errors import PreconditionViolated, WrongDimension
 from .gf import FieldCtx, _divisors
 from .linalg import (
     D_invariant,
@@ -93,14 +93,6 @@ class SubspaceInvariants:
             return KappaBound(k, True)
         hi = max(D, Fraction(7, 8) * d + Fraction(7, 32) / _log2_enclosure(ctx.q)[0])
         return KappaBound(hi, hi <= D)
-
-
-def kappa_U(U: Subspace) -> KappaBound:
-    """Exponent bound for the clique number of the graph of U."""
-    kb = SubspaceInvariants(U).kappa
-    if kb is None:
-        raise NoNonzeroSquare("the exponent bound needs a nonzero square in U")
-    return kb
 
 
 # -- the bounds table ---------------------------------------------------------

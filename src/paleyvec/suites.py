@@ -19,14 +19,13 @@ from .forms import (
     BilinearForm,
     chi_of_form,
     isotropic_dimension_search,
-    orthogonal_set_max,
     special_basis,
     t_of_form,
     verify_orthogonal_set,
 )
 from .gf import FieldCtx, build_field
 from .graph import build_graph, clique_number_exact, decompose_clique, enumerate_maximal_cliques
-from .linalg import Subspace, all_hyperplanes, all_subspaces, span
+from .linalg import Subspace, all_hyperplanes, all_subspaces, hyperplane_from_functional, span
 from .predict import (
     bounds_report,
     check_corollary_q_power,
@@ -43,8 +42,8 @@ HYPERPLANE_GRID = [
     (3, 1, 2), (3, 1, 3), (3, 1, 4),
     (2, 2, 2), (2, 2, 3),
     (5, 1, 2), (7, 1, 2), (3, 2, 2),
+    (3, 1, 5),
 ]
-HYPERPLANE_GRID_SLOW = [(3, 1, 5)]
 
 LOW_DIM_GRID = [
     (p, m, n)
@@ -140,11 +139,10 @@ def instance_omega(U: Subspace):
     return hit
 
 
-def survey_family(ctx: FieldCtx, *, full_max: int = FULL_SWEEP_MAX,
-                  samples: int = MID_DIM_SAMPLES):
+def survey_family(ctx: FieldCtx):
     """Deterministic subspace family for the bound and structure sweeps."""
     n = ctx.n
-    if ctx.order <= full_max:
+    if ctx.order <= FULL_SWEEP_MAX:
         for d in range(1, n):
             yield from all_subspaces(ctx, d)
         return
@@ -152,7 +150,7 @@ def survey_family(ctx: FieldCtx, *, full_max: int = FULL_SWEEP_MAX,
     for d in complete:
         yield from all_subspaces(ctx, d)
     for d in range(3, n - 1):
-        yield from _sampled_subspaces(ctx, d, samples)
+        yield from _sampled_subspaces(ctx, d, MID_DIM_SAMPLES)
 
 
 def _sampled_subspaces(ctx: FieldCtx, d: int, count: int):
@@ -171,14 +169,11 @@ def _sampled_subspaces(ctx: FieldCtx, d: int, count: int):
 # -- hyperplane suites --------------------------------------------------------
 
 
-def suite_n1(qmax=None, nmax=None, include_slow=True) -> SuiteReport:
+def suite_n1(qmax=None, nmax=None) -> SuiteReport:
     """Exact clique number of every dimension-(n-1) subspace against the
     closed-form table."""
     report = SuiteReport("n-1")
-    grid = _filter_grid(HYPERPLANE_GRID, qmax, nmax)
-    if include_slow:
-        grid = grid + _filter_grid(HYPERPLANE_GRID_SLOW, qmax, nmax)
-    for p, m, n in grid:
+    for p, m, n in _filter_grid(HYPERPLANE_GRID, qmax, nmax):
         ctx = build_field(p, m, n)
         for U in sorted((U for _, U in all_hyperplanes(ctx)), key=lambda U: U.basis):
             report.instances += 1
@@ -189,13 +184,10 @@ def suite_n1(qmax=None, nmax=None, include_slow=True) -> SuiteReport:
     return report
 
 
-def suite_main(qmax=None, nmax=None, include_slow=True) -> SuiteReport:
+def suite_main(qmax=None, nmax=None) -> SuiteReport:
     """Largest clique number over all hyperplanes against the global formula."""
     report = SuiteReport("main")
-    grid = _filter_grid(HYPERPLANE_GRID, qmax, nmax)
-    if include_slow:
-        grid = grid + _filter_grid(HYPERPLANE_GRID_SLOW, qmax, nmax)
-    for p, m, n in grid:
+    for p, m, n in _filter_grid(HYPERPLANE_GRID, qmax, nmax):
         ctx = build_field(p, m, n)
         report.instances += 1
         best = max(instance_omega(U)[0] for _, U in all_hyperplanes(ctx))
@@ -293,17 +285,19 @@ def suite_prop_basic(qmax=None, nmax=None) -> SuiteReport:
 # -- forms suites -------------------------------------------------------------
 
 
-def _lambda_sample(ctx: FieldCtx, limit: int = LAMBDA_SAMPLES) -> list[int]:
+def _lambda_sample(ctx: FieldCtx) -> list[int]:
     lams = list(range(1, ctx.order))
-    if len(lams) <= limit:
+    if len(lams) <= LAMBDA_SAMPLES:
         return lams
     rng = random.Random(f"lambda:{ctx.p}:{ctx.m}:{ctx.n}")
-    return sorted(rng.sample(lams, limit))
+    return sorted(rng.sample(lams, LAMBDA_SAMPLES))
 
 
 def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
     """Closed-form isotropic dimension and orthogonal-set size against
-    exhaustive searches, for trace forms over odd-order fields."""
+    exhaustive searches, for trace forms over odd-order fields.  The form's
+    orthogonal sets are the cliques of the hyperplane ker Tr(lam x), solved
+    once per hyperplane: the lam of one F_q*-orbit share it."""
     report = SuiteReport("crucial")
     for p, m, n in _filter_grid(FORMS_GRID, qmax, nmax):
         ctx = build_field(p, m, n)
@@ -317,7 +311,7 @@ def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
                             error=f"t formula {t_closed} != search {t_found}")
                 continue
             M_closed = ctx.q**t_closed + n - 2 * t_closed
-            M_found, E = orthogonal_set_max(B)
+            M_found, E = instance_omega(hyperplane_from_functional(ctx, lam))
             if M_closed != M_found or not verify_orthogonal_set(B, E):
                 report.fail(field=[p, m, n], lam=lam,
                             error=f"M formula {M_closed} != search {M_found}")
@@ -373,14 +367,14 @@ def suite_basis(qmax=None, nmax=None) -> SuiteReport:
 # -- additive combinatorics and census ----------------------------------------
 
 
-def suite_sumproduct(qmax=None, nmax=None, pairs: int = SUMPRODUCT_PAIRS) -> SuiteReport:
+def suite_sumproduct(qmax=None, nmax=None) -> SuiteReport:
     """Randomized audit of the sum-product growth inequality."""
     report = SuiteReport("sumproduct")
     for p, m, n in _filter_grid(SUMPRODUCT_GRID, qmax, nmax):
         ctx = build_field(p, m, n)
         rng = random.Random(f"sumproduct:{ctx.order}")
         produced = 0
-        while produced < pairs:
+        while produced < SUMPRODUCT_PAIRS:
             A = rng.sample(range(ctx.order), rng.randrange(2, 9))
             B = rng.sample(range(ctx.order), rng.randrange(1, 9))
             try:
@@ -421,7 +415,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, qmax=None, nmax=None, **kwargs) -> SuiteReport:
+def run_suite(name: str, qmax=None, nmax=None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}")
-    return SUITES[name](qmax=qmax, nmax=nmax, **kwargs)
+    return SUITES[name](qmax=qmax, nmax=nmax)

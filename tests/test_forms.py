@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from paleyvec.errors import DegenerateForm, EvenCharacteristic
+from paleyvec.errors import DegenerateForm, EvenCharacteristic, PreconditionViolated
 from paleyvec.gf import build_field
 from paleyvec.forms import (
     BilinearForm,
@@ -14,14 +14,12 @@ from paleyvec.forms import (
     isotropic_dimension_search,
     orthogonal_complement,
     orthogonal_set_max,
-    orthogonality_adjacency,
     special_basis,
     t_of_form,
     verify_orthogonal_set,
 )
 from paleyvec.graph import build_graph
 from paleyvec.linalg import hyperplane_from_functional, span, zero_subspace
-from paleyvec.suites import FORMS_GRID
 
 
 def random_invertible(ctx, rng):
@@ -51,6 +49,20 @@ def congruent_gram(ctx, gram, T):
 
     Tt = [[T[j][i] for j in range(n)] for i in range(n)]
     return mat_mul(mat_mul(Tt, [list(r) for r in gram]), T)
+
+
+def orthogonality_adjacency(form):
+    """Reference: the bit-packed graph on the field with edges where the
+    form vanishes, evaluated pair by pair."""
+    n = form.ctx.order
+    rows = [(1 << n) - 2]
+    for v in range(1, n):
+        row = 1
+        for w in range(1, n):
+            if w != v and form.evaluate(v, w) == 0:
+                row |= 1 << w
+        rows.append(row)
+    return rows
 
 
 def _dot(ctx, xs, ys):
@@ -227,7 +239,7 @@ class TestOrthogonalSets:
             ctx = build_field(*spec)
             for lam in range(1, ctx.order, 5):
                 B = BilinearForm.trace_form(ctx, lam)
-                inv = M_of_form(B, with_witness=True)
+                inv = M_of_form(B)
                 assert verify_orthogonal_set(B, inv.witness_E)
                 assert len(inv.witness_E) == inv.M
 
@@ -242,8 +254,8 @@ class TestOrthogonalSets:
 
     @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 4), (2, 2, 2)])
     def test_trace_form_graph_is_hyperplane_graph(self, spec):
-        # the graph orthogonal_set_max solves for a trace form, against the
-        # same form given by its Gram matrix, evaluated pair by pair
+        # the graph orthogonal_set_max solves, against the same form given by
+        # its Gram matrix, evaluated pair by pair
         ctx = build_field(*spec)
         for lam in range(1, ctx.order):
             B = BilinearForm.trace_form(ctx, lam)
@@ -251,22 +263,13 @@ class TestOrthogonalSets:
             G = build_graph(ctx, hyperplane_from_functional(ctx, lam))
             assert G.adjacency == by_pairs, lam
 
-    @pytest.mark.parametrize("spec", [(p, m, n) for p, m, n in FORMS_GRID if p**(m * n) <= 81])
-    def test_gram_form_search_matches_trace_form(self, spec):
-        # a trace form is solved on its hyperplane graph, the same form given
-        # by its Gram matrix on the rows built pair by pair
-        ctx = build_field(*spec)
-        found = set()
-        for lam in range(1, ctx.order, 7):
-            B = BilinearForm.trace_form(ctx, lam)
-            G = BilinearForm.from_gram(ctx, B.gram_matrix())
-            M, E = orthogonal_set_max(B)
-            M_gram, E_gram = orthogonal_set_max(G)
-            assert M == M_gram == len(E) == len(E_gram), lam
-            assert verify_orthogonal_set(B, E) and verify_orthogonal_set(G, E_gram)
-            found.add(chi_of_form(B))
-        # both classes of form are met
-        assert found == {-1, 1}
+    def test_gram_form_refused(self):
+        # orthogonal sets are solved on the hyperplane graph of a trace form
+        ctx = build_field(3, 1, 2)
+        G = BilinearForm.from_gram(ctx, BilinearForm.trace_form(ctx, 1).gram_matrix())
+        for solve in (orthogonal_set_max, M_of_form):
+            with pytest.raises(PreconditionViolated, match="trace forms only"):
+                solve(G)
 
     def test_even_q_bound(self):
         for spec in [(2, 1, 3), (2, 1, 4), (2, 2, 2)]:

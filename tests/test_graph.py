@@ -274,13 +274,6 @@ class TestCliqueNumber:
             if contains_nonzero_square(U):
                 assert len(seed) >= ctx.q + min(1, U.dim - 1)
 
-    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 1, 5)])
-    def test_seed_reads_members_in_enumeration_order(self, spec):
-        ctx = build_field(*spec)
-        for d in range(1, ctx.n):
-            for U in all_subspaces(ctx, d):
-                assert graph._nonzero_in_coordinate_order(U) == U.enumerate_elements()[1:]
-
 
 # (number of subspaces, SHA-256 of repr((basis, omega, witness)) over all of them),
 # recorded from the solver before the dominance rule was removed

@@ -52,6 +52,17 @@ def naive_span_set(ctx, gens):
     return current
 
 
+def enumerate_scalar(U):
+    """Reference: U's elements by scalar sums over the basis, sorted by
+    coordinate vector."""
+    ctx = U.ctx
+    out = [0]
+    for b in U.basis:
+        scaled = [ctx.mul(lam, b) for lam in range(1, ctx.q)]
+        out = [ctx.add(x, s) for s in [0] + scaled for x in out]
+    return sorted(set(out), key=ctx.element_coords)
+
+
 class TestSpan:
     def test_empty(self):
         ctx = build_field(2, 1, 2)
@@ -107,6 +118,17 @@ class TestSpan:
         assert els == sorted(els, key=ctx.element_coords)
         V = span(ctx, [1, 3])
         assert len(V.enumerate_elements()) == 9
+
+    # (p, m, n, table_limit): the last field runs untabled
+    @pytest.mark.parametrize("spec", [(2, 1, 4, 1 << 20), (3, 1, 3, 1 << 20), (2, 2, 2, 1 << 20),
+                                      (5, 1, 2, 1 << 20), (2, 1, 5, 1 << 20), (3, 1, 3, 1)])
+    def test_enumeration_matches_scalar_reference(self, spec):
+        p, m, n, table_limit = spec
+        ctx = build_field(p, m, n, table_limit=table_limit)
+        assert ctx.tabled == (table_limit > 1)
+        for d in range(ctx.n + 1):
+            for U in all_subspaces(ctx, d):
+                assert U.enumerate_elements() == enumerate_scalar(U)
 
 
 # (p, m, n, table_limit): the last field runs untabled

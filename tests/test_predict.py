@@ -61,11 +61,11 @@ UNTABLED_EXACT = [("2^1^21", "ker-trace-of=1", 1025), ("2^1^21", "basis=1", 3),
 
 @pytest.mark.parametrize("field,subspace,omega", UNTABLED_EXACT)
 def test_exact_prediction_reads_no_D_or_kappa(monkeypatch, field, subspace, omega):
-    def refuse(U):
+    def refuse(_):
         raise AssertionError("an exact prediction does not need D or kappa")
 
     monkeypatch.setattr(predict, "D_invariant", refuse)
-    monkeypatch.setattr(predict, "kappa_U", refuse)
+    monkeypatch.setattr(predict.SubspaceInvariants, "kappa", property(refuse))
     ctx = build_field(*map(int, field.split("^")))
     pred = predict_omega(parse_subspace(ctx, subspace))
     assert pred.kind == "exact" and pred.value == omega

@@ -10,7 +10,8 @@ process (seed 1 is the benchmark's default, and the run length is
 ``run.py``'s own) and keeps what the run printed: the last line, a JSON
 object with the metrics, and the log lines before it.  The file also
 holds the revision, whether ``src/`` or ``perfbench/`` differ from it,
-the Python and numpy versions and the CPU count.  A run that exits
+the line count of ``src/paleyvec/*.py`` at the revision, the Python and
+numpy versions and the CPU count.  A run that exits
 non-zero stops the recording, and no file is written.
 """
 
@@ -33,7 +34,13 @@ RUNS = 2
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=True).stdout
+
+
+def src_lines(rev: str) -> int:
+    """Lines of ``src/paleyvec/*.py`` as committed at the revision."""
+    paths = git("ls-tree", "--name-only", rev, "src/paleyvec/").split()
+    return sum(git("show", f"{rev}:{path}").count("\n") for path in paths if path.endswith(".py"))
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -53,11 +60,12 @@ def main(argv=None) -> int:
 
     with open(ROOT / "BENCHMARK.json") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    rev = git("rev-parse", "--short", "HEAD")
+    rev = git("rev-parse", "--short", "HEAD").strip()
     record = {
         "rev": rev,
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "commit": git("rev-parse", "HEAD").strip(),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench").strip()),
+        "src_lines": src_lines(rev),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
