@@ -216,9 +216,8 @@ def _check_power_table(exp, log, mul_poly, size):
     return g
 
 
-def _base_mul_oracle(base):
-    """Schoolbook product of base-p digit vectors, reduced by the monic base modulus."""
-    p, m, mod = base.p, base.m, base.modulus
+def _base_mul_oracle(p, m, mod):
+    """Schoolbook product of base-p digit vectors, reduced by the monic modulus mod."""
 
     def mul(x, y):
         a = [(x // p**i) % p for i in range(m)]
@@ -243,8 +242,12 @@ class TestPowerTables:
 
     @pytest.mark.parametrize("spec", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 2, 2)])
     def test_base_tables_match_polynomial_oracle(self, spec):
-        base = build_field(*spec)._base
-        _check_power_table(base._exp, base._log, _base_mul_oracle(base), base.q)
+        # F_q of the tower p^m^n is the field p^1^m: same modulus, same indices
+        p, m, _ = spec
+        base = build_field(p, 1, m)
+        assert build_field(*spec).base_modulus == base.ext_modulus
+        oracle = _base_mul_oracle(p, m, base.ext_modulus)
+        _check_power_table(base._exp, base._log, oracle, base.order)
 
 
 class TestArithmetic:

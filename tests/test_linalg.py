@@ -487,10 +487,17 @@ class TestEnumeration:
             assert len(set(subs)) == len(subs)
 
     def test_canonical_forms_agree_with_span(self):
-        ctx = build_field(2, 1, 4)
-        for d in (1, 2, 3):
-            for U in all_subspaces(ctx, d):
-                assert span(ctx, U.basis) == U
+        """``span`` of a basis, and of all of U's elements in shuffled
+        order, gives the echelon form that ``all_subspaces`` builds."""
+        rng = random.Random(11)
+        for spec in [(2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 2, 3), (3, 1, 3)]:
+            ctx = build_field(*spec)
+            for d in range(1, ctx.n + 1):
+                for U in all_subspaces(ctx, d):
+                    assert span(ctx, U.basis) == U
+                    elems = U.enumerate_elements()
+                    rng.shuffle(elems)
+                    assert span(ctx, elems).basis == U.basis
 
     def test_hyperplane_enumeration_consistency(self):
         ctx = build_field(3, 1, 2)
