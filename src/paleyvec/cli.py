@@ -50,7 +50,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -135,10 +135,10 @@ def cmd_omega(args) -> int:
         omega, witness = clique_number_exact(
             G, workers=args.workers, time_limit=args.time_limit, stats=stats
         )
-        dec = decompose_clique(G, witness)
+        t, V1, _ = decompose_clique(G, witness)
         payload["exact"] = omega
         payload["witness"] = list(witness)
-        payload["decomposition"] = {"t": dec.t, "r": dec.r}
+        payload["decomposition"] = {"t": t, "r": len(V1)}
         payload["search"] = dataclasses.asdict(stats)
         payload["runtime_ms"] = round((time.monotonic() - start) * 1000.0, 3)
         if prediction is not None:
@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, formats):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--max-vertices", type=int, default=None,
+        p.add_argument("--max-vertices", type=_positive_int, default=None,
                        help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
-        p.add_argument("--workers", type=_worker_count, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--time-limit", type=_time_limit, default=None,
                        help="seconds, positive and finite")
 

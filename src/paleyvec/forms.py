@@ -8,9 +8,11 @@ The invariants computed here are the sign of the diagonalized form (odd
 q), the largest totally isotropic dimension t, and the largest size M of
 a pairwise orthogonal set of field elements.  For odd q both t and M
 have closed forms; the searches that produce witnesses double as
-independent oracles for them.  The sign, the complement and t take either
-kind of form; M is solved for trace forms only, as the clique number of a
-hyperplane graph (see ``orthogonal_set_max``).
+independent oracles for them.  The sign and the complement take either
+kind of form; t and M are searched for trace forms only, on the graph of
+the hyperplane ker Tr(lam x): isotropic vectors are the vertices whose
+square lies in it, orthogonal pairs its edges, and M its clique number.
+The witness checks evaluate the form itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     StructureViolation,
 )
 from .gf import FieldCtx
-from .graph import build_graph, clique_number_exact
+from .graph import GraphGU, build_graph, clique_number_exact
 from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
 
 
@@ -187,16 +189,32 @@ def orthogonal_complement(U: Subspace, form: BilinearForm) -> Subspace:
 # -- totally isotropic subspaces ---------------------------------------------
 
 
+def _orthogonality_graph(form: BilinearForm) -> GraphGU:
+    """G_U for the hyperplane U = ker Tr(lam x) of a trace form: since
+    Tr(lam x y) = 0 exactly when xy lies in U, distinct x and y are
+    orthogonal when adjacent, and x is isotropic when x^2 lies in U.  A
+    form given by its Gram matrix is refused."""
+    if form.lam is None:
+        raise PreconditionViolated(
+            "orthogonal sets and isotropic subspaces are solved for trace forms only"
+        )
+    ctx = form.ctx
+    return build_graph(ctx, hyperplane_from_functional(ctx, form.lam))
+
+
 def isotropic_dimension_search(form: BilinearForm, target: int | None = None):
-    """Largest totally isotropic subspace by exhaustive extension search.
+    """Largest totally isotropic subspace of a trace form by exhaustive
+    extension search, on the form's orthogonality graph.
 
     Explores index-increasing generating sequences, so every subspace is
     reachable through its greedy minimal basis.  With a target, stops as
     soon as a subspace of that dimension is found.
     """
     ctx = form.ctx
+    G = _orthogonality_graph(form)
+    adj, sq_mask = G.adjacency, G.square_in_U_mask()
     limit = ctx.n // 2  # a totally isotropic space sits inside its own complement
-    isotropic = [w for w in range(1, ctx.order) if form.evaluate(w, w) == 0]
+    isotropic = [w for w in range(1, ctx.order) if sq_mask >> w & 1]
     best: tuple[int, tuple[int, ...]] = (0, ())
 
     def extend(basis, span_set, cands):
@@ -208,10 +226,8 @@ def isotropic_dimension_search(form: BilinearForm, target: int | None = None):
         for idx, w in enumerate(cands):
             if w in span_set:
                 continue
-            sub = [
-                x for x in cands[idx + 1 :]
-                if x not in span_set and form.evaluate(w, x) == 0
-            ]
+            row = adj[w]
+            sub = [x for x in cands[idx + 1 :] if x not in span_set and row >> x & 1]
             new_span = set(span_set)
             for lam in range(1, ctx.q):
                 lw = ctx.mul(lam, w)
@@ -269,16 +285,9 @@ class FormInvariants:
 
 
 def orthogonal_set_max(form: BilinearForm):
-    """Exact largest pairwise-orthogonal set of a trace form, by clique search.
-
-    The form's orthogonality graph is G_U for the hyperplane
-    U = ker Tr(lam x), since Tr(lam x y) = 0 exactly when xy lies in U.  A
-    form given by its Gram matrix is refused.
-    """
-    if form.lam is None:
-        raise PreconditionViolated("orthogonal sets are solved for trace forms only")
-    ctx = form.ctx
-    return clique_number_exact(build_graph(ctx, hyperplane_from_functional(ctx, form.lam)))
+    """Exact largest pairwise-orthogonal set of a trace form: the clique
+    number of its orthogonality graph (see ``_orthogonality_graph``)."""
+    return clique_number_exact(_orthogonality_graph(form))
 
 
 def M_of_form(form: BilinearForm) -> FormInvariants:

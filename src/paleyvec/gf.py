@@ -15,7 +15,11 @@ polynomials of their degree, coefficients compared from the constant
 term upward and each coefficient by its integer index; the search starts
 at constant term 1, since above degree 1 a candidate with f(0) = 0 is
 divisible by x.  The generator is the least primitive element.  This
-pins down the encoding, so indices are reproducible across runs.
+pins down the encoding, so indices are reproducible across runs.  For
+m > 1, F_q is itself the tower ``build_field(p, 1, m)``: its modulus is
+the base modulus, its indices are the F_q coefficients, and its
+operations are the ones the extension's modulus search and polynomial
+arithmetic use; for m = 1 they are the residues mod p.
 
 Multiplication, inversion, powering and traces run on discrete-log
 tables whenever q^n fits the table budget; addition works digit-wise on
@@ -291,69 +295,11 @@ def _power_tables(p: int, digits: int, g: int, mul: Callable[[int, int], int]):
     return rows, exp, log
 
 
-class _BaseArith:
-    """Arithmetic on F_q = F_{p^m} element indices."""
-
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-        self.q = p**m
-        if m == 1:
-            self.modulus = (0, 1)
-            self._exp = None
-            self._log = None
-        else:
-            pops = _Ops(
-                add=lambda a, b: (a + b) % p,
-                sub=lambda a, b: (a - b) % p,
-                mul=lambda a, b: (a * b) % p,
-                inv=lambda a: pow(a, p - 2, p),
-            )
-            self.modulus = _lex_least_irreducible(m, p, pops)
-            mod = list(self.modulus)
-
-            def mul_idx(x: int, y: int) -> int:
-                if x == 0 or y == 0:
-                    return 0
-                px = [(x // p**i) % p for i in range(m)]
-                py = [(y // p**i) % p for i in range(m)]
-                prod = _pmulmod(_pnorm(px), _pnorm(py), mod, pops)
-                return sum(c * p**i for i, c in enumerate(prod))
-
-            _, exp, log = _power_tables(p, m, _find_generator(self.q, mul_idx), mul_idx)
-            self._exp = exp.tolist()
-            self._log = log.tolist()
-
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        return _digit_add(a, b, self.p)
-
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        return _digit_neg(a, self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
-
 class FieldCtx:
     """Context for the tower F_p <= F_q = F_{p^m} <= F_{q^n}.
+
+    For m > 1, F_q is the field ``build_field(p, 1, m)``, whose
+    ``ext_modulus`` is this tower's ``base_modulus``.
 
     The moduli, the generator and the tables are fixed at construction,
     and every operation is a function of them and its integer arguments.
@@ -392,11 +338,20 @@ class FieldCtx:
         self.max_order = max_order
         self.table_limit = table_limit
 
-        self._base = _BaseArith(p, m)
-        self.base_modulus = self._base.modulus
-        qops = _Ops(self._base.add, self._base.sub, self._base.mul, self._base.inv)
-        self._qops = qops
-        self.ext_modulus = _lex_least_irreducible(n, self.q, qops)
+        if m == 1:
+            self.base_modulus = (0, 1)
+            self._qops = _Ops(
+                add=lambda a, b: (a + b) % p,
+                sub=lambda a, b: (a - b) % p,
+                mul=lambda a, b: (a * b) % p,
+                inv=lambda a: pow(a, p - 2, p),
+            )
+        else:
+            # F_q is the tower p^1^m: the same lex-least modulus and indices
+            base = build_field(p, 1, m)
+            self.base_modulus = base.ext_modulus
+            self._qops = _Ops(base.add, base.sub, base.mul, base.inv)
+        self.ext_modulus = _lex_least_irreducible(n, self.q, self._qops)
         self._ext_mod_list = list(self.ext_modulus)
 
         self.tabled = order <= table_limit
@@ -411,21 +366,13 @@ class FieldCtx:
 
     # -- construction ---------------------------------------------------
 
-    def _poly_of_index(self, a: int) -> list[int]:
-        q = self.q
-        return _pnorm([(a // q**i) % q for i in range(self.n)])
-
-    def _index_of_poly(self, poly: list[int]) -> int:
-        q = self.q
-        return sum(c * q**i for i, c in enumerate(poly))
-
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         prod = _pmulmod(
-            self._poly_of_index(a), self._poly_of_index(b), self._ext_mod_list, self._qops
+            self.element_coords(a), self.element_coords(b), self._ext_mod_list, self._qops
         )
-        return self._index_of_poly(prod)
+        return self.element_from_coords(prod)
 
     def _build_tables(self) -> None:
         """exp/log tables from the least generator by digit-row doubling
@@ -489,14 +436,7 @@ class FieldCtx:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self.mord]
-        e %= self.mord
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return result
+        return _pow_idx(a, e % self.mord, self._mul_poly)
 
     def sqrt(self, a: int) -> int | None:
         """Canonical square root: the smaller of the two roots, or None."""

@@ -47,7 +47,7 @@ import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .errors import (
     ZeroDimension,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, extend_echelon, rank, span
+from .linalg import Subspace, extend_echelon, rank
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
@@ -696,37 +696,15 @@ def is_maximal_clique(G: GraphGU, C) -> bool:
 # -- maximal clique decomposition -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Split of a maximal clique into its square part and the rest.
+def decompose_clique(G: GraphGU, C) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Validate the structural guarantees of a maximal clique and split it
+    as (t, V1, square_part).
 
-    ``square_part`` holds the clique vertices whose square lies in U; they
-    form a subspace of dimension ``t``.  V1 holds the remaining vertices
-    (always F_q-linearly independent).  The canonical subspaces V2 (the
-    square part) and W (the span of V1) are built with ``span`` on first
-    read and kept; ``t`` and ``r`` never build them.
-    """
-
-    ctx: FieldCtx = field(repr=False, compare=False)
-    t: int
-    V1: tuple[int, ...]
-    square_part: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.V1)
-
-    @functools.cached_property
-    def V2(self) -> Subspace:
-        return span(self.ctx, self.square_part)
-
-    @functools.cached_property
-    def W(self) -> Subspace:
-        return span(self.ctx, self.V1)
-
-
-def decompose_clique(G: GraphGU, C) -> CliqueDecomposition:
-    """Validate the structural guarantees of a maximal clique and split it.
+    ``square_part`` holds the clique's vertices whose square lies in U, in
+    increasing order; they form a subspace of dimension t.  V1 holds the
+    rest, in increasing order, F_q-linearly independent; r = len(V1).
+    The subspaces themselves are ``span(ctx, square_part)`` and
+    ``span(ctx, V1)``.
 
     Checks, in order: the square part is a subspace, the rest is
     independent, the two spans meet only at 0, and the size has the shape
@@ -766,4 +744,4 @@ def decompose_clique(G: GraphGU, C) -> CliqueDecomposition:
             raise StructureViolation(f"t = 0 but r = {r} > dim + 1 = {U.dim + 1}")
     elif r + t > U.dim:
         raise StructureViolation(f"r + t = {r + t} > dim = {U.dim}")
-    return CliqueDecomposition(ctx, t, tuple(v1), tuple(v2))
+    return t, tuple(v1), tuple(v2)

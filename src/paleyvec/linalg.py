@@ -3,7 +3,8 @@
 Every subspace is kept in reduced row echelon form with respect to the
 fixed polynomial basis 1, y, ..., y^(n-1), pivots taken on the lowest
 coordinate first.  The canonical basis is unique, so two subspaces are
-equal exactly when their basis tuples are equal.
+equal exactly when their basis tuples are equal.  ``span`` computes it by
+one elimination over F_q (``_rref``), the same for every q.
 
 Membership "x in U" is a lookup in a boolean array over all field
 indices.  The array is built on first use, never on construction, by
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     NoNonzeroSquare,
+    NotADivisor,
     ParseError,
     WrongDimension,
     WrongParity,
@@ -172,32 +174,8 @@ def span(ctx: FieldCtx, gens: Iterable[int]) -> Subspace:
     for g in gens:
         if not 0 <= g < ctx.order:
             raise ValueError(f"element index {g} out of range for {ctx!r}")
-    if ctx.q == 2:
-        return _span_f2(ctx, gens)
-    rows = [list(ctx.element_coords(g)) for g in gens]
-    reduced, _ = _rref(ctx, rows)
+    reduced, _ = _rref(ctx, [ctx.element_coords(g) for g in gens])
     return Subspace(ctx, tuple(ctx.element_from_coords(r) for r in reduced))
-
-
-def _span_f2(ctx: FieldCtx, gens: list[int]) -> Subspace:
-    # over F_2 the index doubles as the packed coordinate row
-    rows: list[int] = []
-    for g in gens:
-        for row in rows:
-            low = row & -row
-            if g & low:
-                g ^= row
-        if g:
-            rows.append(g)
-            rows.sort(key=lambda r: r & -r)
-    # clear above-pivot bits for the reduced form
-    for i, row in enumerate(rows):
-        low = row & -row
-        for j in range(len(rows)):
-            if j != i and rows[j] & low:
-                rows[j] ^= row
-    rows.sort(key=lambda r: r & -r)
-    return Subspace(ctx, tuple(rows))
 
 
 def _fp_rows(ctx: FieldCtx, v: int) -> tuple:
@@ -360,8 +338,19 @@ def contains_nonzero_square(U: Subspace) -> bool:
 
 
 def subfield_subspace(ctx: FieldCtx, d: int) -> Subspace:
-    """F_{q^d} viewed as a d-dimensional F_q-subspace."""
-    return span(ctx, ctx.subfield_elements(d))
+    """F_{q^d} viewed as a d-dimensional F_q-subspace: the span of the
+    relative traces sum_{i < n/d} x^(q^(d i)) of the polynomial basis, since
+    that trace maps F_{q^n} F_q-linearly onto F_{q^d}."""
+    if ctx.n % d:
+        raise NotADivisor(f"{d} does not divide {ctx.n}")
+    traces = []
+    for j in range(ctx.n):
+        x = acc = ctx.basis_element(j)
+        for _ in range(1, ctx.n // d):
+            x = ctx.frobenius(x, d)
+            acc = ctx.add(acc, x)
+        traces.append(acc)
+    return span(ctx, traces)
 
 
 _NO_SQUARE = "U has no nonzero square, the invariant is undefined"
@@ -380,12 +369,13 @@ def D_invariant(U: Subspace) -> int:
 
     The last step, d = 1, asks whether a^2 lies in U for some a != 0, which
     is the square test itself: when it fails, U has no nonzero square.
-    Without tables each d walks every field element, so there the square
-    test, which reads only U, comes first.
+    Without tables a^2 F_{q^d} inside U puts a^2 in U, so each d scans
+    only U's nonzero squares u, asking whether u b lies in U for each
+    element b of an F_q-basis of F_{q^d} (``subfield_subspace``).
     """
     ctx = U.ctx
-    if ctx._exp_np is None and not contains_nonzero_square(U):
-        raise NoNonzeroSquare(_NO_SQUARE)
+    if ctx._exp_np is None:
+        squares = [u for u in U.enumerate_elements()[1:] if ctx.is_square(u)]
     for d in sorted(_divisors(ctx.n), reverse=True):
         if d > U.dim:
             continue
@@ -396,21 +386,8 @@ def D_invariant(U: Subspace) -> int:
                 return d
             continue
         sub_basis = subfield_subspace(ctx, d).basis
-        seen: set[int] = set()
-        sub_star = [s for s in ctx.subfield_elements(d) if s]
-
-        def _reps():
-            for a in range(1, ctx.order):
-                if a in seen:
-                    continue
-                for s in sub_star:
-                    seen.add(ctx.mul(s, a))
-                yield a
-
-        for a in _reps():
-            a2 = ctx.mul(a, a)
-            if all(U.contains(ctx.mul(a2, b)) for b in sub_basis):
-                return d
+        if any(all(U.contains(ctx.mul(u, b)) for b in sub_basis) for u in squares):
+            return d
     raise NoNonzeroSquare(_NO_SQUARE)
 
 

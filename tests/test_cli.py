@@ -7,6 +7,7 @@ import time
 import pytest
 
 from paleyvec import cli
+from paleyvec.gf import FieldCtx
 
 
 class TestOmega:
@@ -120,6 +121,14 @@ class TestOmega:
         (["bench", "--field", "2^1^3", "--format", "json"], cli.EXIT_OK),
         (["bench", "--field", "2^1^3", "--format", "human"], cli.EXIT_USAGE),
         (["bench", "--field", "2^1^3", "--format", "xml"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--max-vertices", "0"],
+         cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--mode", "predict",
+          "--max-vertices", "-3"], cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--max-vertices", "0"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--max-vertices", "x"], cli.EXIT_USAGE),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--max-vertices", "1"],
+         cli.EXIT_BUDGET),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -148,6 +157,18 @@ def test_time_limit_is_honoured(argv, capsys):
     # the search checks its clock every 256 nodes; these hyperplanes expand more
     assert cli.main([*argv, "--time-limit", "1e-9"]) == cli.EXIT_BUDGET
     assert "time limit" in capsys.readouterr().err
+
+
+def test_predict_above_table_limit(monkeypatch, capsys):
+    # D of a subspace of an untabled field scans U's squares against the
+    # subfield's trace basis, never the field's subfield elements
+    def refuse(self, d):
+        raise AssertionError("subfield_elements called")
+
+    monkeypatch.setattr(FieldCtx, "subfield_elements", refuse)
+    argv = ["omega", "--field", "11^1^6", "--subspace", "basis=1,11", "--mode", "predict"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["predicted"] == 12
 
 
 def test_bench_reports_build_and_solve(capsys):

@@ -210,6 +210,23 @@ class TestIsotropic:
             for w in W.basis:
                 assert BilinearForm.trace_form(ctx, 1).evaluate(u, w) == 0
 
+    def test_search_reads_the_graph(self, monkeypatch):
+        # isotropy and orthogonality come from the hyperplane graph, so the
+        # search never evaluates the form; the witness check still does
+        ctx = build_field(3, 1, 4)
+        want = [isotropic_dimension_search(BilinearForm.trace_form(ctx, lam))
+                for lam in range(1, ctx.order, 7)]
+
+        def refuse(*args):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(BilinearForm, "evaluate", refuse)
+        got = [isotropic_dimension_search(BilinearForm.trace_form(ctx, lam))
+               for lam in range(1, ctx.order, 7)]
+        assert got == want
+        with pytest.raises(AssertionError, match="evaluate called"):
+            t_of_form(BilinearForm.trace_form(ctx, 1))
+
     def test_closed_form_matches_search_all_lambda(self):
         for spec in [(3, 1, 2), (3, 1, 3), (3, 1, 4)]:
             ctx = build_field(*spec)
@@ -264,10 +281,11 @@ class TestOrthogonalSets:
             assert G.adjacency == by_pairs, lam
 
     def test_gram_form_refused(self):
-        # orthogonal sets are solved on the hyperplane graph of a trace form
+        # orthogonal sets and isotropic subspaces are solved on the
+        # hyperplane graph of a trace form
         ctx = build_field(3, 1, 2)
         G = BilinearForm.from_gram(ctx, BilinearForm.trace_form(ctx, 1).gram_matrix())
-        for solve in (orthogonal_set_max, M_of_form):
+        for solve in (orthogonal_set_max, M_of_form, isotropic_dimension_search, t_of_form):
             with pytest.raises(PreconditionViolated, match="trace forms only"):
                 solve(G)
 

@@ -744,17 +744,18 @@ class TestDecomposition:
             for U in all_subspaces(ctx, d):
                 G = build_graph(ctx, U)
                 for c in enumerate_maximal_cliques(G):
-                    dec = decompose_clique(G, c)
-                    assert (dec.V2, dec.V1, dec.W) == old_decompose(G, c)
+                    _, V1, square_part = decompose_clique(G, c)
+                    got = (span(ctx, square_part), V1, span(ctx, V1))
+                    assert got == old_decompose(G, c)
 
     def test_f4_example(self):
         ctx = build_field(2, 1, 2)
         G = build_graph(ctx, span(ctx, [1]))
-        dec = decompose_clique(G, (0, 2, 3))
-        assert dec.t == 0
-        assert dec.r == 2
-        assert dec.V1 == (2, 3)
-        assert set(dec.V2.enumerate_elements()) == {0}
+        t, V1, square_part = decompose_clique(G, (0, 2, 3))
+        assert t == 0
+        assert V1 == (2, 3)
+        assert square_part == (0,)
+        assert set(span(ctx, square_part).enumerate_elements()) == {0}
 
     def test_not_maximal(self):
         ctx = build_field(2, 1, 2)
@@ -772,13 +773,14 @@ class TestDecomposition:
                 U = random_subspace(ctx, rng)
                 G = build_graph(ctx, U)
                 for c in enumerate_maximal_cliques(G):
-                    dec = decompose_clique(G, c)
-                    assert dec.V2.size + dec.r == len(c)
+                    t, V1, square_part = decompose_clique(G, c)
+                    V2 = span(ctx, square_part)
+                    assert V2.size + len(V1) == len(c)
                     # square part really is a subspace of clique vertices
-                    assert set(dec.V2.enumerate_elements()) <= set(c)
+                    assert set(V2.enumerate_elements()) <= set(c)
                     q = ctx.q
-                    size = len(dec.V2.enumerate_elements())
-                    assert size == q**dec.t
+                    size = len(V2.enumerate_elements())
+                    assert size == q**t
 
 
 # SHA-256 of (V2.basis, V1, W.basis) over every maximal clique of every
@@ -806,8 +808,9 @@ class TestPinnedDecomposition:
             for U in all_subspaces(ctx, d):
                 G = build_graph(ctx, U)
                 for c in enumerate_maximal_cliques(G):
-                    dec = decompose_clique(G, c)
-                    h.update(repr((dec.V2.basis, dec.V1, dec.W.basis)).encode())
+                    _, V1, square_part = decompose_clique(G, c)
+                    V2, W = span(ctx, square_part), span(ctx, V1)
+                    h.update(repr((V2.basis, V1, W.basis)).encode())
                     count += 1
         assert (count, h.hexdigest()) == PINNED_DECOMPOSITIONS[spec]
 
@@ -822,9 +825,9 @@ class TestStructureViolation:
         ctx = build_field(2, 1, 4)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
         for clique in enumerate_maximal_cliques(G):
-            dec = decompose_clique(G, clique)
-            if dec.t == 2:
-                return G, clique, dec
+            t, _, square_part = decompose_clique(G, clique)
+            if t == 2:
+                return G, clique, span(ctx, square_part)
         raise AssertionError("no maximal clique with t = 2")
 
     @staticmethod
@@ -832,23 +835,23 @@ class TestStructureViolation:
         G._sq_mask = sum(1 << v for v in vertices)
 
     def test_square_part_not_a_subspace(self):
-        G, clique, dec = self._clique()
+        G, clique, V2 = self._clique()
         # one nonzero vertex without 0: a set of size 1 that spans q elements
-        self._forge(G, [dec.V2.basis[0]])
+        self._forge(G, [V2.basis[0]])
         with pytest.raises(StructureViolation, match="square part of the clique is not a subspace"):
             decompose_clique(G, clique)
 
     def test_rest_dependent(self):
-        G, clique, dec = self._clique()
+        G, clique, _ = self._clique()
         # only 0 square: the rest holds the three nonzero vectors of a plane
         self._forge(G, [0])
         with pytest.raises(StructureViolation, match="non-square part of the clique is dependent"):
             decompose_clique(G, clique)
 
     def test_spans_intersect(self):
-        G, clique, dec = self._clique()
+        G, clique, V2 = self._clique()
         # square part {0, a}: the rest holds b and a + b, whose sum is a
-        a, b = dec.V2.basis
+        a, b = V2.basis
         assert {a ^ b, b} <= set(clique)
         self._forge(G, [0, a])
         with pytest.raises(StructureViolation, match="spans of the two parts intersect beyond 0"):
@@ -924,10 +927,9 @@ def three_rank_decompose(G, C):
 def _outcome(decompose, G, C):
     """The split, or the class and message of the exception raised."""
     try:
-        dec = decompose(G, C)
+        return decompose(G, C)
     except (NotMaximal, StructureViolation) as exc:
         return type(exc).__name__, str(exc)
-    return dec if isinstance(dec, tuple) else (dec.t, dec.V1, dec.square_part)
 
 
 class TestSinglePassCrossCheck:

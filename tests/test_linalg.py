@@ -8,6 +8,7 @@ import pytest
 
 from paleyvec.errors import (
     NoNonzeroSquare,
+    NotADivisor,
     ParseError,
     WrongDimension,
     WrongParity,
@@ -309,6 +310,22 @@ class TestSquareContent:
                 assert contains_nonzero_square(Subspace(slow, U.basis)) == want, U
 
 
+class TestSubfieldSubspace:
+    @pytest.mark.parametrize(
+        "spec", [(2, 1, 4), (2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2), (5, 1, 2)]
+    )
+    @pytest.mark.parametrize("table_limit", [1 << 20, 1])
+    def test_trace_span_is_the_subfield(self, spec, table_limit):
+        ctx = build_field(*spec, table_limit=table_limit)
+        for d in range(1, ctx.n + 1):
+            if ctx.n % d == 0:
+                assert subfield_subspace(ctx, d) == span(ctx, ctx.subfield_elements(d))
+
+    def test_non_divisor_refused(self):
+        with pytest.raises(NotADivisor):
+            subfield_subspace(build_field(2, 1, 4), 3)
+
+
 class TestDInvariant:
     def test_subfield_inside(self):
         ctx = build_field(2, 1, 4)
@@ -349,7 +366,7 @@ class TestDInvariant:
     @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 2), (2, 1, 4)])
     def test_makes_no_separate_square_test(self, spec, monkeypatch):
         # on tabled fields the divisor loop's d = 1 step is the square test;
-        # without tables the square test runs first: either way D is defined
+        # without tables D scans U's nonzero squares: either way D is defined
         # exactly when U has a nonzero square
         ctx = build_field(*spec)
         slow = build_field(*spec, table_limit=1)
