@@ -314,7 +314,6 @@ class FieldCtx:
         m: int,
         n: int,
         *,
-        max_order: int = DEFAULT_MAX_ORDER,
         table_limit: int = DEFAULT_TABLE_LIMIT,
     ):
         if not isinstance(p, int) or not _is_prime(p):
@@ -324,9 +323,9 @@ class FieldCtx:
         if not isinstance(n, int) or n < 2:
             raise DegreeOutOfRange(f"n = {n!r} must be an integer >= 2")
         order = p ** (m * n)
-        if order > max_order:
+        if order > DEFAULT_MAX_ORDER:
             raise BudgetExceeded(
-                f"field order {p}^{m * n} exceeds the construction budget {max_order}"
+                f"field order {p}^{m * n} exceeds the construction budget {DEFAULT_MAX_ORDER}"
             )
         self.p = p
         self.m = m
@@ -335,7 +334,6 @@ class FieldCtx:
         self.order = order
         self.mn = m * n
         self.mord = order - 1  # size of the multiplicative group
-        self.max_order = max_order
         self.table_limit = table_limit
 
         if m == 1:
@@ -502,22 +500,14 @@ class FieldCtx:
             raise NotInSubfield(f"element {a} is not in the embedded F_{self.q}")
         return a
 
-    def is_square(self, a: int, d: int | None = None) -> bool:
-        """True when a is the square of some element of F_{q^d} (default d = n)."""
-        if d is None:
-            d = self.n
-        elif self.n % d:
-            raise NotADivisor(f"{d} does not divide {self.n}")
-        if a == 0:
+    def is_square(self, a: int) -> bool:
+        """True when a is the square of some element of F_{q^n}."""
+        if a == 0 or self.p == 2:
             return True
-        if d != self.n and self.frobenius(a, d) != a:
-            raise NotInSubfield(f"element {a} is not in F_{self.q}^{d}")
-        if self.p == 2:
-            return True
-        if d == self.n and self._exp is not None:
+        if self._exp is not None:
             # the nonzero squares are the even powers of the generator
             return self._log[a] % 2 == 0
-        return self.pow(a, (self.q**d - 1) // 2) == 1
+        return self.pow(a, self.mord // 2) == 1
 
     def quadratic_character(self, a: int) -> int:
         """+1 for nonzero squares of F_q, -1 for non-squares, 0 at zero."""
@@ -592,20 +582,13 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_field(p: int, m: int, n: int, max_order: int, table_limit: int) -> FieldCtx:
-    return FieldCtx(p, m, n, max_order=max_order, table_limit=table_limit)
+def _cached_field(p: int, m: int, n: int, table_limit: int) -> FieldCtx:
+    return FieldCtx(p, m, n, table_limit=table_limit)
 
 
-def build_field(
-    p: int,
-    m: int,
-    n: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-) -> FieldCtx:
+def build_field(p: int, m: int, n: int, *, table_limit: int = DEFAULT_TABLE_LIMIT) -> FieldCtx:
     """Construct (or fetch the cached) tower F_p <= F_{p^m} <= F_{(p^m)^n}."""
-    return _cached_field(p, m, n, max_order, table_limit)
+    return _cached_field(p, m, n, table_limit)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

@@ -32,7 +32,9 @@ branch on v has returned, no clique through v can beat the incumbent,
 so neither can a clique through any image of v, and v's whole orbit
 leaves the root's candidates (orbital branching).  The group is built
 lazily, when a root branch returns with 64 nodes expanded in all, so
-that the many small solves never pay for it.
+that the many small solves never pay for it.  One root serves every
+worker count: with several, the root branches left once the group is
+built go to a process pool, and a solve that ends sooner starts none.
 
 Whether v^2 lies in U is read from one place: U's membership array
 indexed by the field's table of squares, once per graph.  It gives the
@@ -260,7 +262,7 @@ class _Search:
 
     __slots__ = (
         "adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes",
-        "symmetry", "vertex_of", "label_of", "group", "orbit_skips",
+        "symmetry", "vertex_of", "label_of", "group", "orbit_skips", "workers",
     )
 
     def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None):
@@ -279,6 +281,7 @@ class _Search:
         self.label_of = None
         self.group = None
         self.orbit_skips = 0
+        self.workers = 1
 
     def seed(self, witness: list[int]) -> None:
         self.best = list(witness)
@@ -328,8 +331,9 @@ class _Search:
             mask |= bits[v]
         return mask
 
-    def root(self, cand: int) -> None:
-        """``expand([], cand)``, with the root's branches cut by orbit.
+    def root(self, cand: int, workers: int = 1) -> None:
+        """``expand([], cand)``, with the root's branches cut by orbit and,
+        for several workers, shared with a process pool.
 
         Once the branch on v has returned, ``best_size`` bounds every
         clique through v, and so every clique through an image of v, which
@@ -337,20 +341,28 @@ class _Search:
         candidates without a branch of its own.  The group is built when a
         root branch returns with ``_ORBIT_NODES`` nodes expanded in all, and
         then the orbits of every vertex branched on so far are cleared.
+
+        With ``workers`` > 1, each root branch after that which survives the
+        colour cut and the orbits is not expanded but handed off, and the
+        hand-offs are searched in a pool (``_search_pool``).  A solve that
+        ends before the group is built hands off nothing and starts no pool.
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
         adj, bits = self.adj, self.bits
         branched: list[int] = []
+        handoff: list[tuple[int, int]] = []
         for idx in range(len(order) - 1, -1, -1):
             if colors[idx] <= self.best_size:
-                return
+                break
             v = order[idx]
             if not cand >> v & 1:
                 self.orbit_skips += 1
                 continue
             rest = cand & adj[v]
-            if rest:
+            if rest and workers > 1 and self.group is not None:
+                handoff.append((v, rest))
+            elif rest:
                 self.expand([v], rest)
             elif self.best_size < 1:
                 self.best, self.best_size = [v], 1
@@ -363,6 +375,26 @@ class _Search:
                 self.build_group()
                 _check_deadline(self.deadline, "the automorphism group")
                 cand &= ~self.orbit_mask(branched)
+        if handoff:
+            self._search_pool(handoff, workers)
+
+    def _search_pool(self, branches: list[tuple[int, int]], workers: int) -> None:
+        """Search the root branches ``(v, cand & adj[v])``, dealt round-robin
+        to at most ``workers`` processes, each seeded with the incumbent.  A
+        strictly larger result replaces it, in chunk order, so ties keep the
+        earlier clique and the witness is deterministic."""
+        workers = min(workers, len(branches))
+        # a monotonic clock is only comparable within one process, so workers
+        # get the remaining budget and start their own clock from it
+        budget = None if self.deadline is None else self.deadline - time.monotonic()
+        common = (self.adj, self.best, budget)
+        payloads = [common + (branches[i::workers],) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for size, best, nodes in pool.map(_solve_chunk, payloads):
+                self.nodes += nodes
+                if size > self.best_size:
+                    self.best, self.best_size = list(best), size
+        self.workers = workers
 
     def expand(self, stack: list[int], cand: int) -> None:
         self.nodes += 1
@@ -385,6 +417,15 @@ class _Search:
                 self.best_size = len(stack)
             stack.pop()
             cand ^= bits[v]
+
+
+def _solve_chunk(payload):
+    rows, seed, budget, chunk = payload
+    search = _Search(rows, None if budget is None else time.monotonic() + budget)
+    search.seed(seed)
+    for v, cand in chunk:
+        search.expand([v], cand)
+    return search.best_size, tuple(search.best), search.nodes
 
 
 def _labels(vertex_of: list[int], vertices) -> list[int]:
@@ -492,12 +533,11 @@ class SolveStats:
     ``nodes`` counts the search nodes expanded (over all workers) and
     ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
     order of the automorphism group that pruned the root, or None when the
-    search never built it (a small solve);
-    ``orbit_skips`` counts the root vertices, or parallel subproblems,
-    skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and ``search_ms`` time
-    the search rows, the seed clique and the search itself (with the group
-    and, in parallel, the worker pool); ``workers`` is the number of
-    processes that searched.
+    search never built it (a small solve); ``orbit_skips`` counts the root
+    vertices skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and
+    ``search_ms`` time the search rows, the seed clique and the search
+    itself (with the group and any worker pool); ``workers`` is the number
+    of pool processes that searched, 1 when the root handed off nothing.
     """
 
     nodes: int = 0
@@ -512,17 +552,6 @@ class SolveStats:
 
 def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1e3, 3)
-
-
-def _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats):
-    search = _Search(rows, deadline, symmetry, vertex_of)
-    search.seed(_labels(vertex_of, seed))
-    search.root((1 << len(rows)) - 1)
-    stats.nodes = search.nodes
-    stats.orbit_skips = search.orbit_skips
-    if search.group is not None:
-        stats.group_order = search.group.order
-    return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 
 def clique_number_exact(
@@ -544,10 +573,11 @@ def clique_number_exact(
     The root's branches are cut by the automorphisms x -> lam * x^(p^i)
     (see ``Automorphisms``): once the branch on v returns, the rest of v's
     orbit is skipped, since a clique through an image of v is the image of
-    a clique through v.  The serial search builds the group when the first
-    root branch returns with ``_ORBIT_NODES`` nodes expanded in all, so
-    small solves never pay for it; the parallel search builds it before it
-    splits the root.
+    a clique through v.  The search builds the group when the first root
+    branch returns with ``_ORBIT_NODES`` nodes expanded in all, so small
+    solves never pay for it.  With ``workers`` > 1 the root branches left
+    after that are handed to a pool of at most that many processes, so a
+    solve that ends sooner starts none (see ``_Search.root``).
 
     ``time_limit`` holds in every phase: the clock is checked after the
     seed, after each block of search rows, after the group is built and
@@ -574,59 +604,18 @@ def clique_number_exact(
     vertex_of = order[::-1]
     rows = _orbit_rows(G.ctx, G.U, vertex_of, deadline)
     vertex_of = vertex_of.tolist()
-    symmetry = functools.partial(Automorphisms, G)
     stats.rows_ms = _ms_since(start)
-    stats.workers = max(1, workers)
     start = time.perf_counter()
-    if workers <= 1:
-        result = _solve_serial(vertex_of, rows, seed, deadline, symmetry, stats)
-    else:
-        result = _solve_parallel(vertex_of, rows, seed, deadline, workers, symmetry, stats)
+    search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of)
+    search.seed(_labels(vertex_of, seed))
+    search.root((1 << len(rows)) - 1, workers)
     stats.search_ms = _ms_since(start)
-    return result
-
-
-def _solve_parallel(vertex_of, rows, seed, deadline, workers, symmetry, stats):
-    root = _Search(rows, symmetry=symmetry, vertex_of=vertex_of)
-    root.build_group()
-    stats.group_order = root.group.order
-    _check_deadline(deadline, "the automorphism group")
-    root_order, _ = root._color_order((1 << len(rows)) - 1, 1)
-    # each subproblem is a root branch; an orbit-mate of an earlier one is
-    # dropped, as the serial search skips it
-    subproblems = []
-    mask = (1 << len(rows)) - 1
-    for v in reversed(root_order):
-        if not mask >> v & 1:
-            stats.orbit_skips += 1
-            continue
-        subproblems.append((v, mask & rows[v]))
-        mask &= ~root.orbit_mask([v])
-    chunks: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
-    for i, sub in enumerate(subproblems):
-        chunks[i % workers].append(sub)
-    # a monotonic clock is only comparable within one process, so workers
-    # get the remaining budget and start their own clock from it
-    budget = None if deadline is None else deadline - time.monotonic()
-    payload_common = (rows, _labels(vertex_of, seed), budget)
-    best_size, best_witness = len(seed), tuple(sorted(seed))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(_solve_chunk, [payload_common + (chunk,) for chunk in chunks])
-        for size, witness, nodes in results:
-            stats.nodes += nodes
-            mapped = tuple(sorted(vertex_of[v] for v in witness))
-            if size > best_size or (size == best_size and mapped < best_witness):
-                best_size, best_witness = size, mapped
-    return best_size, best_witness
-
-
-def _solve_chunk(payload):
-    rows, seed, budget, chunk = payload
-    search = _Search(rows, None if budget is None else time.monotonic() + budget)
-    search.seed(seed)
-    for v, cand in chunk:
-        search.expand([v], cand)
-    return search.best_size, tuple(search.best), search.nodes
+    stats.nodes = search.nodes
+    stats.orbit_skips = search.orbit_skips
+    stats.workers = search.workers
+    if search.group is not None:
+        stats.group_order = search.group.order
+    return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 
 # -- maximal clique enumeration ---------------------------------------------

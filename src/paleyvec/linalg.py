@@ -334,7 +334,13 @@ def contains_nonzero_square(U: Subspace) -> bool:
     if ctx._exp_np is not None:
         # the nonzero squares are the even powers of the generator
         return bool(U.member[ctx._exp_np[::2]].any())
-    return any(x and ctx.is_square(x) for x in U.enumerate_elements())
+    return any(ctx.is_square(u) for u in _nonzero_members(U))
+
+
+def _nonzero_members(U: Subspace) -> Iterator[int]:
+    """U's nonzero elements in index order, one at a time: a scan that
+    stops at its first hit never lists U, so no size limit applies."""
+    return map(int, np.flatnonzero(U.member)[1:])
 
 
 def subfield_subspace(ctx: FieldCtx, d: int) -> Subspace:
@@ -370,12 +376,10 @@ def D_invariant(U: Subspace) -> int:
     The last step, d = 1, asks whether a^2 lies in U for some a != 0, which
     is the square test itself: when it fails, U has no nonzero square.
     Without tables a^2 F_{q^d} inside U puts a^2 in U, so each d scans
-    only U's nonzero squares u, asking whether u b lies in U for each
-    element b of an F_q-basis of F_{q^d} (``subfield_subspace``).
+    U's nonzero squares u until one has u b in U for each element b of an
+    F_q-basis of F_{q^d} (``subfield_subspace``).
     """
     ctx = U.ctx
-    if ctx._exp_np is None:
-        squares = [u for u in U.enumerate_elements()[1:] if ctx.is_square(u)]
     for d in sorted(_divisors(ctx.n), reverse=True):
         if d > U.dim:
             continue
@@ -386,6 +390,7 @@ def D_invariant(U: Subspace) -> int:
                 return d
             continue
         sub_basis = subfield_subspace(ctx, d).basis
+        squares = (u for u in _nonzero_members(U) if ctx.is_square(u))
         if any(all(U.contains(ctx.mul(u, b)) for b in sub_basis) for u in squares):
             return d
     raise NoNonzeroSquare(_NO_SQUARE)

@@ -8,6 +8,7 @@ import pytest
 
 from paleyvec import cli
 from paleyvec.gf import FieldCtx
+from paleyvec.linalg import Subspace
 
 
 class TestOmega:
@@ -169,6 +170,27 @@ def test_predict_above_table_limit(monkeypatch, capsys):
     argv = ["omega", "--field", "11^1^6", "--subspace", "basis=1,11", "--mode", "predict"]
     assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["predicted"] == 12
+
+
+@pytest.mark.parametrize(
+    "field,subspace,predicted",
+    [
+        ("3^1^14", "ker-trace-of=1", 3**7),
+        ("2^1^23", "basis=" + ",".join(str(2**i) for i in range(21)),
+         {"kind": "interval", "lo": 3, "hi": 2049, "source": "bound-intersection"}),
+    ],
+    ids=["3^1^14", "2^1^23"],
+)
+def test_predict_subspace_above_enum_budget(monkeypatch, capsys, field, subspace, predicted):
+    # U has more than ENUM_BUDGET elements: the square test and D scan its
+    # members until the first hit, without listing U
+    def refuse(self):
+        raise AssertionError("enumerate_elements called")
+
+    monkeypatch.setattr(Subspace, "enumerate_elements", refuse)
+    argv = ["omega", "--field", field, "--subspace", subspace, "--mode", "predict"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["predicted"] == predicted
 
 
 def test_bench_reports_build_and_solve(capsys):

@@ -410,6 +410,40 @@ class TestOrbitPruning:
         assert 0 < par.orbit_skips
 
 
+class TestHandOff:
+    """One root for every worker count: the pool searches only the root
+    branches left once the automorphism group is built."""
+
+    def test_small_solves_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(graph, "ProcessPoolExecutor", no_pool)
+        for spec in sorted(PINNED_SOLUTIONS):
+            ctx = build_field(*spec)
+            for d in range(1, ctx.n):
+                for U in all_subspaces(ctx, d):
+                    G = build_graph(ctx, U)
+                    result, stats = _solve(G, workers=2)
+                    assert result == clique_number_exact(G)
+                    assert stats.workers == 1
+
+    def test_hand_off_from_the_first_branch(self, monkeypatch):
+        # the group from the first root branch, so the rest goes to the pool
+        monkeypatch.setattr(graph, "_ORBIT_NODES", 0)
+        ctx = build_field(2, 1, 4)
+        pools = 0
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                omega = clique_number_exact(G)[0]
+                (size, witness), stats = _solve(G, workers=2)
+                assert size == omega == len(witness)
+                assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+                pools += stats.workers > 1
+        assert pools > 0
+
+
 def _adjacency_matrix(G):
     return unpack_rows(G.adjacency, G.n_vertices).astype(bool)
 
