@@ -380,9 +380,8 @@ class TestOrbitPruning:
                     pruned, stats = _solve(G)
                 assert pruned == plain
                 assert stats.nodes <= plain_stats.nodes
-                # workers split the root, so each finds its own first
-                # maximum clique, and dropping orbit-mates changes which
-                # (the witness differs on some hyperplanes of 2^1^4)
+                # a worker pool, when one starts, may find another maximum
+                # clique than the serial root (TestHandOff)
                 size, witness = _solve(G, workers=2)[0]
                 assert size == plain[0] == len(witness)
                 assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
