@@ -25,16 +25,11 @@ for it: each candidate is a common neighbour of the branch, so the branch
 plus the candidate is already a clique and already satisfies it.
 
 The maps x -> lam * x^(p^i) with lam^2 sigma_i(U) = U, sigma_i the
-p^i-power Frobenius, are automorphisms of the graph and form a group
-(``Automorphisms``); it contains F_q*, and for the trace-zero hyperplane
-every power of Frobenius.  The search uses it at the root only: once the
-branch on v has returned, no clique through v can beat the incumbent,
-so neither can a clique through any image of v, and v's whole orbit
-leaves the root's candidates (orbital branching).  The group is built
-lazily, when a root branch returns with 64 nodes expanded in all, so
-that the many small solves never pay for it.  One root serves every
-worker count: with several, the root branches left once the group is
-built go to a process pool, and a solve that ends sooner starts none.
+p^i-power Frobenius, form a group of automorphisms (``Automorphisms``)
+that prunes the root's branches by orbit (orbital branching).  The search
+builds it once it has spent 64 nodes, so the many small solves never pay
+for it; with several workers the root branches from then on go to a
+process pool, and a solve that ends sooner starts none.
 
 Whether v^2 lies in U is read from one place: U's membership array
 indexed by the field's table of squares, once per graph.  It gives the
@@ -47,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -243,9 +239,13 @@ def _check_deadline(deadline: float | None, phase: str) -> None:
         raise TimeLimitExceeded(f"{phase} exceeded its time limit")
 
 
-# the first root branch to return with this many nodes expanded in all has
-# the search build the automorphism group: most solves never get there
+# once the search has spent this many nodes, the root branch running then
+# has the automorphism group built: most solves never get there
 _ORBIT_NODES = 64
+
+
+class _HandOff(Exception):
+    """Stops the running root branch, which a worker pool then searches."""
 
 
 class _Search:
@@ -255,14 +255,14 @@ class _Search:
     to colour is the highest bit of a candidate set and ``bit_length``
     finds it without isolating a bit.
 
-    ``symmetry``, when given, returns a group of automorphisms in vertex
-    numbering (see ``Automorphisms``), and ``vertex_of`` maps labels to
-    vertices; the group is built at most once.
+    ``symmetry``, when given, builds the group of ``Automorphisms`` (in
+    vertex numbering) at most once; ``vertex_of`` maps labels to vertices.
     """
 
     __slots__ = (
         "adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes",
         "symmetry", "vertex_of", "label_of", "group", "orbit_skips", "workers",
+        "check_at", "handoff_at",
     )
 
     def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None):
@@ -282,6 +282,9 @@ class _Search:
         self.group = None
         self.orbit_skips = 0
         self.workers = 1
+        # expand calls _checkpoint at node check_at: the clock, or a hand-off
+        self.handoff_at = sys.maxsize
+        self.check_at = 256 if deadline is not None else sys.maxsize
 
     def seed(self, witness: list[int]) -> None:
         self.best = list(witness)
@@ -313,12 +316,6 @@ class _Search:
             color += 1
         return order, colors
 
-    def build_group(self) -> None:
-        self.group = self.symmetry()
-        n = len(self.adj)
-        self.label_of = np.empty(n, dtype=np.intp)
-        self.label_of[self.vertex_of] = np.arange(n)
-
     def orbit_mask(self, labels: list[int]) -> int:
         """The union of the orbits of the given labels, as a bit mask; just
         the labels while there is no group."""
@@ -336,22 +333,21 @@ class _Search:
         for several workers, shared with a process pool.
 
         Once the branch on v has returned, ``best_size`` bounds every
-        clique through v, and so every clique through an image of v, which
-        is the image of one through v.  The orbit of v then leaves the
-        candidates without a branch of its own.  The group is built when a
-        root branch returns with ``_ORBIT_NODES`` nodes expanded in all, and
-        then the orbits of every vertex branched on so far are cleared.
-
-        With ``workers`` > 1, each root branch after that which survives the
-        colour cut and the orbits is not expanded but handed off, and the
-        hand-offs are searched in a pool (``_search_pool``).  A solve that
-        ends before the group is built hands off nothing and starts no pool.
+        clique through v, and so through any image of v: v's orbit leaves
+        the candidates.  The group is built when a root branch returns with
+        ``_ORBIT_NODES`` nodes spent in all; then the orbits of the vertices
+        branched on so far are cleared.  With ``workers`` > 1 the branch
+        running at that node count stops there instead, as does each later
+        branch on its first node, and they go to a pool (``_search_pool``),
+        so no CPU waits for the first branch.
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
         adj, bits = self.adj, self.bits
         branched: list[int] = []
         handoff: list[tuple[int, int]] = []
+        if workers > 1 and self.symmetry is not None:
+            self.handoff_at = self.check_at = _ORBIT_NODES
         for idx in range(len(order) - 1, -1, -1):
             if colors[idx] <= self.best_size:
                 break
@@ -360,10 +356,11 @@ class _Search:
                 self.orbit_skips += 1
                 continue
             rest = cand & adj[v]
-            if rest and workers > 1 and self.group is not None:
-                handoff.append((v, rest))
-            elif rest:
-                self.expand([v], rest)
+            if rest:
+                try:
+                    self.expand([v], rest)
+                except _HandOff:
+                    handoff.append((v, rest))
             elif self.best_size < 1:
                 self.best, self.best_size = [v], 1
             if self.group is not None:
@@ -372,34 +369,43 @@ class _Search:
             cand ^= bits[v]
             branched.append(v)
             if self.symmetry is not None and self.nodes >= _ORBIT_NODES:
-                self.build_group()
+                self.group = self.symmetry()
+                self.label_of = np.empty(len(adj), dtype=np.intp)
+                self.label_of[self.vertex_of] = np.arange(len(adj))
                 _check_deadline(self.deadline, "the automorphism group")
                 cand &= ~self.orbit_mask(branched)
         if handoff:
             self._search_pool(handoff, workers)
 
     def _search_pool(self, branches: list[tuple[int, int]], workers: int) -> None:
-        """Search the root branches ``(v, cand & adj[v])``, dealt round-robin
-        to at most ``workers`` processes, each seeded with the incumbent.  A
-        strictly larger result replaces it, in chunk order, so ties keep the
-        earlier clique and the witness is deterministic."""
+        """Search the root branches ``(v, cand & adj[v])`` in a pool of at
+        most ``workers`` processes, each branch a task of its own, taken by
+        the next process free and searched from the root's incumbent.  A
+        strictly larger result replaces it, in branch order, so neither the
+        witness nor the node count depends on which process took what.  A
+        monotonic clock is only comparable within one process, so workers
+        get the time left and start their own clock from it."""
         workers = min(workers, len(branches))
-        # a monotonic clock is only comparable within one process, so workers
-        # get the remaining budget and start their own clock from it
         budget = None if self.deadline is None else self.deadline - time.monotonic()
-        common = (self.adj, self.best, budget)
-        payloads = [common + (branches[i::workers],) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for size, best, nodes in pool.map(_solve_chunk, payloads):
+        start = (self.adj, self.best, budget)
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=start) as pool:
+            for size, best, nodes in pool.map(_solve_branch, branches):
                 self.nodes += nodes
                 if size > self.best_size:
                     self.best, self.best_size = list(best), size
         self.workers = workers
 
+    def _checkpoint(self) -> None:
+        """Stop a root branch due to be handed off, else check the clock."""
+        if self.nodes >= self.handoff_at:
+            raise _HandOff
+        _check_deadline(self.deadline, "clique search")
+        self.check_at = min(self.handoff_at, self.nodes + 256)
+
     def expand(self, stack: list[int], cand: int) -> None:
+        if self.nodes >= self.check_at:
+            self._checkpoint()
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            _check_deadline(self.deadline, "clique search")
         # a vertex of colour below kmin cannot lift the branch past best_size,
         # which only grows while this node's vertices are tried
         order, colors = self._color_order(cand, self.best_size - len(stack) + 1)
@@ -419,18 +425,20 @@ class _Search:
             cand ^= bits[v]
 
 
-def _solve_chunk(payload):
-    rows, seed, budget, chunk = payload
-    search = _Search(rows, None if budget is None else time.monotonic() + budget)
+_worker: tuple[_Search, list[int]] | None = None  # a pool process's search and seed
+
+
+def _start_worker(rows, seed, budget) -> None:
+    global _worker
+    _worker = (_Search(rows, None if budget is None else time.monotonic() + budget), seed)
+
+
+def _solve_branch(branch: tuple[int, int]) -> tuple[int, tuple[int, ...], int]:
+    search, seed = _worker
     search.seed(seed)
-    for v, cand in chunk:
-        search.expand([v], cand)
-    return search.best_size, tuple(search.best), search.nodes
-
-
-def _labels(vertex_of: list[int], vertices) -> list[int]:
-    label_of = {v: i for i, v in enumerate(vertex_of)}
-    return [label_of[v] for v in vertices]
+    before = search.nodes
+    search.expand([branch[0]], branch[1])
+    return search.best_size, tuple(search.best), search.nodes - before
 
 
 def greedy_seed_clique(G: GraphGU) -> list[int]:
@@ -570,14 +578,10 @@ def clique_number_exact(
     count.  The search rows are built in search labels by ``_orbit_rows``,
     the vertex searched i-th of n taking label n - 1 - i.
 
-    The root's branches are cut by the automorphisms x -> lam * x^(p^i)
-    (see ``Automorphisms``): once the branch on v returns, the rest of v's
-    orbit is skipped, since a clique through an image of v is the image of
-    a clique through v.  The search builds the group when the first root
-    branch returns with ``_ORBIT_NODES`` nodes expanded in all, so small
-    solves never pay for it.  With ``workers`` > 1 the root branches left
-    after that are handed to a pool of at most that many processes, so a
-    solve that ends sooner starts none (see ``_Search.root``).
+    The root's branches are cut by orbit under ``Automorphisms``, built
+    once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
+    the root branches from then on go to a pool of at most that many
+    processes (see ``_Search.root``).
 
     ``time_limit`` holds in every phase: the clock is checked after the
     seed, after each block of search rows, after the group is built and
@@ -607,7 +611,8 @@ def clique_number_exact(
     stats.rows_ms = _ms_since(start)
     start = time.perf_counter()
     search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of)
-    search.seed(_labels(vertex_of, seed))
+    label_of = {v: i for i, v in enumerate(vertex_of)}
+    search.seed([label_of[v] for v in seed])
     search.root((1 << len(rows)) - 1, workers)
     stats.search_ms = _ms_since(start)
     stats.nodes = search.nodes

@@ -334,13 +334,8 @@ def contains_nonzero_square(U: Subspace) -> bool:
     if ctx._exp_np is not None:
         # the nonzero squares are the even powers of the generator
         return bool(U.member[ctx._exp_np[::2]].any())
-    return any(ctx.is_square(u) for u in _nonzero_members(U))
-
-
-def _nonzero_members(U: Subspace) -> Iterator[int]:
-    """U's nonzero elements in index order, one at a time: a scan that
-    stops at its first hit never lists U, so no size limit applies."""
-    return map(int, np.flatnonzero(U.member)[1:])
+    # U read from its index array, not listed as ints: ENUM_BUDGET does not apply
+    return any(ctx.is_square(u) for u in map(int, np.flatnonzero(U.member)[1:]))
 
 
 def subfield_subspace(ctx: FieldCtx, d: int) -> Subspace:
@@ -380,6 +375,7 @@ def D_invariant(U: Subspace) -> int:
     F_q-basis of F_{q^d} (``subfield_subspace``).
     """
     ctx = U.ctx
+    members = np.flatnonzero(U.member)[1:] if ctx._exp_np is None else None
     for d in sorted(_divisors(ctx.n), reverse=True):
         if d > U.dim:
             continue
@@ -390,7 +386,7 @@ def D_invariant(U: Subspace) -> int:
                 return d
             continue
         sub_basis = subfield_subspace(ctx, d).basis
-        squares = (u for u in _nonzero_members(U) if ctx.is_square(u))
+        squares = (u for u in map(int, members) if ctx.is_square(u))
         if any(all(U.contains(ctx.mul(u, b)) for b in sub_basis) for u in squares):
             return d
     raise NoNonzeroSquare(_NO_SQUARE)

@@ -428,7 +428,7 @@ class TestHandOff:
                     assert stats.workers == 1
 
     def test_hand_off_from_the_first_branch(self, monkeypatch):
-        # the group from the first root branch, so the rest goes to the pool
+        # every root branch that reaches a search node goes to the pool
         monkeypatch.setattr(graph, "_ORBIT_NODES", 0)
         ctx = build_field(2, 1, 4)
         pools = 0
@@ -441,6 +441,62 @@ class TestHandOff:
                 assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
                 pools += stats.workers > 1
         assert pools > 0
+
+    @pytest.mark.parametrize(
+        "spec,basis,expected",
+        [
+            # the seed (3 vertices) is not maximum: a task's larger clique wins
+            ((2, 1, 4), [5, 14], (4, (0, 4, 8, 15), 6)),
+            ((2, 1, 6), None, (8, (0, 1, 12, 13, 54, 55, 58, 59), 20)),
+        ],
+    )
+    def test_pool_witness(self, spec, basis, expected, monkeypatch):
+        # each root branch is a task of its own, from the root's incumbent, so
+        # the witness and the node count do not depend on which process took
+        # which task: two pools and the tasks run one by one here agree
+        monkeypatch.setattr(graph, "_ORBIT_NODES", 0)
+        ctx = build_field(*spec)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx) if basis is None else span(ctx, basis))
+        runs = [_solve(G, workers=2) for _ in range(2)]
+        monkeypatch.setattr(graph, "ProcessPoolExecutor", _InlinePool)
+        runs.append(_solve(G, workers=2))
+        for result, stats in runs:
+            assert (result + (stats.nodes,), stats.workers) == (expected, 2)
+
+    def test_running_branch_handed_off(self, monkeypatch):
+        # the root stops its first branch once it has spent _ORBIT_NODES nodes,
+        # so no process waits for that branch to return before the pool starts
+        ctx = build_field(2, 1, 9)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        serial, serial_stats = _solve(G)
+        monkeypatch.setattr(graph, "ProcessPoolExecutor", _InlinePool)
+        _InlinePool.nodes = 0
+        result, stats = _solve(G, workers=2)
+        assert result[0] == serial[0]
+        assert stats.workers == 2 and stats.group_order == serial_stats.group_order
+        assert stats.nodes - _InlinePool.nodes == graph._ORBIT_NODES
+
+
+class _InlinePool:
+    """A stand-in for the process pool that searches its tasks in this
+    process, one after another, and counts the nodes they expand."""
+
+    nodes = 0
+
+    def __init__(self, workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        for task in tasks:
+            result = fn(task)
+            _InlinePool.nodes += result[2]
+            yield result
 
 
 def _adjacency_matrix(G):
