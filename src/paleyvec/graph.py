@@ -20,9 +20,11 @@ tables, so graphs are built on tabled fields only.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
-U linearly independent in every clique, but the search needs no filter
-for it: each candidate is a common neighbour of the branch, so the branch
-plus the candidate is already a clique and already satisfies it.
+U linearly independent in every clique, so a clique holds at most one
+vertex of each F_q*-orbit of false twins and any one stands for the rest:
+the solver searches one vertex per such orbit.  It needs no other filter
+for the theorem: each candidate is a common neighbour of the branch, so
+the branch plus the candidate is already a clique and satisfies it.
 
 The maps x -> lam * x^(p^i) with lam^2 sigma_i(U) = U, sigma_i the
 p^i-power Frobenius, form a group of automorphisms (``Automorphisms``)
@@ -143,51 +145,52 @@ _DENSE_SHARE = 16
 def _orbit_rows(
     ctx: FieldCtx,
     U: Subspace,
-    vertex_of: np.ndarray | None = None,
+    label_of: np.ndarray | None = None,
     deadline: float | None = None,
 ) -> list[int]:
-    """The rows of G_U in the labelling ``vertex_of`` (label -> vertex,
-    default the identity): row i holds bit j when vertex_of[i] and
-    vertex_of[j] are adjacent.  Needs the field's tables.
+    """The rows of G_U in the labelling ``label_of`` (vertex -> label in
+    0..m-1, onto, default the identity): row i holds bit j when a vertex of
+    label i and one of label j are adjacent.  Vertices that share a label
+    must be false twins in one F_q*-orbit.  Needs the field's tables.
 
     The row of g^k is g^-k U, the same for every vertex of the orbit
     g^k F_q*, so one base row is filled per orbit.  A block of base rows
     is filled label-major, cell (j, i) for label j and base row start + i:
     - dense U (|U| >= q^n / _DENSE_SHARE): member[i] says whether g^i lies
       in U (i mod q^n - 1), so the cells of label j are the run of member
-      from start + log v, for v its vertex.  They are row log v of a
-      window over member, and one gather by the logs copies every run;
-    - sparse U: the labels of g^(log u - k), u in U, u != 0, are scattered.
+      from start + log v, for v a vertex of that label (lam v g^i lies in U
+      exactly when v g^i does).  They are row log v of a window over
+      member, and one gather by the logs copies every run;
+    - sparse U: the labels of g^(log u - k), u in U, u != 0, are scattered,
+      twins of one label into one cell.
     Vertex 0's cells are then set and each orbit's first vertex's own cell
     cleared, so that vertex takes the packed row as it is.  False twins
     share that int; a true twin (v^2 in U) swaps its own bit for the first
     vertex's.  The deadline is checked after each block.
     """
     n, mord, exp, log = ctx.order, ctx.mord, ctx._exp_np, ctx._log_np
-    if vertex_of is None:
-        vertex_of = label_of = np.arange(n)
-    else:
-        label_of = np.empty(n, dtype=np.intp)
-        label_of[vertex_of] = np.arange(n)
+    if label_of is None:
+        label_of = np.arange(n)
+    m = int(label_of.max()) + 1
     lexp = label_of[exp]  # the label of g^i
     zero = int(label_of[0])
     # F_q* is generated by g^step, so column k holds the orbit of g^k
     step = mord // (ctx.q - 1)
     orbits = lexp.reshape(ctx.q - 1, step)
     # labels come in whole bytes and base rows in whole words of 8
-    height = 8 * ((n + 7) // 8)
+    height = 8 * ((m + 7) // 8)
     chunk = 8 * max(1, min(_BLOCK_CELLS // (8 * height), -(-step // 8)))
     dense = _DENSE_SHARE * U.size >= n
     if dense:
         member = np.resize(U.member[exp], step + chunk + mord)
         logs = np.zeros(height, dtype=np.intp)
-        logs[:n] = log[vertex_of]  # vertex 0's cells are set below
+        logs[label_of] = log  # any vertex of a label; 0's cells are set below
     else:
         # indices stay int64 (intp): numpy casts any other index type to it
         log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
         lexp2 = np.concatenate([lexp, lexp])
-    rows = [0] * n
-    rows[zero] = (1 << n) - 1 ^ 1 << zero  # vertex 0 sees everyone else
+    rows = [0] * m
+    rows[zero] = (1 << m) - 1 ^ 1 << zero  # vertex 0 sees everyone else
     for start in range(0, step, chunk):
         count = min(chunk, step - start)
         if dense:
@@ -195,7 +198,7 @@ def _orbit_rows(
                 (mord, chunk), dtype=bool, buffer=member, offset=start, strides=(1, 1)
             )
             cells = window[logs]
-            cells[n:] = False
+            cells[m:] = False
         else:
             # the label of g^(log u - k) for base row k, at its cell in the block
             at = lexp2[log_u[None, :] + np.arange(mord - start, mord - start - count, -1)[:, None]]
@@ -251,12 +254,13 @@ class _HandOff(Exception):
 class _Search:
     """Colouring branch-and-bound over rows in search labels.
 
-    The vertex searched i-th of n has label n - 1 - i, so the next vertex
+    The vertex searched i-th of m has label m - 1 - i, so the next vertex
     to colour is the highest bit of a candidate set and ``bit_length``
     finds it without isolating a bit.
 
     ``symmetry``, when given, builds the group of ``Automorphisms`` (in
-    vertex numbering) at most once; ``vertex_of`` maps labels to vertices.
+    vertex numbering) at most once; ``vertex_of`` maps each label to the
+    vertex it keeps and ``label_of`` each vertex to its label.
     """
 
     __slots__ = (
@@ -265,7 +269,7 @@ class _Search:
         "check_at", "handoff_at",
     )
 
-    def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None):
+    def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None, label_of=None):
         full = (1 << len(adj)) - 1
         self.adj = adj
         self.bits = [1 << v for v in range(len(adj))]
@@ -278,7 +282,7 @@ class _Search:
         self.nodes = 0
         self.symmetry = symmetry
         self.vertex_of = vertex_of
-        self.label_of = None
+        self.label_of = label_of
         self.group = None
         self.orbit_skips = 0
         self.workers = 1
@@ -318,7 +322,8 @@ class _Search:
 
     def orbit_mask(self, labels: list[int]) -> int:
         """The union of the orbits of the given labels, as a bit mask; just
-        the labels while there is no group."""
+        the labels while there is no group.  The group holds x -> lam x, so
+        an orbit holds whole twin orbits and maps onto whole labels."""
         if self.group is not None:
             images = [w for v in labels for w in self.group.images(self.vertex_of[v])]
             labels = self.label_of[images].tolist()
@@ -370,8 +375,6 @@ class _Search:
             branched.append(v)
             if self.symmetry is not None and self.nodes >= _ORBIT_NODES:
                 self.group = self.symmetry()
-                self.label_of = np.empty(len(adj), dtype=np.intp)
-                self.label_of[self.vertex_of] = np.arange(len(adj))
                 _check_deadline(self.deadline, "the automorphism group")
                 cand &= ~self.orbit_mask(branched)
         if handoff:
@@ -538,6 +541,7 @@ class Automorphisms:
 class SolveStats:
     """What one exact solve did.
 
+    ``vertices`` is the number of vertices searched (``_search_labels``),
     ``nodes`` counts the search nodes expanded (over all workers) and
     ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
     order of the automorphism group that pruned the root, or None when the
@@ -548,6 +552,7 @@ class SolveStats:
     of pool processes that searched, 1 when the root handed off nothing.
     """
 
+    vertices: int = 0
     nodes: int = 0
     seed_size: int = 0
     group_order: int | None = None
@@ -560,6 +565,34 @@ class SolveStats:
 
 def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1e3, 3)
+
+
+def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
+    """The search labels of G's vertices (vertex -> label) and the vertex
+    each label keeps (label -> vertex).
+
+    Vertices are searched by descending degree, ties by index.  Each
+    F_q*-orbit of false twins (v != 0, v^2 outside U) keeps only its first
+    vertex searched, the one a greedy colouring takes first, and the rest
+    of the orbit take its label; every other vertex keeps a label of its
+    own.  The i-th of the m vertices kept has label m - 1 - i.
+    """
+    ctx, n = G.ctx, G.n_vertices
+    degrees = np.asarray(G.degrees)
+    order = np.argsort(-degrees, kind="stable")
+    # v != 0 has |U| neighbours exactly when v^2 lies outside U; its orbit
+    # is log v mod step, as in _orbit_rows
+    step = ctx.mord // (ctx.q - 1)
+    classes = np.where(degrees == G.U.size, ctx._log_np % step, step + np.arange(n))[order]
+    # at each search position, the position of its class's first vertex
+    first = np.full(step + n, n)
+    np.minimum.at(first, classes, np.arange(n))
+    first = first[classes]
+    kept = first == np.arange(n)
+    label_at = kept.sum() - np.cumsum(kept)  # m - 1 - i at the i-th vertex kept
+    label_of = np.empty(n, dtype=np.intp)
+    label_of[order] = label_at[first]
+    return label_of, order[kept][::-1].tolist()
 
 
 def clique_number_exact(
@@ -575,8 +608,11 @@ def clique_number_exact(
     bit-packed candidate sets, and starts from the constructive
     lower-bound cliques.  Results are deterministic for a fixed
     configuration; the clique number itself is independent of the worker
-    count.  The search rows are built in search labels by ``_orbit_rows``,
-    the vertex searched i-th of n taking label n - 1 - i.
+    count.  A clique holds at most one vertex of each F_q*-orbit of false
+    twins, and any one of them stands for the rest, so the search runs on
+    one vertex per orbit (``_search_labels``), with rows built in search
+    labels by ``_orbit_rows``.  When the search finds no clique larger than
+    the seed, the seed is the witness.
 
     The root's branches are cut by orbit under ``Automorphisms``, built
     once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
@@ -589,30 +625,29 @@ def clique_number_exact(
 
     Memory, besides the graph's own rows (n^2/8 bytes at most; false twins
     share one integer): the search rows and the search's complement rows
-    take n^2/8 bytes each and its single-bit masks about half that, so
-    about 5 MB at 4,096 vertices and 1.3 GB at the default budget of
-    65,536.  The rows are filled one block of at most 1 M cells at a time
-    (``_BLOCK_CELLS``, a byte each), from a membership table of about
-    2 q^n bytes when U is dense.  The group takes two integers per map,
-    and the search 8 bytes per vertex once it holds the group.
+    take m^2/8 bytes each and its single-bit masks about half that, for
+    m = |S| + (q^n - |S|)/(q - 1) vertices searched, S = {v : v^2 in U}
+    (m = n when q = 2): about 5 MB at m = 4,096 and 1.3 GB at the default
+    budget of 65,536.  The rows are filled one block of at most 1 M cells
+    at a time (``_BLOCK_CELLS``, a byte each), from a membership table of
+    about 2 q^n bytes when U is dense.  The label map takes 8 bytes per
+    vertex and the group two integers per map.
     """
     stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    order = np.argsort(-np.asarray(G.degrees), kind="stable")
     start = time.perf_counter()
     seed = greedy_seed_clique(G)
     stats.seed_ms = _ms_since(start)
     _check_deadline(deadline, "the seed clique")
     stats.seed_size = len(seed)
     start = time.perf_counter()
-    vertex_of = order[::-1]
-    rows = _orbit_rows(G.ctx, G.U, vertex_of, deadline)
-    vertex_of = vertex_of.tolist()
+    label_of, vertex_of = _search_labels(G)
+    rows = _orbit_rows(G.ctx, G.U, label_of, deadline)
     stats.rows_ms = _ms_since(start)
+    stats.vertices = len(rows)
     start = time.perf_counter()
-    search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of)
-    label_of = {v: i for i, v in enumerate(vertex_of)}
-    search.seed([label_of[v] for v in seed])
+    search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of)
+    search.seed(label_of[seed].tolist())
     search.root((1 << len(rows)) - 1, workers)
     stats.search_ms = _ms_since(start)
     stats.nodes = search.nodes
@@ -620,6 +655,8 @@ def clique_number_exact(
     stats.workers = search.workers
     if search.group is not None:
         stats.group_order = search.group.order
+    if search.best_size == len(seed):
+        return len(seed), tuple(seed)
     return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
 
 

@@ -30,8 +30,10 @@ class TestOmega:
         assert set(payload) == {"schema", "field", "subspace", "mode", "exact", "witness",
                                 "decomposition", "runtime_ms", "search"}
         search = payload["search"]
-        assert set(search) == {"nodes", "seed_size", "group_order", "orbit_skips",
-                               "rows_ms", "seed_ms", "search_ms", "workers"}
+        assert set(search) == {"vertices", "nodes", "seed_size", "group_order",
+                               "orbit_skips", "rows_ms", "seed_ms", "search_ms", "workers"}
+        # q = 2: every F_q*-orbit is a single vertex, so all 512 are searched
+        assert search["vertices"] == 512
         assert search["seed_size"] == payload["exact"] == 17
         assert search["group_order"] == 9
         assert search["nodes"] > 0 and search["orbit_skips"] > 0
@@ -39,6 +41,16 @@ class TestOmega:
         phases = [search["rows_ms"], search["seed_ms"], search["search_ms"]]
         assert all(ms >= 0 for ms in phases)
         assert sum(phases) <= payload["runtime_ms"]
+
+    def test_json_search_vertices_odd_q(self, capsys):
+        # 3^1^4 trace-zero hyperplane: the 21 vertices v with v^2 in U (0 among
+        # them) are searched, and one of each of the 30 pairs {v, -v} of the rest
+        code = cli.main(["omega", "--field", "3^1^4", "--subspace", "ker-trace-of=1",
+                         "--mode", "exact"])
+        assert code == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["search"]["vertices"] == 21 + 60 // 2 == 51
+        assert payload["exact"] == 5
 
     def test_csv_format_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Tests for graph construction, the exact solver, and clique structure."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -286,13 +287,15 @@ PINNED_SOLUTIONS = {
 
 # trace-zero hyperplanes: omega, witness and nodes expanded by the serial
 # search, without symmetry (recorded before the root was pruned by orbit)
-# and with it
+# and with it; the odd-q node counts were recorded again when the search
+# came to take one vertex per F_q*-orbit of false twins (3^1^4: 73 and 64
+# before, 3^1^5: 167 without symmetry; every witness and q = 2 count held)
 PINNED_SEARCHES = {
     (2, 1, 7): (9, (0, 1, 6, 10, 12, 96, 102, 106, 108), 744, 151),
-    (3, 1, 4): (5, (0, 1, 10, 20, 63), 73, 64),
+    (3, 1, 4): (5, (0, 1, 10, 20, 63), 38, 38),
     (5, 1, 3): (6, (0, 40, 55, 69, 95, 110), 16, 16),
     (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586, 271),
-    (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 167, 76),
+    (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 149, 76),
     (7, 1, 3): (8, (0, 87, 125, 156, 193, 243, 274, 312), 28, 28),
 }
 
@@ -448,6 +451,9 @@ class TestHandOff:
             # the seed (3 vertices) is not maximum: a task's larger clique wins
             ((2, 1, 4), [5, 14], (4, (0, 4, 8, 15), 6)),
             ((2, 1, 6), None, (8, (0, 1, 12, 13, 54, 55, 58, 59), 20)),
+            # odd q, searched one vertex per pair {v, -v} of false twins: the
+            # seed (5 vertices) is not maximum, and the serial witness wins
+            ((3, 1, 4), [1, 57, 63], (9, (0, 10, 20, 34, 44, 51, 59, 66, 76), 21)),
         ],
     )
     def test_pool_witness(self, spec, basis, expected, monkeypatch):
@@ -620,12 +626,19 @@ class TestPinnedRows:
 
     @pytest.mark.parametrize("spec", sorted(PINNED_ROWS))
     def test_search_rows_from_orbit_kernel(self, spec):
-        # the rows clique_number_exact searches on a tabled field
+        # the rows of every vertex in search labels, before twins were folded
         U = _pinned_subspace(spec)
         G = build_graph(U.ctx, U)
         vertex_of = np.argsort(-np.asarray(G.degrees), kind="stable")[::-1]
-        rows = graph._orbit_rows(U.ctx, U, vertex_of)
+        rows = graph._orbit_rows(U.ctx, U, _inverse(vertex_of))
         assert _rows_digest(rows, G.n_vertices, vertex_of) == PINNED_ROWS[spec][1]
+
+
+def _inverse(vertex_of):
+    """The vertex -> label map of a labelling given as label -> vertex."""
+    label_of = np.empty(len(vertex_of), dtype=np.intp)
+    label_of[np.asarray(vertex_of)] = np.arange(len(vertex_of))
+    return label_of
 
 
 def old_search_rows(adj, order):
@@ -694,7 +707,7 @@ class TestRowsCrossCheck:
                 G = build_graph(ctx, U)
                 for order in _orders(n, G.degrees):
                     vertices, rows = old_search_rows(G.adjacency, order)
-                    assert graph._orbit_rows(ctx, U, np.asarray(vertices)) == rows
+                    assert graph._orbit_rows(ctx, U, _inverse(vertices)) == rows
 
     def test_threshold_picks_both_fills(self, monkeypatch):
         # 2^1^6 with d = 1 is scattered and with d = 2 gathered; only the
@@ -712,6 +725,109 @@ class TestRowsCrossCheck:
                 gathers.clear()
                 graph._orbit_rows(ctx, U)
                 assert len(gathers) == (d == 2)
+
+
+# the fields whose every proper subspace the twin-reduced search is checked on
+TWIN_FIELDS = [
+    (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3),
+    (3, 1, 4), (5, 1, 3), (2, 3, 2), (3, 2, 2),
+]
+
+
+def _full_labels(G):
+    """The search labels of every vertex, no twin folded: the vertex searched
+    i-th of n has label n - 1 - i."""
+    return _inverse(np.argsort(-np.asarray(G.degrees), kind="stable")[::-1])
+
+
+def _full_search(G):
+    """The search the twin-reduced one replaced: ``_Search`` on the rows of
+    every vertex, from the same seed, with the automorphism group."""
+    seed = graph.greedy_seed_clique(G)
+    label_of = _full_labels(G)
+    vertex_of = np.argsort(label_of).tolist()
+    rows = graph._orbit_rows(G.ctx, G.U, label_of)
+    group = functools.partial(Automorphisms, G)
+    search = graph._Search(rows, None, group, vertex_of, label_of)
+    search.seed(label_of[seed].tolist())
+    search.root((1 << len(rows)) - 1)
+    witness = tuple(sorted(vertex_of[v] for v in search.best))
+    return (search.best_size, witness), search.nodes
+
+
+class TestTwinReduction:
+    """The search on one vertex per F_q*-orbit of false twins against the
+    search on every vertex."""
+
+    @staticmethod
+    def _fold(G):
+        """The full search rows with each twin orbit's bits folded onto its
+        kept member, as a 0/1 matrix over (full label, reduced label), and
+        the full label of each reduced label's kept vertex."""
+        n = G.n_vertices
+        full_label = _full_labels(G)
+        label_of, vertex_of = graph._search_labels(G)
+        full = unpack_rows(graph._orbit_rows(G.ctx, G.U, full_label), n).astype(int)
+        onto = np.zeros((n, len(vertex_of)), dtype=int)
+        onto[full_label, label_of] = 1  # full label -> reduced label
+        return (full @ onto > 0).astype(np.uint8), full_label[vertex_of], full_label, label_of
+
+    @pytest.mark.parametrize("fill", ["dense", "sparse"])
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_rows_fold_the_full_rows(self, spec, fill, monkeypatch):
+        ctx = build_field(*spec)
+        monkeypatch.setattr(graph, "_DENSE_SHARE", ctx.order if fill == "dense" else 0)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                folded, kept, full_label, label_of = self._fold(G)
+                rows = graph._orbit_rows(ctx, U, label_of)
+                assert rows == pack_rows(folded[kept])
+                # the rows dropped fold to their kept member's row, and no
+                # label is adjacent to itself: only false twins share one
+                assert (folded[full_label] == folded[kept[label_of]]).all()
+                assert not any(row >> j & 1 for j, row in enumerate(rows))
+                if ctx.q == 2:
+                    assert len(rows) == ctx.order
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_colour_classes_restricted_to_kept(self, spec):
+        # a candidate set closed under twins: the full colouring restricted to
+        # the kept members, in reduced labels, is the reduced colouring
+        rng = random.Random(35)
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                _, kept, full_label, label_of = self._fold(G)
+                reduced = graph._Search(graph._orbit_rows(ctx, U, label_of))
+                full = graph._Search(graph._orbit_rows(ctx, U, full_label))
+                to_reduced = dict(zip(full_label.tolist(), label_of.tolist()))
+                kept = set(kept.tolist())
+                m = len(reduced.adj)
+                for _ in range(4):
+                    chosen = {j for j in range(m) if rng.random() < 0.7}
+                    cand = sum(1 << j for j in chosen)
+                    cand_full = sum(1 << f for f, j in to_reduced.items() if j in chosen)
+                    for kmin in (1, 2, 3):
+                        order, colors = full._color_order(cand_full, kmin)
+                        want = [(to_reduced[f], c) for f, c in zip(order, colors) if f in kept]
+                        assert list(zip(*reduced._color_order(cand, kmin))) == want
+
+    @pytest.mark.parametrize("spec", TWIN_FIELDS)
+    def test_matches_full_search(self, spec):
+        # the same omega and witness on every proper subspace, and never more nodes
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                want, full_nodes = _full_search(G)
+                got, stats = _solve(G)
+                assert got == want
+                assert stats.nodes <= full_nodes
+                # |S| + (q^n - |S|) / (q - 1) for S = {v : v^2 in U}
+                squares = sum(U.contains(ctx.mul(v, v)) for v in range(ctx.order))
+                assert stats.vertices == squares + (ctx.order - squares) // (ctx.q - 1)
 
 
 class TestInvariance:
