@@ -18,6 +18,7 @@ from paleyvec import predict, suites
 from paleyvec.gf import build_field
 from paleyvec.predict import (
     BOUND_CHECKS,
+    SubspaceInvariants,
     bounds_report,
     check_corollary_q_power,
     omega_qn,
@@ -51,10 +52,13 @@ def _bounds_digest(ctx) -> str:
     for U in survey_family(ctx):
         pred = predict_omega(U)
         rows = [list(U.basis), pred.describe(), pred.has_square, pred.D_U]
+        # built once per subspace; the first omega keeps the default path
+        inv = SubspaceInvariants(U)
         for omega in _omega_range(U):
-            rows.append([omega, pred.admits(omega), bounds_report(U, omega)])
+            given = None if omega == 1 else inv
+            rows.append([omega, pred.admits(omega), bounds_report(U, omega, invariants=given)])
             if U.dim >= 2:
-                rows.append(check_corollary_q_power(U, omega))
+                rows.append(check_corollary_q_power(U, omega, invariants=given))
         h.update(json.dumps(rows).encode())
     return h.hexdigest()
 

@@ -107,10 +107,12 @@ class TestBuild:
             for _ in range(5):
                 U = random_subspace(ctx, rng)
                 G = build_graph(ctx, U)
+                adj = G.adjacency
                 for a in range(ctx.order):
                     for b in range(ctx.order):
                         expect = a != b and U.contains(ctx.mul(a, b))
                         assert G.has_edge(a, b) == expect
+                        assert adj[a] >> b & 1 == expect
 
     def test_symmetry(self):
         rng = random.Random(22)
@@ -118,9 +120,11 @@ class TestBuild:
             ctx = build_field(*rng.choice([(2, 1, 4), (3, 1, 3), (2, 2, 2)]))
             U = random_subspace(ctx, rng)
             G = build_graph(ctx, U)
+            adj = G.adjacency
             for a in range(ctx.order):
                 for b in range(ctx.order):
                     assert G.has_edge(a, b) == G.has_edge(b, a)
+                    assert adj[a] >> b & 1 == adj[b] >> a & 1
 
     def test_scalar_build_matches_tabled(self):
         tabled = build_field(3, 1, 2)
@@ -828,6 +832,61 @@ class TestTwinReduction:
                 # |S| + (q^n - |S|) / (q - 1) for S = {v : v^2 in U}
                 squares = sum(U.contains(ctx.mul(v, v)) for v in range(ctx.order))
                 assert stats.vertices == squares + (ctx.order - squares) // (ctx.q - 1)
+
+
+def old_greedy_seed_clique(G):
+    """``greedy_seed_clique`` as it stood before the seed moved onto the
+    search rows: the same starter cliques, each extended by the least
+    common neighbour in turn, over the graph's own rows."""
+    ctx = G.ctx
+    U = G.U
+    members = U.enumerate_elements()[1:]
+    seeds = []
+    u0 = members[0]
+    full = (1 << G.n_vertices) - 1
+    sq_out = ~G.square_in_U_mask() & full
+    if sq_out:
+        a_out = (sq_out & -sq_out).bit_length() - 1
+        seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
+    w = next((u for u in members if ctx.is_square(u)), None)
+    if w is not None:
+        a = ctx.sqrt(w)
+        line = [ctx.mul(a, lam) for lam in range(ctx.q)]
+        if U.dim > 1:
+            line_prod = {ctx.mul(w, lam) for lam in range(ctx.q)}
+            extra = next(u for u in members if u not in line_prod)
+            line.append(ctx.mul(extra, ctx.inv(a)))
+        seeds.append(line)
+    best = []
+    for seed in seeds:
+        seed = sorted(set(seed))
+        cand = full
+        for v in seed:
+            cand &= G.adjacency[v]
+        clique = list(seed)
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            clique.append(v)
+            cand &= G.adjacency[v]
+        if len(clique) > len(best):
+            best = sorted(clique)
+    return best
+
+
+class TestRowsPackedOnce:
+    """An exact solve packs only its search rows; the graph packs its own
+    rows on first read."""
+
+    @pytest.mark.parametrize("spec", sorted(set(CROSS_CHECK_FIELDS) | set(TWIN_FIELDS)))
+    def test_seed_matches_vertex_walk(self, spec):
+        # the walk over search labels by kept vertex against the walk over
+        # vertices it replaced, on every proper subspace
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                assert greedy_seed_clique(G) == old_greedy_seed_clique(G), U.basis
 
 
 class TestInvariance:
