@@ -15,8 +15,11 @@ once each vertex's own bit is added).  In discrete-log coordinates every
 row is U's membership vector shifted by the log of its vertex, so one
 kernel (``_orbit_rows``) packs one row per orbit, in any labelling of the
 vertices: by index for the graph, and in search labels for the solver,
-which so never relabels a graph.  The kernel reads the field's log
-tables, so graphs are built on tabled fields only.
+which so never relabels a graph.  The graph packs its rows on first read
+of ``adjacency``, so an exact solve, which reads only its search rows,
+packs rows once; an edge test reads U's membership and no row.  The
+kernel reads the field's log tables, so graphs are built on tabled
+fields only.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
@@ -91,13 +94,13 @@ def check_vertex_budget(n_vertices: int, max_vertices: int | None = None) -> Non
 class GraphGU:
     """Graph on F_{q^n} with edges (a, b) whenever a != b and ab lies in U."""
 
-    __slots__ = ("ctx", "U", "n_vertices", "adjacency", "degrees", "_sq_mask")
+    __slots__ = ("ctx", "U", "n_vertices", "degrees", "_sq_mask", "_rows")
 
-    def __init__(self, ctx: FieldCtx, U: Subspace, adjacency: list[int]):
+    def __init__(self, ctx: FieldCtx, U: Subspace):
         self.ctx = ctx
         self.U = U
         self.n_vertices = ctx.order
-        self.adjacency = adjacency
+        self._rows: list[int] | None = None
         # the row of v != 0 is v^-1 U less v itself when v^2 lies in U
         square_in_U = U.member[ctx.squares()]
         degrees = U.size - square_in_U.astype(np.intp)
@@ -106,8 +109,16 @@ class GraphGU:
         packed = np.packbits(square_in_U, bitorder="little").tobytes()
         self._sq_mask = int.from_bytes(packed, "little")
 
+    @property
+    def adjacency(self) -> list[int]:
+        """The bit-packed rows, one per vertex index: packed by
+        ``_orbit_rows`` on first read and kept."""
+        if self._rows is None:
+            self._rows = _orbit_rows(self.ctx, self.U)
+        return self._rows
+
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.adjacency[a] >> b & 1)
+        return a != b and bool(self.U.member[self.ctx.mul(a, b)])
 
     def square_in_U_mask(self) -> int:
         """Bit mask of the vertices whose square lies in U."""
@@ -115,14 +126,16 @@ class GraphGU:
 
 
 def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) -> GraphGU:
-    """Build the bit-packed adjacency of the product-subspace graph.
+    """The product-subspace graph, with its degrees and square mask.
 
-    Row v is v^-1 U with 0 added and v itself removed.  ``_orbit_rows``
-    packs one row per F_q*-orbit and shares it with the orbit: a dense U
-    costs one q^n-byte column gather per orbit, a sparse U a scatter of
-    q^dim cells.  It reads the field's log tables, so a field without
-    them is refused; above the default table limit the rows alone would
-    take at least 128 GB.
+    It costs one q^n-entry gather of U's membership by the field's table
+    of squares, from which both are read; the rows are packed on the first
+    read of ``adjacency`` (``_orbit_rows``), which an exact solve never
+    makes.  Row v is v^-1 U with 0 added and v itself removed, and false
+    twins share one integer: a dense U costs one q^n-byte column gather
+    per F_q*-orbit, a sparse U a scatter of q^dim cells.  The rows read
+    the field's log tables, so a field without them is refused; above the
+    default table limit the rows alone would take at least 128 GB.
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
@@ -132,7 +145,7 @@ def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) 
             f"graphs need the field's tables: order {ctx.order} exceeds"
             f" the table limit {ctx.table_limit}"
         )
-    return GraphGU(ctx, U, _orbit_rows(ctx, U))
+    return GraphGU(ctx, U)
 
 
 # cells per block of base rows (a byte each), and so per deadline check
@@ -321,16 +334,13 @@ class _Search:
         return order, colors
 
     def orbit_mask(self, labels: list[int]) -> int:
-        """The union of the orbits of the given labels, as a bit mask; just
-        the labels while there is no group.  The group holds x -> lam x, so
-        an orbit holds whole twin orbits and maps onto whole labels."""
-        if self.group is not None:
-            images = [w for v in labels for w in self.group.images(self.vertex_of[v])]
-            labels = self.label_of[images].tolist()
-        bits = self.bits
+        """The union of the orbits of the given labels under the group, as
+        a bit mask.  The group holds x -> lam x, so an orbit holds whole
+        twin orbits and maps onto whole labels."""
+        images = self.group.images([self.vertex_of[v] for v in labels])
         mask = 0
-        for v in labels:
-            mask |= bits[v]
+        for v in set(self.label_of[images].ravel().tolist()):
+            mask |= self.bits[v]
         return mask
 
     def root(self, cand: int, workers: int = 1) -> None:
@@ -450,16 +460,30 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     Finds the triangle {0, a, u/a} built from the least a with a^2
     outside U (there is one whenever U is proper), and when U contains a
     nonzero square w = a^2 the clique a*F_q (plus one extra vertex when
-    dim > 1).
+    dim > 1).  Each is extended by the least common neighbour in turn.
+    """
+    label_of, vertex_of = _search_labels(G)
+    return _seed_clique(G, label_of, vertex_of, _orbit_rows(G.ctx, G.U, label_of))
+
+
+def _seed_clique(G: GraphGU, label_of: np.ndarray, vertex_of: list[int], rows: list[int]) -> list[int]:
+    """``greedy_seed_clique`` on the search rows ``rows`` in the labels of
+    ``_search_labels``, which gives ``label_of`` and ``vertex_of``.
+
+    The labels are walked in ascending order of the vertex each keeps, a
+    label's vertex joining when its bit is still a candidate.  This is the
+    walk over vertices by least candidate: a false-twin orbit keeps its
+    least vertex (its members tie in degree, so the search takes that one
+    first), and its members share their rows and are pairwise non-adjacent,
+    so the walk by vertices takes that one or none of them.
     """
     ctx = G.ctx
     U = G.U
     members = U.enumerate_elements()[1:]
     seeds: list[list[int]] = []
     u0 = members[0]
-    full = (1 << G.n_vertices) - 1
     # 0 is in U, so any vertex with its square outside U is nonzero
-    sq_out = ~G.square_in_U_mask() & full
+    sq_out = ~G.square_in_U_mask() & (1 << G.n_vertices) - 1
     if sq_out:
         a_out = (sq_out & -sq_out).bit_length() - 1
         seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
@@ -472,18 +496,19 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
             extra = next(u for u in members if u not in line_prod)
             line.append(ctx.mul(extra, ctx.inv(a)))
         seeds.append(line)
+    nbytes = (len(rows) + 7) // 8
     best: list[int] = []
     for seed in seeds:
         seed = sorted(set(seed))
-        cand = full
+        cand = (1 << len(rows)) - 1
         for v in seed:
-            cand &= G.adjacency[v]
+            cand &= rows[label_of[v]]
         clique = list(seed)
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            clique.append(v)
-            cand &= G.adjacency[v]
+        bits = np.unpackbits(np.frombuffer(cand.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
+        for j in sorted(np.flatnonzero(bits).tolist(), key=vertex_of.__getitem__):
+            if cand >> j & 1:
+                clique.append(vertex_of[j])
+                cand &= rows[j]
         if len(clique) > len(best):
             best = sorted(clique)
     return best
@@ -502,7 +527,8 @@ class Automorphisms:
     and a candidate holds when mu sigma_i(b) lies in U for every basis
     element b, one membership gather.  Each square mu gives lam =
     g^(log mu / 2) and, for odd q, its negative; for even q the square
-    root is unique.  A map is kept as the pair (log lam, p^i).
+    root is unique.  A map is kept as the pair (log lam, p^i), a row of
+    the int64 array ``maps``.
     """
 
     __slots__ = ("ctx", "maps")
@@ -513,28 +539,30 @@ class Automorphisms:
         log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
         log_b = log[np.asarray(U.basis)]
         self.ctx = ctx
-        self.maps: list[tuple[int, int]] = []
+        maps: list[tuple[int, int]] = []
         for i in range(ctx.mn):
             mult = ctx.p**i
             mu = (log_u - mult * log_b[0]) % mord
             holds = U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)
             for m in mu[holds].tolist():
                 if ctx.p == 2:
-                    self.maps.append((m * (mord + 1 >> 1) % mord, mult))
+                    maps.append((m * (mord + 1 >> 1) % mord, mult))
                 elif m % 2 == 0:
-                    self.maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
+                    maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
+        self.maps = np.array(maps, dtype=np.int64).reshape(-1, 2)
 
     @property
     def order(self) -> int:
         return len(self.maps)
 
-    def images(self, v: int) -> list[int]:
-        """The image of vertex v under each map."""
-        if v == 0:
-            return [0] * len(self.maps)
-        exp, mord = self.ctx._exp, self.ctx.mord
-        log_v = self.ctx._log[v]
-        return [exp[(lam + mult * log_v) % mord] for lam, mult in self.maps]
+    def images(self, vertices) -> np.ndarray:
+        """The image of each given vertex under each map, by one gather:
+        row k holds the images of the k-th vertex, and one vertex gives one
+        row."""
+        v = np.asarray(vertices)[..., None]
+        lam, mult = np.asarray(self.maps).T
+        logs = (lam + mult * self.ctx._log_np[v]) % self.ctx.mord
+        return np.where(v, self.ctx._exp_np[logs], 0)
 
 
 @dataclass
@@ -547,9 +575,10 @@ class SolveStats:
     order of the automorphism group that pruned the root, or None when the
     search never built it (a small solve); ``orbit_skips`` counts the root
     vertices skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and
-    ``search_ms`` time the search rows, the seed clique and the search
-    itself (with the group and any worker pool); ``workers`` is the number
-    of pool processes that searched, 1 when the root handed off nothing.
+    ``search_ms`` time, in the order they run, the search rows, the seed
+    clique (extended on those rows) and the search itself (with the group
+    and any worker pool); ``workers`` is the number of pool processes that
+    searched, 1 when the root handed off nothing.
     """
 
     vertices: int = 0
@@ -611,40 +640,44 @@ def clique_number_exact(
     count.  A clique holds at most one vertex of each F_q*-orbit of false
     twins, and any one of them stands for the rest, so the search runs on
     one vertex per orbit (``_search_labels``), with rows built in search
-    labels by ``_orbit_rows``.  When the search finds no clique larger than
-    the seed, the seed is the witness.
+    labels by ``_orbit_rows``; the seed cliques are extended on those rows
+    too, so the solve never packs the graph's own.  When the search finds
+    no clique larger than the seed, the seed is the witness.
 
     The root's branches are cut by orbit under ``Automorphisms``, built
     once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
     the root branches from then on go to a pool of at most that many
     processes (see ``_Search.root``).
 
-    ``time_limit`` holds in every phase: the clock is checked after the
-    seed, after each block of search rows, after the group is built and
-    every 256 search nodes.  ``stats``, when given, is filled in.
+    ``time_limit`` holds in every phase: the search rows come first, and
+    the clock is checked after each block of them, after the seed, after
+    the group is built and every 256 search nodes.  ``stats``, when given,
+    is filled in.
 
-    Memory, besides the graph's own rows (n^2/8 bytes at most; false twins
-    share one integer): the search rows and the search's complement rows
-    take m^2/8 bytes each and its single-bit masks about half that, for
-    m = |S| + (q^n - |S|)/(q - 1) vertices searched, S = {v : v^2 in U}
-    (m = n when q = 2): about 5 MB at m = 4,096 and 1.3 GB at the default
-    budget of 65,536.  The rows are filled one block of at most 1 M cells
-    at a time (``_BLOCK_CELLS``, a byte each), from a membership table of
-    about 2 q^n bytes when U is dense.  The label map takes 8 bytes per
-    vertex and the group two integers per map.
+    Memory: the solve holds only the search rows, not the graph's own
+    (which a caller that reads ``G.adjacency`` pays for: n^2/8 bytes at
+    most, false twins sharing one integer).  The search rows and the
+    search's complement rows take m^2/8 bytes each and its single-bit
+    masks about half that, for m = |S| + (q^n - |S|)/(q - 1) vertices
+    searched, S = {v : v^2 in U} (m = n when q = 2): about 5 MB at
+    m = 4,096 and 1.3 GB at the default budget of 65,536.  The rows are
+    filled one block of at most 1 M cells at a time (``_BLOCK_CELLS``, a
+    byte each), from a membership table of about 2 q^n bytes when U is
+    dense.  The label map takes 8 bytes per vertex and the group two
+    integers per map.
     """
     stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    start = time.perf_counter()
-    seed = greedy_seed_clique(G)
-    stats.seed_ms = _ms_since(start)
-    _check_deadline(deadline, "the seed clique")
-    stats.seed_size = len(seed)
     start = time.perf_counter()
     label_of, vertex_of = _search_labels(G)
     rows = _orbit_rows(G.ctx, G.U, label_of, deadline)
     stats.rows_ms = _ms_since(start)
     stats.vertices = len(rows)
+    start = time.perf_counter()
+    seed = _seed_clique(G, label_of, vertex_of, rows)
+    stats.seed_ms = _ms_since(start)
+    _check_deadline(deadline, "the seed clique")
+    stats.seed_size = len(seed)
     start = time.perf_counter()
     search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of)
     search.seed(label_of[seed].tolist())

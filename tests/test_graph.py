@@ -888,6 +888,27 @@ class TestRowsPackedOnce:
                 G = build_graph(ctx, U)
                 assert greedy_seed_clique(G) == old_greedy_seed_clique(G), U.basis
 
+    # 2^1^10 is left out: its solve alone takes about half a second
+    @pytest.mark.parametrize("spec", sorted(set(PINNED_ROWS) - {(2, 1, 10)}))
+    def test_solve_packs_rows_once(self, spec, monkeypatch):
+        calls = []
+        real = graph._orbit_rows
+
+        def counted(ctx, U, label_of=None, deadline=None):
+            calls.append(label_of is not None)
+            return real(ctx, U, label_of, deadline)
+
+        monkeypatch.setattr(graph, "_orbit_rows", counted)
+        U = _pinned_subspace(spec)
+        G = build_graph(U.ctx, U)
+        assert calls == []
+        clique_number_exact(G)
+        assert calls == [True]
+        # the graph's rows, packed on first read and kept
+        assert _rows_digest(G.adjacency, G.n_vertices) == PINNED_ROWS[spec][0]
+        assert G.adjacency is G.adjacency
+        assert calls == [True, False]
+
 
 class TestInvariance:
     def test_square_scaling_isomorphism(self):
