@@ -467,15 +467,12 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
 
 
 def _seed_clique(G: GraphGU, label_of: np.ndarray, vertex_of: list[int], rows: list[int]) -> list[int]:
-    """``greedy_seed_clique`` on the search rows ``rows`` in the labels of
-    ``_search_labels``, which gives ``label_of`` and ``vertex_of``.
+    """``greedy_seed_clique`` on search rows labelled by ``_search_labels``.
 
-    The labels are walked in ascending order of the vertex each keeps, a
-    label's vertex joining when its bit is still a candidate.  This is the
-    walk over vertices by least candidate: a false-twin orbit keeps its
-    least vertex (its members tie in degree, so the search takes that one
-    first), and its members share their rows and are pairwise non-adjacent,
-    so the walk by vertices takes that one or none of them.
+    Candidate labels are walked in ascending order of the vertex each
+    keeps, which picks what a walk over the graph's rows by least vertex
+    picks: a false-twin orbit keeps its least vertex (its members tie in
+    degree), and that walk takes it or none of its non-adjacent twins.
     """
     ctx = G.ctx
     U = G.U
@@ -549,7 +546,7 @@ class Automorphisms:
                     maps.append((m * (mord + 1 >> 1) % mord, mult))
                 elif m % 2 == 0:
                     maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
-        self.maps = np.array(maps, dtype=np.int64).reshape(-1, 2)
+        self.maps = np.array(maps, dtype=np.int64)
 
     @property
     def order(self) -> int:
@@ -560,7 +557,7 @@ class Automorphisms:
         row k holds the images of the k-th vertex, and one vertex gives one
         row."""
         v = np.asarray(vertices)[..., None]
-        lam, mult = np.asarray(self.maps).T
+        lam, mult = self.maps.T
         logs = (lam + mult * self.ctx._log_np[v]) % self.ctx.mord
         return np.where(v, self.ctx._exp_np[logs], 0)
 

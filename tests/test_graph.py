@@ -309,7 +309,7 @@ class _IdentityOnly(Automorphisms):
 
     def __init__(self, G):
         super().__init__(G)
-        self.maps = [(0, 1)]
+        self.maps = np.array([(0, 1)])
 
 
 def _solve(G, **kwargs):
