@@ -466,7 +466,9 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     return _seed_clique(G, label_of, vertex_of, _orbit_rows(G.ctx, G.U, label_of))
 
 
-def _seed_clique(G: GraphGU, label_of: np.ndarray, vertex_of: list[int], rows: list[int]) -> list[int]:
+def _seed_clique(
+    G: GraphGU, label_of: np.ndarray, vertex_of: list[int], rows: list[int]
+) -> list[int]:
     """``greedy_seed_clique`` on search rows labelled by ``_search_labels``.
 
     Candidate labels are walked in ascending order of the vertex each
@@ -501,8 +503,9 @@ def _seed_clique(G: GraphGU, label_of: np.ndarray, vertex_of: list[int], rows: l
         for v in seed:
             cand &= rows[label_of[v]]
         clique = list(seed)
-        bits = np.unpackbits(np.frombuffer(cand.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
-        for j in sorted(np.flatnonzero(bits).tolist(), key=vertex_of.__getitem__):
+        raw = np.frombuffer(cand.to_bytes(nbytes, "little"), dtype=np.uint8)
+        labels = np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+        for j in sorted(labels, key=vertex_of.__getitem__):
             if cand >> j & 1:
                 clique.append(vertex_of[j])
                 cand &= rows[j]
