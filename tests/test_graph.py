@@ -563,6 +563,46 @@ class TestAutomorphisms:
                     assert set(twins) <= set(images[:, twins[0]].tolist())
 
 
+def old_automorphism_maps(G):
+    """``Automorphisms.maps`` as built before the filter went one basis
+    element at a time: one gather of U's membership over every basis
+    element, b_0 included, reduced mod q^n - 1."""
+    ctx, U = G.ctx, G.U
+    mord, exp, log = ctx.mord, ctx._exp_np, ctx._log_np
+    log_u = log[np.flatnonzero(U.member)[1:]]
+    log_b = log[np.asarray(U.basis)]
+    maps = []
+    for i in range(ctx.mn):
+        mult = ctx.p**i
+        mu = (log_u - mult * log_b[0]) % mord
+        holds = U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)
+        for m in mu[holds].tolist():
+            if ctx.p == 2:
+                maps.append((m * (mord + 1 >> 1) % mord, mult))
+            elif m % 2 == 0:
+                maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
+    return np.array(maps, dtype=np.int64).reshape(-1, 2)
+
+
+def _group_cross_check_subspaces():
+    """Every proper subspace of the group fields, then the first 50
+    hyperplanes of 2^3^4."""
+    for spec in GROUP_FIELDS:
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            yield from all_subspaces(ctx, d)
+    yield from (U for _, U in itertools.islice(all_hyperplanes(build_field(2, 3, 4)), 50))
+
+
+def test_group_matches_full_gather():
+    # the same maps, row for row and in the same order
+    for U in _group_cross_check_subspaces():
+        G = build_graph(U.ctx, U)
+        maps = Automorphisms(G).maps
+        assert maps.dtype == np.int64
+        assert np.array_equal(maps, old_automorphism_maps(G)), U.basis
+
+
 def _pinned_subspace(spec):
     """The subspace whose rows ``TestPinnedRows`` pins for a field."""
     ctx = build_field(*spec)
@@ -834,6 +874,39 @@ class TestTwinReduction:
                 assert stats.vertices == squares + (ctx.order - squares) // (ctx.q - 1)
 
 
+def old_search_labels(G):
+    """``_search_labels`` as it stood before it read the square mask: an
+    argsort by degree, and each false-twin orbit's first vertex searched
+    found with ``np.minimum.at``."""
+    ctx, n = G.ctx, G.n_vertices
+    degrees = np.asarray(G.degrees)
+    order = np.argsort(-degrees, kind="stable")
+    step = ctx.mord // (ctx.q - 1)
+    classes = np.where(degrees == G.U.size, ctx._log_np % step, step + np.arange(n))[order]
+    first = np.full(step + n, n)
+    np.minimum.at(first, classes, np.arange(n))
+    first = first[classes]
+    kept = first == np.arange(n)
+    label_at = kept.sum() - np.cumsum(kept)
+    label_of = np.empty(n, dtype=np.intp)
+    label_of[order] = label_at[first]
+    return label_of, order[kept][::-1].tolist()
+
+
+@pytest.mark.parametrize("spec", sorted(set(CROSS_CHECK_FIELDS) | set(TWIN_FIELDS)))
+def test_search_labels_match_sort(spec):
+    # on every proper subspace: the same labels and the same kept vertices
+    ctx = build_field(*spec)
+    for d in range(1, ctx.n):
+        for U in all_subspaces(ctx, d):
+            G = build_graph(ctx, U)
+            label_of, vertex_of = graph._search_labels(G)
+            want_label_of, want_vertex_of = old_search_labels(G)
+            assert label_of.dtype == want_label_of.dtype
+            assert np.array_equal(label_of, want_label_of), U.basis
+            assert vertex_of == want_vertex_of, U.basis
+
+
 def old_greedy_seed_clique(G):
     """``greedy_seed_clique`` as it stood before the seed moved onto the
     search rows: the same starter cliques, each extended by the least
@@ -887,6 +960,28 @@ class TestRowsPackedOnce:
             for U in all_subspaces(ctx, d):
                 G = build_graph(ctx, U)
                 assert greedy_seed_clique(G) == old_greedy_seed_clique(G), U.basis
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_edge_test_reads_no_row(self, spec, monkeypatch):
+        # every ordered pair, a = b and zeros included, on every proper subspace
+        calls = []
+        real = graph._orbit_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_orbit_rows", counted)
+        ctx = build_field(*spec)
+        n = ctx.order
+        products = [[ctx.mul(a, b) for b in range(n)] for a in range(n)]
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                for a in range(n):
+                    for b in range(n):
+                        assert G.has_edge(a, b) == (a != b and U.contains(products[a][b]))
+        assert calls == []
 
     # 2^1^10 is left out: its solve alone takes about half a second
     @pytest.mark.parametrize("spec", sorted(set(PINNED_ROWS) - {(2, 1, 10)}))
