@@ -94,18 +94,22 @@ def check_vertex_budget(n_vertices: int, max_vertices: int | None = None) -> Non
 class GraphGU:
     """Graph on F_{q^n} with edges (a, b) whenever a != b and ab lies in U."""
 
-    __slots__ = ("ctx", "U", "n_vertices", "degrees", "_sq_mask", "_rows")
+    __slots__ = (
+        "ctx", "U", "n_vertices", "degrees", "_square_in_U", "_sq_mask", "_rows", "_by_log",
+    )
 
     def __init__(self, ctx: FieldCtx, U: Subspace):
         self.ctx = ctx
         self.U = U
         self.n_vertices = ctx.order
         self._rows: list[int] | None = None
+        self._by_log: bytes | None = None
         # the row of v != 0 is v^-1 U less v itself when v^2 lies in U
         square_in_U = U.member[ctx.squares()]
         degrees = U.size - square_in_U.astype(np.intp)
         degrees[0] = ctx.order - 1
         self.degrees = degrees.tolist()
+        self._square_in_U = square_in_U
         packed = np.packbits(square_in_U, bitorder="little").tobytes()
         self._sq_mask = int.from_bytes(packed, "little")
 
@@ -117,8 +121,26 @@ class GraphGU:
             self._rows = _orbit_rows(self.ctx, self.U)
         return self._rows
 
+    @property
+    def in_U_by_log(self) -> bytes:
+        """U's membership by discrete log: byte k, for k < 2(q^n - 1), is 1
+        when g^k lies in U, so a sum of two logs needs no reduction.  Built
+        on first read and kept."""
+        if self._by_log is None:
+            member = self.U.member[self.ctx._exp_np]
+            self._by_log = np.concatenate([member, member]).tobytes()
+        return self._by_log
+
     def has_edge(self, a: int, b: int) -> bool:
-        return a != b and bool(self.U.member[self.ctx.mul(a, b)])
+        """The paper's test, a != b and ab in U: for nonzero a and b one
+        read of ``in_U_by_log`` at log a + log b, no product and no row."""
+        if a == b:
+            return False
+        if a == 0 or b == 0:
+            return True
+        log = self.ctx._log
+        # the slot once built: a property read would cost a third of the call
+        return (self._by_log or self.in_U_by_log)[log[a] + log[b]] == 1
 
     def square_in_U_mask(self) -> int:
         """Bit mask of the vertices whose square lies in U."""
@@ -164,7 +186,8 @@ def _orbit_rows(
     """The rows of G_U in the labelling ``label_of`` (vertex -> label in
     0..m-1, onto, default the identity): row i holds bit j when a vertex of
     label i and one of label j are adjacent.  Vertices that share a label
-    must be false twins in one F_q*-orbit.  Needs the field's tables.
+    must make up a whole F_q*-orbit of false twins.  Needs the field's
+    tables.
 
     The row of g^k is g^-k U, the same for every vertex of the orbit
     g^k F_q*, so one base row is filled per orbit.  A block of base rows
@@ -178,8 +201,9 @@ def _orbit_rows(
       twins of one label into one cell.
     Vertex 0's cells are then set and each orbit's first vertex's own cell
     cleared, so that vertex takes the packed row as it is.  False twins
-    share that int; a true twin (v^2 in U) swaps its own bit for the first
-    vertex's.  The deadline is checked after each block.
+    share that int, which is written once when they share a label; a true
+    twin (v^2 in U) swaps its own bit for the first vertex's.  The deadline
+    is checked after each block.
     """
     n, mord, exp, log = ctx.order, ctx.mord, ctx._exp_np, ctx._log_np
     if label_of is None:
@@ -225,8 +249,12 @@ def _orbit_rows(
         for row, orbit, loop in zip(packed, orbits[:, start:start + count].T.tolist(), loops):
             first = orbit[0]
             rows[first] = row
-            for w in orbit[1:]:
-                rows[w] = row ^ (1 << first | 1 << w) if loop else row
+            if loop:
+                for w in orbit[1:]:
+                    rows[w] = row ^ (1 << first | 1 << w)
+            elif orbit[-1] != first:
+                for w in orbit[1:]:
+                    rows[w] = row
         _check_deadline(deadline, "search-row build")
     return rows
 
@@ -524,27 +552,33 @@ class Automorphisms:
 
     For each i, mu = lam^2 maps sigma_i(U) onto U, so mu sigma_i(b_0) is
     some nonzero u in U: the candidates are log mu = log u - p^i log b_0,
-    and a candidate holds when mu sigma_i(b) lies in U for every basis
-    element b, one membership gather.  Each square mu gives lam =
-    g^(log mu / 2) and, for odd q, its negative; for even q the square
-    root is unique.  A map is kept as the pair (log lam, p^i), a row of
-    the int64 array ``maps``.
+    and b_0 holds for each of them by construction.  A candidate is kept
+    when mu sigma_i(b) lies in U for every later basis element b: the
+    candidates are filtered one basis element at a time, each a read of
+    the graph's ``in_U_by_log`` at log mu + (p^i log b mod q^n - 1), which
+    stays below 2(q^n - 1).  Each square mu gives lam = g^(log mu / 2)
+    and, for odd q, its negative; for even q the square root is unique.  A
+    map is kept as the pair (log lam, p^i), a row of the int64 array
+    ``maps``.
     """
 
     __slots__ = ("ctx", "maps")
 
     def __init__(self, G: GraphGU):
         ctx, U = G.ctx, G.U
-        mord, exp, log = ctx.mord, ctx._exp_np, ctx._log_np
+        mord, log = ctx.mord, ctx._log_np
+        in_U = np.frombuffer(G.in_U_by_log, dtype=bool)
         log_u = log[np.flatnonzero(U.member)[1:]]  # U \ {0}
         log_b = log[np.asarray(U.basis)]
         self.ctx = ctx
         maps: list[tuple[int, int]] = []
         for i in range(ctx.mn):
             mult = ctx.p**i
-            mu = (log_u - mult * log_b[0]) % mord
-            holds = U.member[exp[(mu[:, None] + mult * log_b) % mord]].all(axis=1)
-            for m in mu[holds].tolist():
+            first, *rest = (mult * log_b % mord).tolist()
+            mu = (log_u - first) % mord
+            for shift in rest:
+                mu = mu[in_U[mu + shift]]
+            for m in mu.tolist():
                 if ctx.p == 2:
                     maps.append((m * (mord + 1 >> 1) % mord, mult))
                 elif m % 2 == 0:
@@ -605,23 +639,27 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
     vertex searched, the one a greedy colouring takes first, and the rest
     of the orbit take its label; every other vertex keeps a label of its
     own.  The i-th of the m vertices kept has label m - 1 - i.
+
+    The degrees take three values: q^n - 1 for vertex 0, |U| when v^2 lies
+    outside U and |U| - 1 when it lies in U (the whole field gives every
+    vertex q^n - 1, and every v^2 lies in it).  So the search order needs
+    no sort: 0, then the vertices with v^2 outside U by index, then those
+    with v^2 in U by index, read from the graph's square mask; and an
+    orbit's first vertex searched is its least.
     """
     ctx, n = G.ctx, G.n_vertices
-    degrees = np.asarray(G.degrees)
-    order = np.argsort(-degrees, kind="stable")
-    # v != 0 has |U| neighbours exactly when v^2 lies outside U; its orbit
-    # is log v mod step, as in _orbit_rows
-    step = ctx.mord // (ctx.q - 1)
-    classes = np.where(degrees == G.U.size, ctx._log_np % step, step + np.arange(n))[order]
-    # at each search position, the position of its class's first vertex
-    first = np.full(step + n, n)
-    np.minimum.at(first, classes, np.arange(n))
-    first = first[classes]
-    kept = first == np.arange(n)
-    label_at = kept.sum() - np.cumsum(kept)  # m - 1 - i at the i-th vertex kept
+    square_in_U = G._square_in_U
+    # column k holds the orbit g^k F_q*, as in _orbit_rows
+    orbits = ctx._exp_np.reshape(ctx.q - 1, ctx.mord // (ctx.q - 1))
+    least = orbits.min(axis=0)
+    kept = square_in_U.copy()
+    kept[least] = True
+    order = np.concatenate(([0], np.flatnonzero(kept & ~square_in_U), np.flatnonzero(square_in_U)[1:]))
     label_of = np.empty(n, dtype=np.intp)
-    label_of[order] = label_at[first]
-    return label_of, order[kept][::-1].tolist()
+    label_of[order] = np.arange(len(order) - 1, -1, -1)
+    # the rest of each false-twin orbit takes its least vertex's label
+    label_of[orbits] = np.where(square_in_U[least], label_of[orbits], label_of[least])
+    return label_of, order[::-1].tolist()
 
 
 def clique_number_exact(
