@@ -17,9 +17,13 @@ kernel (``_orbit_rows``) packs one row per orbit, in any labelling of the
 vertices: by index for the graph, and in search labels for the solver,
 which so never relabels a graph.  The graph packs its rows on first read
 of ``adjacency``, so an exact solve, which reads only its search rows,
-packs rows once; an edge test reads U's membership and no row.  The
-kernel reads the field's log tables, so graphs are built on tabled
-fields only.
+packs rows once.  The kernel reads the field's log tables, so graphs are
+built on tabled fields only.
+
+The edge test and the automorphism group read U by discrete log: the
+graph keeps, from first use, whether g^k lies in U for k < 2(q^n - 1)
+(``in_U_by_log``), so ab in U is one read at log a + log b, with no
+product, no reduction and no row.
 
 The exact solver is a branch-and-bound with a greedy-coloring upper
 bound.  The paper's structure theorem makes the vertices with v^2 outside
@@ -38,9 +42,10 @@ process pool, and a solve that ends sooner starts none.
 
 Whether v^2 lies in U is read from one place: U's membership array
 indexed by the field's table of squares, once per graph.  It gives the
-degrees (v != 0 has |U| neighbours, less one when v^2 lies in U) and,
-packed into an integer, ``square_in_U_mask``, from which the seed
-cliques and the clique decomposition take it.
+degrees (v != 0 has |U| neighbours, less one when v^2 lies in U), the
+search labels, which so need no sort, and, packed into an integer,
+``square_in_U_mask``, from which the seed cliques and the clique
+decomposition take it.
 """
 
 from __future__ import annotations
@@ -95,7 +100,8 @@ class GraphGU:
     """Graph on F_{q^n} with edges (a, b) whenever a != b and ab lies in U."""
 
     __slots__ = (
-        "ctx", "U", "n_vertices", "degrees", "_square_in_U", "_sq_mask", "_rows", "_by_log",
+        "ctx", "U", "n_vertices", "degrees", "_square_in_U", "_sq_mask", "_rows",
+        "_by_log",
     )
 
     def __init__(self, ctx: FieldCtx, U: Subspace):
@@ -647,18 +653,18 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
     with v^2 in U by index, read from the graph's square mask; and an
     orbit's first vertex searched is its least.
     """
-    ctx, n = G.ctx, G.n_vertices
-    square_in_U = G._square_in_U
+    ctx, n, square_in_U = G.ctx, G.n_vertices, G._square_in_U
     # column k holds the orbit g^k F_q*, as in _orbit_rows
     orbits = ctx._exp_np.reshape(ctx.q - 1, ctx.mord // (ctx.q - 1))
     least = orbits.min(axis=0)
-    kept = square_in_U.copy()
-    kept[least] = True
-    order = np.concatenate(([0], np.flatnonzero(kept & ~square_in_U), np.flatnonzero(square_in_U)[1:]))
+    twins = ~square_in_U[least]  # the orbits of false twins
+    kept_twin = np.zeros(n, dtype=bool)
+    kept_twin[least[twins]] = True
+    order = np.concatenate(([0], np.flatnonzero(kept_twin), np.flatnonzero(square_in_U)[1:]))
     label_of = np.empty(n, dtype=np.intp)
     label_of[order] = np.arange(len(order) - 1, -1, -1)
     # the rest of each false-twin orbit takes its least vertex's label
-    label_of[orbits] = np.where(square_in_U[least], label_of[orbits], label_of[least])
+    label_of[orbits] = np.where(twins, label_of[least], label_of[orbits])
     return label_of, order[::-1].tolist()
 
 
@@ -702,7 +708,7 @@ def clique_number_exact(
     filled one block of at most 1 M cells at a time (``_BLOCK_CELLS``, a
     byte each), from a membership table of about 2 q^n bytes when U is
     dense.  The label map takes 8 bytes per vertex and the group two
-    integers per map.
+    integers per map, read from the graph's ``in_U_by_log`` (2 q^n bytes).
     """
     stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
