@@ -255,12 +255,9 @@ def _orbit_rows(
         for row, orbit, loop in zip(packed, orbits[:, start:start + count].T.tolist(), loops):
             first = orbit[0]
             rows[first] = row
-            if loop:
+            if loop or orbit[-1] != first:
                 for w in orbit[1:]:
-                    rows[w] = row ^ (1 << first | 1 << w)
-            elif orbit[-1] != first:
-                for w in orbit[1:]:
-                    rows[w] = row
+                    rows[w] = row ^ (1 << first | 1 << w) if loop else row
         _check_deadline(deadline, "search-row build")
     return rows
 
