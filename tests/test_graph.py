@@ -581,7 +581,7 @@ def old_automorphism_maps(G):
                 maps.append((m * (mord + 1 >> 1) % mord, mult))
             elif m % 2 == 0:
                 maps += [(m >> 1, mult), ((m >> 1) + (mord >> 1), mult)]
-    return np.array(maps, dtype=np.int64).reshape(-1, 2)
+    return np.array(maps, dtype=np.int64)
 
 
 def _group_cross_check_subspaces():
