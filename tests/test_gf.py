@@ -1,6 +1,7 @@
 """Tests for the field tower arithmetic."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -15,7 +16,14 @@ from paleyvec.errors import (
     NotInSubfield,
     ParseError,
 )
-from paleyvec.gf import FieldCtx, _lex_least_irreducible, build_field, parse_field_spec
+from paleyvec.gf import (
+    FieldCtx,
+    _is_irreducible,
+    _lex_least_irreducible,
+    _Ops,
+    build_field,
+    parse_field_spec,
+)
 
 # Field spec -> (base_modulus, ext_modulus, generator, and the first 16 hex
 # digits of the SHA-256 of the exp, log and trace tables as int64 arrays).
@@ -235,7 +243,10 @@ def _base_mul_oracle(p, m, mod):
 
 
 class TestPowerTables:
-    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 2)])
+    # the last three have their least primitive element far from 2:
+    # g = 30, 12 and 9, so every candidate below it is walked and rejected
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 2),
+                                      (5, 1, 4), (3, 2, 3), (7, 1, 3)])
     def test_field_tables_match_polynomial_oracle(self, spec):
         ctx = build_field(*spec)
         assert _check_power_table(ctx._exp, ctx._log, ctx._mul_poly, ctx.order) == ctx.generator
@@ -248,6 +259,63 @@ class TestPowerTables:
         assert build_field(*spec).base_modulus == base.ext_modulus
         oracle = _base_mul_oracle(p, m, base.ext_modulus)
         _check_power_table(base._exp, base._log, oracle, base.order)
+
+
+def _scalar_ops(size):
+    """Operations of the field with size elements: residues mod a prime, or F_4."""
+    if size == 4:
+        f4 = build_field(2, 1, 2)
+        return _Ops(f4.add, f4.sub, f4.mul, f4.inv)
+    return _Ops(lambda a, b: (a + b) % size, lambda a, b: (a - b) % size,
+                lambda a, b: a * b % size, lambda a: pow(a, size - 2, size))
+
+
+def _monic(degree, size):
+    """Every monic polynomial of the degree, as a little-endian coefficient list."""
+    for low in itertools.product(range(size), repeat=degree):
+        yield list(low) + [1]
+
+
+def _divides(d, f, ops):
+    """True when the monic d divides f (schoolbook long division)."""
+    r, k = list(f), len(d) - 1
+    for top in range(len(r) - 1, k - 1, -1):
+        c = r[top]
+        for i in range(k + 1):
+            r[top - k + i] = ops.sub(r[top - k + i], ops.mul(c, d[i]))
+    return not any(r)
+
+
+def _mobius(d):
+    out, f = 1, 2
+    while f * f <= d:
+        if d % f == 0:
+            d //= f
+            if d % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if d > 1 else out
+
+
+def _gauss_count(k, size):
+    """Number of monic irreducibles of degree k: (1/k) sum over d | k of mu(d) size^(k/d)."""
+    return sum(_mobius(d) * size ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("size, top", [(2, 6), (3, 4), (4, 4), (5, 4)])
+    def test_matches_trial_division_and_gauss_count(self, size, top):
+        # every monic polynomial of degree 1..top over the field of the given size
+        ops = _scalar_ops(size)
+        for k in range(1, top + 1):
+            divisors = [d for j in range(1, k // 2 + 1) for d in _monic(j, size)]
+            count = 0
+            for f in _monic(k, size):
+                want = not any(_divides(d, f, ops) for d in divisors)
+                assert _is_irreducible(f, size, ops) == want, f
+                count += want
+            assert count == _gauss_count(k, size)
 
 
 class TestArithmetic:
