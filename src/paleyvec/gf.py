@@ -14,18 +14,21 @@ Both defining moduli are the lexicographically least monic irreducible
 polynomials of their degree, coefficients compared from the constant
 term upward and each coefficient by its integer index; the search starts
 at constant term 1, since above degree 1 a candidate with f(0) = 0 is
-divisible by x.  The generator is the least primitive element.  This
-pins down the encoding, so indices are reproducible across runs.  For
-m > 1, F_q is itself the tower ``build_field(p, 1, m)``: its modulus is
-the base modulus, its indices are the F_q coefficients, and its
+divisible by x, and Ben-Or's test rejects a candidate at its first
+factor of degree <= k/2.  The generator is the least primitive element.
+This pins down the encoding, so indices are reproducible across runs.
+For m > 1, F_q is itself the tower ``build_field(p, 1, m)``: its modulus
+is the base modulus, its indices are the F_q coefficients, and its
 operations are the ones the extension's modulus search and polynomial
 arithmetic use; for m = 1 they are the residues mod p.
 
 Multiplication, inversion, powering and traces run on discrete-log
 tables whenever q^n fits the table budget; addition works digit-wise on
-the base-p expansion (a plain XOR when p = 2).  The tables are built by
-doubling: multiplication by the generator is F_p-linear on base-p digit
-vectors, so each step is one numpy matrix product (see _power_tables).
+the base-p expansion (a plain XOR when p = 2).  Multiplication by an
+element is F_p-linear on base-p digit vectors, and the repeated squares
+of a candidate generator's matrix serve twice: their products test the
+candidate's primitivity, and for the least primitive one they fill the
+tables by doubling, one numpy matrix product a step (see _power_tables).
 Fields above the table budget fall back to polynomial arithmetic, which
 is slower but has no size limit below the construction cap; it serves
 predictions there, while graphs (and ``squares``) need the tables.
@@ -167,25 +170,19 @@ def _pgcd(a: list[int], b: list[int], ops: _Ops) -> list[int]:
 
 
 def _is_irreducible(f: list[int], field_size: int, ops: _Ops) -> bool:
-    """Rabin test for a monic polynomial over a field with field_size elements."""
+    """Ben-Or's test for a monic polynomial over a field with Q = field_size elements.
+
+    A reducible f of degree k has an irreducible factor of some degree
+    j <= k/2, which divides x^(Q^j) - x; the scan over j stops at the
+    first gcd(x^(Q^j) - x, f) that is not 1.
+    """
     k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    x = [0, 1]
-    frob = {0: x}
-    t = x
-    for j in range(1, k + 1):
+    x = t = [0, 1]
+    for _ in range(k // 2):
         t = _ppowmod(t, field_size, f, ops)
-        frob[j] = t
-    if frob[k] != x:
-        return False
-    for ell in _prime_factors(k):
-        g = _pgcd(_psub(frob[k // ell], x, ops), f, ops)
-        if len(g) != 1:
+        if len(_pgcd(_psub(t, x, ops), f, ops)) != 1:
             return False
-    return True
+    return k >= 1
 
 
 def _lex_least_irreducible(degree: int, field_size: int, ops: _Ops) -> tuple[int, ...]:
@@ -244,17 +241,6 @@ def _pow_idx(a: int, e: int, mul: Callable[[int, int], int]) -> int:
     return result
 
 
-def _find_generator(size: int, mul: Callable[[int, int], int]) -> int:
-    """Least primitive element of a field of the given size."""
-    if size == 2:
-        return 1
-    factors = _prime_factors(size - 1)
-    for g in range(2, size):
-        if all(_pow_idx(g, (size - 1) // r, mul) != 1 for r in factors):
-            return g
-    raise AssertionError("no generator found")  # unreachable
-
-
 def _index_of_digits(rows: np.ndarray, p: int) -> np.ndarray:
     """Index of each base-p digit row, one column at a time (no int64 copy of rows)."""
     out = np.zeros(len(rows), dtype=np.int64)
@@ -264,35 +250,45 @@ def _index_of_digits(rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _power_tables(p: int, digits: int, g: int, mul: Callable[[int, int], int]):
-    """(rows, exp, log) for a field of order p^digits with primitive element g.
+def _power_tables(p: int, digits: int, mul: Callable[[int, int], int], start: int):
+    """(g, rows, exp, log) for a field of order p^digits, g its least primitive element.
 
-    Multiplication by g is F_p-linear on base-p digit vectors.  The digit
-    rows of g^0 .. g^(2^j - 1) are extended by one product with the matrix
-    of g^(2^j), which is then squared.  rows[k] holds the digits of
-    exp[k] = g^k, in the narrowest unsigned type that holds a row-by-column
-    sum; log inverts exp on the nonzero indices (log[0] = 0).
+    Multiplication by a is F_p-linear on base-p digit vectors: its matrix
+    holds the digits of a * p^i in row i, and a^e is the product of the
+    matrix's repeated squares at the bits of e.  The candidates a = start,
+    start + 1, ... are tried in turn; a is rejected when a^((p^digits - 1)/r)
+    is 1 for some prime factor r.  The indices below start must hold no
+    primitive element.  For the first survivor g, the digit rows of
+    g^0 .. g^(2^j - 1) are extended by one product with its j-th square.
+    rows[k] holds the digits of exp[k] = g^k, in the narrowest unsigned type
+    that holds a row-by-column sum; log inverts exp on the nonzero indices
+    (log[0] = 0).
     """
     mord = p**digits - 1
-    pw = [p**i for i in range(digits)]
-    step = np.array(
-        [[mul(g, a) // b % p for b in pw] for a in pw],
-        dtype=np.min_scalar_type(digits * (p - 1) ** 2),
-    )
-    rows = np.zeros((mord, digits), dtype=step.dtype)
-    rows[0, 0] = 1
-    done = 1
-    while done < mord:
-        take = min(done, mord - done)
-        block = rows[done:done + take]
-        np.matmul(rows[:take], step, out=block)
+    pw = p ** np.arange(digits)
+    dtype = np.min_scalar_type(digits * (p - 1) ** 2)
+    tests = [mord // r for r in _prime_factors(mord)]
+    bits = [np.array([[e >> j & 1] for e in tests], dtype=bool) for j in range(mord.bit_length())]
+    one = np.eye(1, digits, dtype=dtype)  # the digit row of 1
+    for g in range(start, mord + 1):
+        squares = [(np.array([mul(g, b) for b in pw.tolist()])[:, None] // pw % p).astype(dtype)]
+        for _ in bits[1:]:
+            squares.append(squares[-1] @ squares[-1] % p)
+        powers = one  # becomes the digit rows of g^e, one row for each e in tests
+        for bit, square in zip(bits, squares):
+            powers = np.where(bit, powers @ square % p, powers)
+        if not (powers == one).all(axis=1).any():
+            break
+    rows = np.zeros((mord, digits), dtype=dtype)
+    rows[0] = one
+    for j, square in enumerate(squares):
+        block = rows[1 << j:2 << j]
+        np.matmul(rows[:len(block)], square, out=block)
         np.remainder(block, p, out=block)
-        done += take
-        step = step @ step % p
     exp = _index_of_digits(rows, p)
     log = np.zeros(mord + 1, dtype=np.int64)
     log[exp] = np.arange(mord, dtype=np.int64)
-    return rows, exp, log
+    return g, rows, exp, log
 
 
 class FieldCtx:
@@ -373,12 +369,14 @@ class FieldCtx:
         return self.element_from_coords(prod)
 
     def _build_tables(self) -> None:
-        """exp/log tables from the least generator by digit-row doubling
-        (see ``_power_tables``), then the trace and the scalar lists."""
+        """The least generator and its exp/log tables from one set of matrix
+        squares (see ``_power_tables``), then the trace and the scalar lists.
+
+        The scan for the generator starts at q: the indices below q are
+        F_q, whose units have order dividing q - 1 < q^n - 1."""
         p = self.p
-        self.generator = _find_generator(self.order, self._mul_poly)
-        rows, self._exp_np, self._log_np = _power_tables(
-            p, self.mn, self.generator, self._mul_poly
+        self.generator, rows, self._exp_np, self._log_np = _power_tables(
+            p, self.mn, self._mul_poly, self.q
         )
         # The trace is F_p-linear too.  Row i of its matrix is the digit sum
         # of the q-power orbit of p^i; applied to the rows it gives Tr(g^k).
