@@ -87,6 +87,26 @@ class TestOmega:
         assert "table limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,out", [
+    ("2^1^4", "base_modulus=0,1\next_modulus=1,0,0,1,1\n"),
+    ("3^2^2", "base_modulus=1,0,1\next_modulus=1,4,1\n"),
+])
+def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
+    # the moduli are the tabled build's, byte for byte, and no table is built
+    built = []
+    real_build = cli.build_field
+
+    def build(*args, **kw):
+        built.append(real_build(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_field", build)
+    assert cli.main(["field", field, "--print-modulus"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == out
+    assert [ctx.tabled for ctx in built] == [False]
+    assert built[0].generator is None and built[0]._exp is None
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
