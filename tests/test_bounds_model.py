@@ -7,15 +7,21 @@ max(omega(q, n), q^d) + 2 the prediction's `admits(omega)`,
 `bounds_report(U, omega)` and, where d >= 2, `check_corollary_q_power`.
 Dict keys are hashed in their given order, so a reordered report changes
 the digest.
+
+The two checks that read kappa are also compared, pair by pair, with a
+copy of their rational-enclosure form (``_ref_kappa``).
 """
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from paleyvec import predict, suites
 from paleyvec.gf import build_field
+from paleyvec.linalg import all_subspaces
 from paleyvec.predict import (
     BOUND_CHECKS,
     SubspaceInvariants,
@@ -105,3 +111,82 @@ def test_main3_computes_D_once_per_instance(monkeypatch):
     report = suites.run_suite("main3", qmax=3, nmax=4)
     assert report.failures == []
     assert 0 < len(calls) <= report.instances
+
+
+# -- kappa, against the rational-enclosure reference ---------------------------
+
+
+def _ref_log2_enclosure(v):
+    if v == 1:
+        return Fraction(0), Fraction(0)
+    x = Fraction(math.log2(v))
+    margin = Fraction(1, 1 << 44)
+    return x * (1 - margin), x * (1 + margin)
+
+
+def _ref_kappa(p, m, d, D):
+    """kappa = max(D, 7d/8 + 7/(32 log2 q)) as (hi, exact): exactly hi, or at most hi."""
+    D = Fraction(D)
+    if p == 2:
+        return max(D, Fraction(7, 8) * d + Fraction(7, 32 * m)), True
+    hi = max(D, Fraction(7, 8) * d + Fraction(7, 32) / _ref_log2_enclosure(p**m)[0])
+    return hi, hi <= D
+
+
+def _ref_kappa_upper(q, d, kappa, omega):
+    hi, exact = kappa
+    rem = omega - d
+    if rem <= 1:
+        return True
+    if exact and hi.denominator == 1:
+        return rem <= q ** int(hi)
+    if exact:
+        expo = hi * (q.bit_length() - 1)
+        return rem**expo.denominator <= 2**expo.numerator
+    return not _ref_log2_enclosure(rem)[0] > hi * _ref_log2_enclosure(q)[1]
+
+
+def _ref_shape(q, d, kappa, omega):
+    t = 0
+    while q**t <= omega:
+        r = omega - q**t
+        if t == 0:
+            if r <= d + 1 and omega <= d + 2:
+                return True
+        elif r + t <= d:
+            if omega <= d + 2 or not kappa[0] < t:
+                return True
+        t += 1
+    return False
+
+
+KAPPA_FIELDS = [(2, 1, 4), (2, 1, 5), (2, 1, 6), (3, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
+                (5, 1, 3), (7, 1, 3), (2, 3, 2)]
+_KAPPA_CHECKS = {c.name: c for c in BOUND_CHECKS if c.name in ("kappa-upper", "shape")}
+
+
+def test_kappa_checks_match_enclosure_reference():
+    """The kappa-upper and shape checks agree with the rational-enclosure
+    reference on every subspace with a nonzero square of KAPPA_FIELDS, at
+    every omega of ``_omega_range``, which reaches past q^kappa + d.  The
+    reference reads only q, d and D, so it is computed once per
+    (q, d, D, omega)."""
+    ref, pairs = {}, 0
+    for p, m, n in KAPPA_FIELDS:
+        ctx = build_field(p, m, n)
+        for d in range(1, n + 1):
+            for U in all_subspaces(ctx, d):
+                inv = SubspaceInvariants(U)
+                if not inv.has_square:
+                    continue
+                for omega in _omega_range(U):
+                    key = (ctx.q, d, inv.D, omega)
+                    if key not in ref:
+                        kappa = _ref_kappa(p, m, d, inv.D)
+                        ref[key] = (_ref_kappa_upper(ctx.q, d, kappa, omega),
+                                    _ref_shape(ctx.q, d, kappa, omega))
+                    got = tuple(_KAPPA_CHECKS[name].holds(inv, omega)
+                                for name in ("kappa-upper", "shape"))
+                    assert got == ref[key], (U, omega, got, ref[key])
+                    pairs += 1
+    assert pairs == 48171

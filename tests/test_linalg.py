@@ -539,3 +539,15 @@ class TestSerialization:
         for bad in ["", "basis", "ker-trace-of=0", "basis=x", "pivot=1"]:
             with pytest.raises(ParseError):
                 parse_subspace(ctx, bad)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2),
+                                  (5, 1, 3), (2, 3, 2), (7, 1, 2)])
+def test_enumeration_is_coordinate_lex(spec):
+    """Every subspace, dimensions 0 and n included, lists its members (read
+    off the membership array) in coordinate-lex order."""
+    ctx = build_field(*spec)
+    for d in range(ctx.n + 1):
+        for U in all_subspaces(ctx, d):
+            want = sorted(np.flatnonzero(U.member).tolist(), key=ctx.element_coords)
+            assert U.enumerate_elements() == want, U
