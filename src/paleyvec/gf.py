@@ -312,17 +312,22 @@ class FieldCtx:
         *,
         table_limit: int = DEFAULT_TABLE_LIMIT,
     ):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NonPrime(f"p = {p!r} is not prime")
         if not isinstance(m, int) or m < 1:
             raise DegreeOutOfRange(f"m = {m!r} must be a positive integer")
         if not isinstance(n, int) or n < 2:
             raise DegreeOutOfRange(f"n = {n!r} must be an integer >= 2")
-        order = p ** (m * n)
-        if order > DEFAULT_MAX_ORDER:
+        # p^(mn) >= 2^((bits of p - 1) mn): a huge order is refused before it
+        # is formed, and before p is tested for primality by trial division
+        too_big = (p.bit_length() - 1) * m * n >= DEFAULT_MAX_ORDER.bit_length()
+        if too_big or p ** (m * n) > DEFAULT_MAX_ORDER:
             raise BudgetExceeded(
                 f"field order {p}^{m * n} exceeds the construction budget {DEFAULT_MAX_ORDER}"
             )
+        if not _is_prime(p):
+            raise NonPrime(f"p = {p!r} is not prime")
+        order = p ** (m * n)
         self.p = p
         self.m = m
         self.n = n

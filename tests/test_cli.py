@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,17 @@ def test_exit_codes(argv, code, capsys):
     if code != cli.EXIT_OK:
         assert err.startswith(prefix)
         assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("field,code", [("1000000000000000003^1^2", cli.EXIT_BUDGET),
+                                        ("1001^1^2", cli.EXIT_USAGE)])
+def test_field_order_refused_before_primality(field, code):
+    # each in a process of its own with a timeout: trial division of a huge
+    # prime p would not return; an in-budget composite p is still refused
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "paleyvec.cli", "field", field], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
 
 
 @pytest.mark.parametrize(
