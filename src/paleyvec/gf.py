@@ -299,9 +299,11 @@ class FieldCtx:
 
     The moduli, the generator and the tables are fixed at construction,
     and every operation is a function of them and its integer arguments.
-    Two memos grow on use: the table of squares (``squares``) and each
-    element's F_p rows (see ``linalg.extend_echelon``).  A context stays in
-    its process: a parallel solve sends its workers rows only.
+    Memos grow on use: each element's F_p rows (see
+    ``linalg.extend_echelon``) and, on a tabled field, three read-only
+    index arrays that every subspace of the field reads, each built once:
+    ``squares``, ``orbit_least`` and, per divisor d of n, ``subfield_grid``.
+    A context stays in its process: a parallel solve sends its workers rows only.
     """
 
     def __init__(
@@ -358,7 +360,8 @@ class FieldCtx:
         self._exp = self._log = None
         self._exp_np = self._log_np = None
         self._trace = None
-        self._squares = None
+        self._squares = self._orbit_least = None
+        self._subfield_grids: dict[int, np.ndarray] = {}
         self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
         if self.tabled:
             self._build_tables()
@@ -468,6 +471,29 @@ class FieldCtx:
             sq.flags.writeable = False
             self._squares = sq
         return self._squares
+
+    def orbit_least(self) -> np.ndarray:
+        """Read-only array mapping every element v to the least element of
+        its orbit v F_q* (0 to 0), in the narrowest unsigned type that holds
+        an index.  Built on first use and kept; needs the tables."""
+        if self._orbit_least is None:
+            orbits = self._exp_np.reshape(self.q - 1, self.mord // (self.q - 1))
+            least = self._orbit_least = np.zeros(self.order, np.min_scalar_type(self.mord))
+            least[orbits] = orbits.min(axis=0)
+            least.flags.writeable = False
+        return self._orbit_least
+
+    def subfield_grid(self, d: int) -> np.ndarray:
+        """Read-only array g^(2k + j*step) at row k < step, column j < d, for
+        step = (q^n - 1)/(q^d - 1) (see ``linalg.D_invariant``), typed as in
+        ``orbit_least``.  Built on first use for each d and kept; needs the tables."""
+        if d not in self._subfield_grids:
+            step = self.mord // (self.q**d - 1)
+            logs = 2 * np.arange(step)[:, None] + step * np.arange(d)
+            grid = self._exp_np[logs % self.mord].astype(np.min_scalar_type(self.mord))
+            grid.flags.writeable = False
+            self._subfield_grids[d] = grid
+        return self._subfield_grids[d]
 
     # -- tower structure ------------------------------------------------
 

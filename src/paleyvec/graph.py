@@ -650,19 +650,14 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
     with v^2 in U by index, read from the graph's square mask; and an
     orbit's first vertex searched is its least.
     """
-    ctx, n, square_in_U = G.ctx, G.n_vertices, G._square_in_U
-    # column k holds the orbit g^k F_q*, as in _orbit_rows
-    orbits = ctx._exp_np.reshape(ctx.q - 1, ctx.mord // (ctx.q - 1))
-    least = orbits.min(axis=0)
-    twins = ~square_in_U[least]  # the orbits of false twins
-    kept_twin = np.zeros(n, dtype=bool)
-    kept_twin[least[twins]] = True
-    order = np.concatenate(([0], np.flatnonzero(kept_twin), np.flatnonzero(square_in_U)[1:]))
+    n, square_in_U, least = G.n_vertices, G._square_in_U, G.ctx.orbit_least()
+    twin = ~square_in_U  # constant on each orbit v F_q*, as lam^2 U = U
+    kept_twin = np.flatnonzero(twin & (least == np.arange(n)))
+    order = np.concatenate(([0], kept_twin, np.flatnonzero(square_in_U)[1:]))
     label_of = np.empty(n, dtype=np.intp)
     label_of[order] = np.arange(len(order) - 1, -1, -1)
     # the rest of each false-twin orbit takes its least vertex's label
-    label_of[orbits] = np.where(twins, label_of[least], label_of[orbits])
-    return label_of, order[::-1].tolist()
+    return np.where(twin, label_of[least], label_of), order[::-1].tolist()
 
 
 def clique_number_exact(

@@ -154,14 +154,23 @@ class Subspace:
         return bool(self.member[x])
 
     def enumerate_elements(self) -> list[int]:
-        """All elements, ordered lexicographically by coordinate vector: the
-        members sorted by a key that reads an index's base-q digits from the
-        lowest, the first coordinate being the most significant."""
+        """All elements, ordered lexicographically by coordinate vector, the
+        first coordinate the most significant.
+
+        On the canonical basis an element's coordinates at the pivot
+        columns are its coefficients, and two elements first differ at a
+        pivot column; so the members are sorted by their d pivot digits.
+        """
         if self.size > ENUM_BUDGET:
             raise BudgetExceeded(f"subspace of size {self.size} exceeds budget {ENUM_BUDGET}")
-        q, n = self.ctx.q, self.ctx.n
+        q = self.ctx.q
         members = np.flatnonzero(self.member)
-        key = sum(members // q**i % q * q ** (n - 1 - i) for i in range(n))
+        key = 0
+        for b in self.basis:
+            place = 1  # becomes q^pivot, the place of b's lowest nonzero digit
+            while b // place % q == 0:
+                place *= q
+            key = key * q + members // place % q
         return members[np.argsort(key)].tolist()
 
     def serialize(self) -> str:
@@ -366,7 +375,7 @@ def D_invariant(U: Subspace) -> int:
     k < step.  zeta has degree d over F_q, so zeta^j (j < d) is an
     F_q-basis of F_{q^d}, and a^2 F_{q^d} lies in the F_q-space U exactly
     when every g^(2k + j*step) does: one lookup of U's membership array
-    on a (step, d) grid of exp-table indices.
+    at the field's ``subfield_grid(d)``.
 
     The last step, d = 1, asks whether a^2 lies in U for some a != 0, which
     is the square test itself: when it fails, U has no nonzero square.
@@ -380,9 +389,7 @@ def D_invariant(U: Subspace) -> int:
         if d > U.dim:
             continue
         if ctx._exp_np is not None:
-            step = ctx.mord // (ctx.q**d - 1)
-            logs = 2 * np.arange(step)[:, None] + step * np.arange(d)
-            if U.member[ctx._exp_np[logs % ctx.mord]].all(axis=1).any():
+            if U.member[ctx.subfield_grid(d)].all(axis=1).any():
                 return d
             continue
         sub_basis = subfield_subspace(ctx, d).basis

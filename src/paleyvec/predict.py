@@ -7,17 +7,15 @@ exact solver.  ``SubspaceInvariants`` records what they rest on, and
 interval endpoints, ``admits``, ``bounds_report`` and
 ``check_corollary_q_power`` are all read off that table.
 
-Every check is phrased so that a pass/fail decision never rests on
-floating-point rounding: power comparisons are exact integer arithmetic
-where the exponent is rational, and certified rational enclosures (width
-well under 2^-40) where it is not.
+Every check is exact integer arithmetic, so a pass/fail decision never
+rests on floating-point rounding: where an exponent is irrational, as
+kappa's is for q not a power of 2, both sides are raised to a power that
+clears it (see ``SubspaceInvariants``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -43,27 +41,14 @@ def omega_qn(q: int, n: int) -> int:
 # -- the invariants record ----------------------------------------------------
 
 
-def _log2_enclosure(v: int) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of log2(v) for a positive integer."""
-    if v == 1:
-        return Fraction(0), Fraction(0)
-    x = Fraction(math.log2(v))
-    margin = Fraction(1, 1 << 44)  # libm is correct to ~1 ulp; 2^-44 is generous
-    return x * (1 - margin), x * (1 + margin)
-
-
-@dataclass(frozen=True)
-class KappaBound:
-    """The exponent cap max(D, 7d/8 + 7/(32 log2 q)): exactly hi, or at most hi."""
-
-    hi: Fraction
-    exact: bool
-
-
 class SubspaceInvariants:
     """The nonzero-square test, D, s and kappa of one subspace U, each
     computed on first read.  D and kappa are None when U has no nonzero
-    square; s is None unless q is odd, n even and U a hyperplane."""
+    square; s is None unless q is odd, n even and U a hyperplane.
+
+    kappa = max(D, 7d/8 + 7/(32 log2 q)) is kept as the integer pair
+    (q^D, 2^7 q^(28d)), since q^kappa = max(q^D, q^(7d/8) 2^(7/32)) is the
+    larger of the first and the 32nd root of the second."""
 
     def __init__(self, U: Subspace):
         self.U = U
@@ -84,15 +69,10 @@ class SubspaceInvariants:
         return s_invariant(self.U)
 
     @cached_property
-    def kappa(self) -> KappaBound | None:
+    def kappa(self) -> tuple[int, int] | None:
         if not self.has_square:
             return None
-        ctx, d, D = self.U.ctx, self.d, Fraction(self.D)
-        if ctx.p == 2:
-            k = max(D, Fraction(7, 8) * d + Fraction(7, 32 * ctx.m))
-            return KappaBound(k, True)
-        hi = max(D, Fraction(7, 8) * d + Fraction(7, 32) / _log2_enclosure(ctx.q)[0])
-        return KappaBound(hi, hi <= D)
+        return self.q**self.D, 2**7 * self.q ** (28 * self.d)
 
 
 # -- the bounds table ---------------------------------------------------------
@@ -117,23 +97,15 @@ class BoundCheck:
         return self.test(inv, omega)
 
 
-def _kappa_upper_holds(inv: SubspaceInvariants, omega: int) -> bool:
-    """Whether omega <= q^kappa + d, failing only when the whole enclosure
-    of kappa fails."""
-    q, kb, rem = inv.q, inv.kappa, omega - inv.d
-    if rem <= 1:
-        return True
-    if kb.exact and kb.hi.denominator == 1:
-        return rem <= q ** int(kb.hi)
-    if kb.exact:
-        # q is a power of two here, so the exponent of 2 is rational
-        expo = kb.hi * (q.bit_length() - 1)
-        return rem**expo.denominator <= 2**expo.numerator
-    return not _log2_enclosure(rem)[0] > kb.hi * _log2_enclosure(q)[1]
+def _below_q_kappa(inv: SubspaceInvariants, x: int) -> bool:
+    """Whether x <= q^kappa: x <= q^D, or x^32 <= 2^7 q^(28d)."""
+    q_D, q_32kappa = inv.kappa
+    return x <= q_D or x**32 <= q_32kappa
 
 
 def _shape_feasible(inv: SubspaceInvariants, omega: int) -> bool:
-    """Is omega = q^t + r for some admissible split (t, r)?"""
+    """Is omega = q^t + r for some admissible split (t, r)?  Above d + 2 a
+    split needs t <= kappa, tested in integers as q^t <= q^kappa."""
     q, d = inv.q, inv.d
     t = 0
     while q**t <= omega:
@@ -142,7 +114,7 @@ def _shape_feasible(inv: SubspaceInvariants, omega: int) -> bool:
             if r <= d + 1 and omega <= d + 2:
                 return True
         elif r + t <= d:
-            if omega <= d + 2 or not inv.kappa.hi < t:
+            if omega <= d + 2 or _below_q_kappa(inv, q**t):
                 return True
         t += 1
     return False
@@ -156,7 +128,9 @@ BOUND_CHECKS = (
     BoundCheck("subfield-lower", lambda inv: inv.has_square, lower=lambda inv: inv.q**inv.D),
     BoundCheck("square-lower", lambda inv: inv.has_square,
                lower=lambda inv: inv.q + min(1, inv.d - 1)),
-    BoundCheck("kappa-upper", lambda inv: inv.has_square, _kappa_upper_holds),
+    # omega <= q^kappa + d; omega - d <= 1 passes, as 1 < q <= q^D
+    BoundCheck("kappa-upper", lambda inv: inv.has_square,
+               lambda inv, w: _below_q_kappa(inv, w - inv.d)),
     BoundCheck("shape", lambda inv: inv.has_square, _shape_feasible),
     BoundCheck("global-upper", lambda inv: True, upper=lambda inv: omega_qn(inv.q, inv.n)),
     # the q^d corollary, with its equality case

@@ -14,8 +14,8 @@ from paleyvec.errors import (
     WrongParity,
     ZeroFunctional,
 )
-from paleyvec import linalg
-from paleyvec.gf import build_field
+from paleyvec import graph, linalg
+from paleyvec.gf import FieldCtx, build_field
 from paleyvec.linalg import (
     D_invariant,
     Subspace,
@@ -551,3 +551,31 @@ def test_enumeration_is_coordinate_lex(spec):
         for U in all_subspaces(ctx, d):
             want = sorted(np.flatnonzero(U.member).tolist(), key=ctx.element_coords)
             assert U.enumerate_elements() == want, U
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 4), (2, 2, 3)])
+def test_field_index_arrays_built_once(spec):
+    """The field arrays that D and the search labels read are built on first
+    use, kept read-only in the narrowest index type, and shared by every
+    subspace of the field; each row of a subfield grid spans g^(2k) F_{q^d}."""
+    ctx = FieldCtx(*spec)  # uncached, so nothing is built yet
+    assert ctx._orbit_least is None and ctx._subfield_grids == {}
+    seen = {}
+    for d in (1, 2):
+        for U in all_subspaces(ctx, d):
+            graph._search_labels(graph.build_graph(ctx, U))
+            if contains_nonzero_square(U):
+                D_invariant(U)
+            for key, arr in {"least": ctx.orbit_least(), **ctx._subfield_grids}.items():
+                assert seen.setdefault(key, arr) is arr, key
+    divisors = [d for d in (1, 2) if ctx.n % d == 0]
+    assert sorted(seen, key=str) == [*divisors, "least"]
+    for arr in seen.values():
+        assert arr.dtype == np.min_scalar_type(ctx.mord) and not arr.flags.writeable
+    assert seen["least"].tolist() == [min(ctx.mul(lam, v) for lam in range(1, ctx.q))
+                                      for v in range(ctx.order)]
+    for d in divisors:
+        sub = subfield_subspace(ctx, d).basis
+        for k, row in enumerate(seen[d].tolist()):
+            a2 = ctx.pow(ctx.generator, 2 * k)
+            assert span(ctx, row) == span(ctx, [ctx.mul(a2, b) for b in sub]), (d, k)
