@@ -73,6 +73,47 @@ def _dot(ctx, xs, ys):
     return acc
 
 
+def span_closure_search(form):
+    """Reference: the largest totally isotropic subspace of a trace form by
+    the span-closure extension search over index-increasing generating
+    sequences (every subspace is reachable through its greedy minimal
+    basis), each partial subspace closed by scalar adds; kept as the
+    oracle for the square-clique search."""
+    ctx = form.ctx
+    G = build_graph(ctx, hyperplane_from_functional(ctx, form.lam))
+    adj, sq_mask = G.adjacency, G.square_in_U_mask()
+    limit = ctx.n // 2  # a totally isotropic space sits inside its own complement
+    isotropic = [w for w in range(1, ctx.order) if sq_mask >> w & 1]
+    best = (0, ())
+
+    def extend(basis, span_set, cands):
+        nonlocal best
+        if len(basis) > best[0]:
+            best = (len(basis), tuple(basis))
+        if len(basis) == limit:
+            return
+        for idx, w in enumerate(cands):
+            if w in span_set:
+                continue
+            row = adj[w]
+            sub = [x for x in cands[idx + 1:] if x not in span_set and row >> x & 1]
+            new_span = set(span_set)
+            for lam in range(1, ctx.q):
+                lw = ctx.mul(lam, w)
+                new_span.update(ctx.add(s, lw) for s in span_set)
+            extend(basis + [w], new_span, sub)
+
+    extend([], {0}, isotropic)
+    return best[0], span(ctx, best[1])
+
+
+# fields whose every multiplier is checked against the span-closure reference
+REFERENCE_FIELDS = [
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3),
+    (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 2, 2), (2, 2, 3),
+]
+
+
 class TestGram:
     def test_f9_lambda_one(self):
         ctx = build_field(3, 1, 2)
@@ -235,6 +276,18 @@ class TestIsotropic:
                 t, _ = t_of_form(B)
                 found, _ = isotropic_dimension_search(B)
                 assert t == found, (spec, lam)
+
+    @pytest.mark.parametrize("spec", REFERENCE_FIELDS)
+    def test_search_matches_span_closure_reference(self, spec):
+        # t from the public search and from t_of_form against the reference
+        # search, on every multiplier; each witness is totally isotropic
+        ctx = build_field(*spec)
+        for lam in range(1, ctx.order):
+            B = BilinearForm.trace_form(ctx, lam)
+            want, _ = span_closure_search(B)
+            for t, W in (isotropic_dimension_search(B), t_of_form(B)):
+                assert (t, W.dim) == (want, want), (spec, lam)
+                assert all(B.evaluate(u, w) == 0 for u in W.basis for w in W.basis)
 
 
 class TestOrthogonalSets:
