@@ -7,12 +7,12 @@ F_q in the polynomial basis.  Both are required to be non-degenerate.
 The invariants computed here are the sign of the diagonalized form (odd
 q), the largest totally isotropic dimension t, and the largest size M of
 a pairwise orthogonal set of field elements.  For odd q both t and M
-have closed forms; the searches that produce witnesses double as
-independent oracles for them.  The sign and the complement take either
-kind of form; t and M are searched for trace forms only, on the graph of
-the hyperplane ker Tr(lam x): isotropic vectors are the vertices whose
-square lies in it, orthogonal pairs its edges, and M its clique number.
-The witness checks evaluate the form itself.
+have closed forms, which searches that use neither check.  The sign and
+the complement take either kind of form; t and M are searched for trace
+forms only, on the graph of the hyperplane ker Tr(lam x): isotropic
+vectors are the vertices whose square lies in it, orthogonal pairs its
+edges, M its clique number and q^t that of its isotropic vertices
+(``graph.square_clique``).  The witness checks evaluate the form itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     StructureViolation,
 )
 from .gf import FieldCtx
-from .graph import GraphGU, build_graph, clique_number_exact
+from .graph import GraphGU, build_graph, clique_number_exact, square_clique
 from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
 
 
@@ -202,64 +202,33 @@ def _orthogonality_graph(form: BilinearForm) -> GraphGU:
     return build_graph(ctx, hyperplane_from_functional(ctx, form.lam))
 
 
-def isotropic_dimension_search(form: BilinearForm, target: int | None = None):
-    """Largest totally isotropic subspace of a trace form by exhaustive
-    extension search, on the form's orthogonality graph.
-
-    Explores index-increasing generating sequences, so every subspace is
-    reachable through its greedy minimal basis.  With a target, stops as
-    soon as a subspace of that dimension is found.
-    """
-    ctx = form.ctx
-    G = _orthogonality_graph(form)
-    adj, sq_mask = G.adjacency, G.square_in_U_mask()
-    limit = ctx.n // 2  # a totally isotropic space sits inside its own complement
-    isotropic = [w for w in range(1, ctx.order) if sq_mask >> w & 1]
-    best: tuple[int, tuple[int, ...]] = (0, ())
-
-    def extend(basis, span_set, cands):
-        nonlocal best
-        if len(basis) > best[0]:
-            best = (len(basis), tuple(basis))
-        if len(basis) == limit or (target is not None and best[0] >= target):
-            return
-        for idx, w in enumerate(cands):
-            if w in span_set:
-                continue
-            row = adj[w]
-            sub = [x for x in cands[idx + 1 :] if x not in span_set and row >> x & 1]
-            new_span = set(span_set)
-            for lam in range(1, ctx.q):
-                lw = ctx.mul(lam, w)
-                new_span.update(ctx.add(s, lw) for s in span_set)
-            extend(basis + [w], new_span, sub)
-            if target is not None and best[0] >= target:
-                return
-
-    extend([], {0}, isotropic)
-    return best[0], span(ctx, best[1])
+def isotropic_dimension_search(form: BilinearForm) -> tuple[int, Subspace]:
+    """Largest totally isotropic subspace of a trace form, with its
+    dimension: ``graph.square_clique`` on the form's orthogonality graph,
+    whose totally isotropic subspaces are the subspaces W with W W inside
+    the hyperplane."""
+    t, witness = square_clique(_orthogonality_graph(form))
+    return t, span(form.ctx, witness)
 
 
 def t_of_form(form: BilinearForm) -> tuple[int, Subspace]:
     """Largest totally isotropic dimension, with a verified witness subspace.
 
-    Odd q: closed form (n odd gives (n-1)/2; n even adds the sign of the
-    form times the sign of -1 raised to n/2), witness found by search.
-    Even q: exhaustive search value.
+    The value is the search's.  For odd q it must equal the closed form (n
+    odd gives (n-1)/2; n even adds the sign of the form times the sign of
+    -1 raised to n/2), and a difference raises ``StructureViolation``.
     """
     ctx = form.ctx
     n = ctx.n
+    t, witness = isotropic_dimension_search(form)
     if ctx.p != 2:
         if n % 2:
-            t = (n - 1) // 2
+            closed = (n - 1) // 2
         else:
             chi_m1 = 1 if ctx.q % 4 == 1 else -1
-            t = (n + chi_of_form(form) * chi_m1 ** (n // 2) - 1) // 2
-        found, witness = isotropic_dimension_search(form, target=t)
-        if found != t:
-            raise StructureViolation(f"isotropic search reached {found}, expected {t}")
-    else:
-        t, witness = isotropic_dimension_search(form)
+            closed = (n + chi_of_form(form) * chi_m1 ** (n // 2) - 1) // 2
+        if t != closed:
+            raise StructureViolation(f"t formula {closed} != search {t}")
     if t > n // 2:
         raise StructureViolation(f"t = {t} exceeds n/2")
     for u in witness.basis:

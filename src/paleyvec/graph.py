@@ -45,7 +45,9 @@ indexed by the field's table of squares, once per graph.  It gives the
 degrees (v != 0 has |U| neighbours, less one when v^2 lies in U), the
 search labels, which so need no sort, and, packed into an integer,
 ``square_in_U_mask``, from which the seed cliques and the clique
-decomposition take it.
+decomposition take it.  ``square_clique`` runs the exact search on those
+vertices alone, for the largest t with a t-dimensional W such that W W
+lies in U.
 """
 
 from __future__ import annotations
@@ -727,6 +729,28 @@ def clique_number_exact(
     if search.best_size == len(seed):
         return len(seed), tuple(seed)
     return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
+
+
+def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
+    """The largest t with W W inside U for a t-dimensional subspace W, and
+    W's elements in increasing order: a maximum clique of G[S], S = {v :
+    v^2 in U}, since for a clique C of G[S] each product of two elements of
+    span(C) is an F_q-combination of products in C, so span(C) is one too.
+    It is the exact solve's search (``_search_labels``, in which S keeps
+    labels of its own, ``_orbit_rows`` and ``_Search`` with its orbit cut,
+    as phi(v)^2 = lam^2 sigma_i(v^2) keeps S fixed), run on S from the seed
+    {0}.  A witness whose size is not q^rank raises ``StructureViolation``.
+    """
+    label_of, vertex_of = _search_labels(G)
+    rows = _orbit_rows(G.ctx, G.U, label_of)
+    search = _Search(rows, None, functools.partial(Automorphisms, G), vertex_of, label_of)
+    search.seed([int(label_of[0])])
+    search.root(sum(1 << v for v in label_of[G._square_in_U].tolist()))
+    witness = tuple(sorted(vertex_of[v] for v in search.best))
+    t = rank(G.ctx, witness)
+    if G.ctx.q**t != len(witness):
+        raise StructureViolation(f"a maximum clique of {len(witness)} squares is not a subspace")
+    return t, witness
 
 
 # -- maximal clique enumeration ---------------------------------------------

@@ -14,11 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, PaleyvecError, PreconditionViolated
+from .errors import CapExceeded, PaleyvecError, PreconditionViolated, StructureViolation
 from .forms import (
     BilinearForm,
     chi_of_form,
-    isotropic_dimension_search,
     special_basis,
     t_of_form,
     verify_orthogonal_set,
@@ -295,7 +294,9 @@ def _lambda_sample(ctx: FieldCtx) -> list[int]:
 
 def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
     """Closed-form isotropic dimension and orthogonal-set size against
-    exhaustive searches, for trace forms over odd-order fields.  The form's
+    exhaustive searches, for trace forms over odd-order fields.  t is
+    searched once per lam, by ``t_of_form``, whose check against the closed
+    form and of the witness becomes a failure record.  The form's
     orthogonal sets are the cliques of the hyperplane ker Tr(lam x), solved
     once per hyperplane: the lam of one F_q*-orbit share it."""
     report = SuiteReport("crucial")
@@ -304,13 +305,12 @@ def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
         for lam in _lambda_sample(ctx):
             report.instances += 1
             B = BilinearForm.trace_form(ctx, lam)
-            t_closed, witness = t_of_form(B)
-            t_found, _ = isotropic_dimension_search(B)
-            if t_closed != t_found:
-                report.fail(field=[p, m, n], lam=lam,
-                            error=f"t formula {t_closed} != search {t_found}")
+            try:
+                t, _ = t_of_form(B)
+            except StructureViolation as exc:
+                report.fail(field=[p, m, n], lam=lam, error=str(exc))
                 continue
-            M_closed = ctx.q**t_closed + n - 2 * t_closed
+            M_closed = ctx.q**t + n - 2 * t
             M_found, E = instance_omega(hyperplane_from_functional(ctx, lam))
             if M_closed != M_found or not verify_orthogonal_set(B, E):
                 report.fail(field=[p, m, n], lam=lam,

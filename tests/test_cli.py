@@ -290,9 +290,9 @@ def test_bench_draws_at_most_limit(monkeypatch, capsys, dim, family):
 # SHA-256 of the `form` JSON lines for lambda = 1, ..., q^n - 1 in turn: t, M,
 # both witnesses, and chi (q odd) or M_upper (q even)
 PINNED_FORMS = {
-    "3^1^3": (27, "64fae451559ba2936c1120545510d5545f25cfb46e8257501eee306f96732d18"),
-    "5^1^2": (25, "eb4d4b33d831f4f15916face7bab07aba66a7d994608713dd85eef757b41ee32"),
-    "2^1^4": (16, "7ee1a707d312d5d5ec298a40df6f8fe4bf3e74ba681a928c27fd54284319eeec"),
+    "3^1^3": (27, "f361c86c022c799005dac6f4a2b0f0cad69cfd99dafa41156f3f829e9e827d2e"),
+    "5^1^2": (25, "60e608beb1a9f13fd30644a4ec0b0a9443a551ca1c0e40f67c48cbfafc6eec82"),
+    "2^1^4": (16, "429e7f01e27d0a8a4a90f7acfd7ffacdf7f9eac64d72e0154e5fc017ba6807a1"),
     "2^2^2": (16, "f5b9f6d228d4ca41e91936bfc32d54d06efd82e2c26424ff1e6363fcddd9964d"),
 }
 

@@ -1376,3 +1376,41 @@ class TestSinglePassCrossCheck:
             "non-square part of the clique is dependent",
             "spans of the two parts intersect beyond 0",
         }
+
+
+SQUARE_CLIQUE_FIELDS = [(2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", SQUARE_CLIQUE_FIELDS)
+def test_square_clique_matches_brute_force(spec):
+    # on every proper U, t is the largest dim W over every subspace W with
+    # W W inside U (each product of two basis elements in U, by scalar
+    # products), and the witness is the elements of one such W
+    ctx = build_field(*spec)
+    products = {
+        d: np.array([
+            [ctx.mul(a, b) for a, b in itertools.combinations_with_replacement(W.basis, 2)]
+            for W in all_subspaces(ctx, d)
+        ])
+        for d in range(1, ctx.n)
+    }
+    for d in range(1, ctx.n):
+        for U in all_subspaces(ctx, d):
+            want = max((k for k, prods in products.items() if U.member[prods].all(axis=1).any()),
+                       default=0)
+            t, witness = graph.square_clique(build_graph(ctx, U))
+            W = span(ctx, witness)
+            assert (t, W.dim) == (want, want), (spec, U.basis)
+            assert sorted(W.enumerate_elements()) == list(witness)
+            assert all(U.member[ctx.mul(a, b)] for a in W.basis for b in W.basis)
+
+
+def test_square_clique_refuses_a_non_subspace():
+    # with every vertex taken for a square, the search runs on all of the
+    # 2^1^4 trace-zero hyperplane's graph, whose clique number 5 is no
+    # power of 2
+    ctx = build_field(2, 1, 4)
+    G = build_graph(ctx, trace_zero_hyperplane(ctx))
+    G._square_in_U = np.ones(ctx.order, dtype=bool)
+    with pytest.raises(StructureViolation, match="not a subspace"):
+        graph.square_clique(G)

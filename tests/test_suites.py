@@ -2,7 +2,7 @@
 
 import pytest
 
-from paleyvec import cli, suites
+from paleyvec import cli, forms, suites
 from paleyvec.gf import build_field
 from paleyvec.linalg import trace_zero_hyperplane
 
@@ -40,3 +40,22 @@ def test_crucial_report_pinned(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         '{"failures": [], "instances": 208, "passes": 208, "schema": 1, "suite": "crucial"}\n'
     )
+
+
+def test_crucial_searches_once_and_records_a_disagreement(monkeypatch):
+    # one isotropic search per multiplier; a search that disagrees with the
+    # closed form is a failure record naming both values, not an exception
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    searched = []
+    square_clique = forms.square_clique
+
+    def off_by_one(G):
+        searched.append(G.U)
+        t, witness = square_clique(G)
+        return t + 1, witness
+
+    monkeypatch.setattr(forms, "square_clique", off_by_one)
+    report = suites.suite_crucial(qmax=3, nmax=3)
+    assert report.instances == len(searched) == 8 + 26
+    assert len(report.failures) == report.instances
+    assert report.failures[0] == {"field": [3, 1, 2], "lam": 1, "error": "t formula 1 != search 2"}
