@@ -105,15 +105,17 @@ def cmd_field(args) -> int:
 
 def cmd_omega(args) -> int:
     if args.mode in ("exact", "both"):
-        # refuse before the field build: 0.9 s at the table limit (2^1^20, 2-CPU Xeon)
+        # refuse before the field build: 0.9 s at the table limit (2^1^20,
+        # 2-CPU Xeon); p^(mn) >= 2^((bits of p - 1) mn), so a huge order is
+        # refused before it is formed
         p, m, n = parse_field_spec(args.field)
-        order = p ** (m * n)
-        check_vertex_budget(order, args.max_vertices)
-        if order > DEFAULT_TABLE_LIMIT:
+        too_big = (p.bit_length() - 1) * m * n >= DEFAULT_TABLE_LIMIT.bit_length()
+        if too_big or p ** (m * n) > DEFAULT_TABLE_LIMIT:
             raise BudgetExceeded(
                 f"exact solves need the field's tables: order {p}^{m * n} exceeds"
                 f" the table limit {DEFAULT_TABLE_LIMIT}"
             )
+        check_vertex_budget(p ** (m * n), args.max_vertices)
     ctx = _field_from_args(args)
     U = parse_subspace(ctx, args.subspace)
     if not 1 <= U.dim <= ctx.n - 1:

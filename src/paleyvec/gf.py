@@ -37,6 +37,7 @@ predictions there, while graphs (and ``squares``) need the tables.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -621,19 +622,15 @@ def build_field(p: int, m: int, n: int, *, table_limit: int = DEFAULT_TABLE_LIMI
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    """q = p^m for q >= 2, with p the least divisor of q above 1, which is prime."""
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m, v = 0, q
+    while v % p == 0:
+        v //= p
+        m += 1
+    if v != 1:
         raise ParseError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise ParseError(f"{q} is not a prime power")
-            return p, m
-    raise ParseError(f"{q} is not a prime power")
+    return p, m
 
 
 def parse_field_spec(spec: str) -> tuple[int, int, int]:
@@ -647,6 +644,15 @@ def parse_field_spec(spec: str) -> tuple[int, int, int]:
             parts = dict(kv.split("=", 1) for kv in spec.split(","))
             q = int(parts["q"])
             n = int(parts["n"])
+            if q < 2:
+                raise ParseError(f"{q} is not a prime power")
+            if n < 2:
+                raise DegreeOutOfRange(f"n = {n!r} must be an integer >= 2")
+            # q^n >= 2^((bits of q - 1) n): refused before q is factored
+            if (q.bit_length() - 1) * n >= DEFAULT_MAX_ORDER.bit_length():
+                raise BudgetExceeded(
+                    f"field order {q}^{n} exceeds the construction budget {DEFAULT_MAX_ORDER}"
+                )
             p, m = _factor_prime_power(q)
             return p, m, n
         pieces = spec.split("^")

@@ -183,15 +183,30 @@ def test_exit_codes(argv, code, capsys):
         assert "error: " in err.splitlines()[-1]
 
 
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "paleyvec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
 @pytest.mark.parametrize("field,code", [("1000000000000000003^1^2", cli.EXIT_BUDGET),
-                                        ("1001^1^2", cli.EXIT_USAGE)])
+                                        ("1001^1^2", cli.EXIT_USAGE),
+                                        ("q=1000000000000000003,n=2", cli.EXIT_BUDGET),
+                                        ("q=12,n=2", cli.EXIT_USAGE)])
 def test_field_order_refused_before_primality(field, code):
     # each in a process of its own with a timeout: trial division of a huge
-    # prime p would not return; an in-budget composite p is still refused
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "paleyvec.cli", "field", field], env=env,
-                          capture_output=True, text=True, timeout=30)
+    # prime p, or a walk over the candidates up to a huge q, would not
+    # return; an in-budget composite p or q is still refused
+    proc = _run_cli("field", field)
     assert proc.returncode == code, proc.stderr
+
+
+def test_exact_omega_refuses_a_huge_order_before_forming_it():
+    # 3^100000000 would take the pre-check minutes to form
+    proc = _run_cli("omega", "--field", "3^1^100000000", "--subspace", "basis=1",
+                    "--mode", "exact")
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert "table limit" in proc.stderr
 
 
 @pytest.mark.parametrize(
