@@ -105,9 +105,8 @@ def cmd_field(args) -> int:
 
 def cmd_omega(args) -> int:
     if args.mode in ("exact", "both"):
-        # refuse before the field build: 0.9 s at the table limit (2^1^20,
-        # 2-CPU Xeon); p^(mn) >= 2^((bits of p - 1) mn), so a huge order is
-        # refused before it is formed
+        # refuse before the field build (0.9 s at the table limit, 2^1^20, 2-CPU
+        # Xeon), and a huge order before it is formed: p^(mn) >= 2^((bits of p - 1) mn)
         p, m, n = parse_field_spec(args.field)
         too_big = (p.bit_length() - 1) * m * n >= DEFAULT_TABLE_LIMIT.bit_length()
         if too_big or p ** (m * n) > DEFAULT_TABLE_LIMIT:

@@ -45,9 +45,7 @@ indexed by the field's table of squares, once per graph.  It gives the
 degrees (v != 0 has |U| neighbours, less one when v^2 lies in U), the
 search labels, which so need no sort, and, packed into an integer,
 ``square_in_U_mask``, from which the seed cliques and the clique
-decomposition take it.  ``square_clique`` runs the exact search on those
-vertices alone, for the largest t with a t-dimensional W such that W W
-lies in U.
+decomposition take it; ``square_clique`` searches those vertices alone.
 """
 
 from __future__ import annotations
@@ -732,15 +730,12 @@ def clique_number_exact(
 
 
 def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
-    """The largest t with W W inside U for a t-dimensional subspace W, and
-    W's elements in increasing order: a maximum clique of G[S], S = {v :
-    v^2 in U}, since for a clique C of G[S] each product of two elements of
-    span(C) is an F_q-combination of products in C, so span(C) is one too.
-    It is the exact solve's search (``_search_labels``, in which S keeps
-    labels of its own, ``_orbit_rows`` and ``_Search`` with its orbit cut,
-    as phi(v)^2 = lam^2 sigma_i(v^2) keeps S fixed), run on S from the seed
-    {0}.  A witness whose size is not q^rank raises ``StructureViolation``.
-    """
+    """The largest t such that W W lies in U for a t-dimensional subspace
+    W, and the elements of one such W: a maximum clique of G[S], S = {v :
+    v^2 in U}, since the span of a clique of G[S] is one too.  The exact
+    solve's search (S keeps labels of its own, and phi(v)^2 = lam^2
+    sigma_i(v^2) keeps S fixed, so the orbit cut holds) runs on S from the
+    seed {0}.  A witness whose size is not q^rank raises ``StructureViolation``."""
     label_of, vertex_of = _search_labels(G)
     rows = _orbit_rows(G.ctx, G.U, label_of)
     search = _Search(rows, None, functools.partial(Automorphisms, G), vertex_of, label_of)

@@ -294,9 +294,8 @@ def _lambda_sample(ctx: FieldCtx) -> list[int]:
 
 def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
     """Closed-form isotropic dimension and orthogonal-set size against
-    exhaustive searches, for trace forms over odd-order fields.  t is
-    searched once per lam, by ``t_of_form``, whose check against the closed
-    form and of the witness becomes a failure record.  The form's
+    exhaustive searches, for trace forms over odd-order fields; a check of
+    ``t_of_form``, which searches t once, fails the instance.  The form's
     orthogonal sets are the cliques of the hyperplane ker Tr(lam x), solved
     once per hyperplane: the lam of one F_q*-orbit share it."""
     report = SuiteReport("crucial")
