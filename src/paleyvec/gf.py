@@ -56,6 +56,12 @@ DEFAULT_MAX_ORDER = 1 << 24
 DEFAULT_TABLE_LIMIT = 1 << 20
 
 
+def power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """base^exp > limit, for base >= 1, with a huge power refused before it
+    is formed: base^exp >= 2^((bits of base - 1) exp)."""
+    return (base.bit_length() - 1) * exp >= limit.bit_length() or base**exp > limit
+
+
 def _is_prime(v: int) -> bool:
     if v < 2:
         return False
@@ -321,10 +327,8 @@ class FieldCtx:
             raise DegreeOutOfRange(f"m = {m!r} must be a positive integer")
         if not isinstance(n, int) or n < 2:
             raise DegreeOutOfRange(f"n = {n!r} must be an integer >= 2")
-        # p^(mn) >= 2^((bits of p - 1) mn): a huge order is refused before it
-        # is formed, and before p is tested for primality by trial division
-        too_big = (p.bit_length() - 1) * m * n >= DEFAULT_MAX_ORDER.bit_length()
-        if too_big or p ** (m * n) > DEFAULT_MAX_ORDER:
+        # refused before p is tested for primality by trial division
+        if power_exceeds(p, m * n, DEFAULT_MAX_ORDER):
             raise BudgetExceeded(
                 f"field order {p}^{m * n} exceeds the construction budget {DEFAULT_MAX_ORDER}"
             )
@@ -648,8 +652,7 @@ def parse_field_spec(spec: str) -> tuple[int, int, int]:
                 raise ParseError(f"{q} is not a prime power")
             if n < 2:
                 raise DegreeOutOfRange(f"n = {n!r} must be an integer >= 2")
-            # q^n >= 2^((bits of q - 1) n): refused before q is factored
-            if (q.bit_length() - 1) * n >= DEFAULT_MAX_ORDER.bit_length():
+            if power_exceeds(q, n, DEFAULT_MAX_ORDER):  # before q is factored
                 raise BudgetExceeded(
                     f"field order {q}^{n} exceeds the construction budget {DEFAULT_MAX_ORDER}"
                 )
