@@ -37,6 +37,7 @@ from paleyvec.graph import (
     greedy_seed_clique,
     is_maximal_clique,
 )
+from paleyvec.predict import hyperplane_omega
 
 
 def brute_force_omega(G):
@@ -304,6 +305,13 @@ PINNED_SEARCHES = {
 }
 
 
+# every hyperplane of these fields is checked against the isometries of its form
+ISOMETRY_FIELDS = [
+    (2, 1, 4), (2, 1, 5), (2, 1, 6), (3, 1, 3), (3, 1, 4), (5, 1, 2), (2, 2, 2), (2, 2, 3),
+    (3, 2, 2),
+]
+
+
 class _IdentityOnly(Automorphisms):
     """The identity alone: the search it drives is the search without symmetry."""
 
@@ -405,6 +413,33 @@ class TestOrbitPruning:
         assert 0 < stats.orbit_skips
         assert stats.nodes < plain_stats.nodes
 
+    @pytest.mark.parametrize("spec", sorted(set(PINNED_SOLUTIONS) | set(ISOMETRY_FIELDS)))
+    def test_every_hyperplane_with_both_triggers_at_zero(self, spec, monkeypatch):
+        # the automorphism group and the isometries from the first root
+        # branch on: every root and depth-1 cut that the search can make
+        ctx = build_field(*spec)
+        for _, U in all_hyperplanes(ctx):
+            G = build_graph(ctx, U)
+            plain = self._plain(G, monkeypatch)[0]
+            with monkeypatch.context() as m:
+                m.setattr(graph, "_ORBIT_NODES", 0)
+                m.setattr(graph, "_ISOMETRY_NODES", 0, raising=False)
+                (size, witness), stats = _solve(G)
+                assert size == plain[0] == len(witness)
+                assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+                t, square_witness = graph.square_clique(G)
+            assert t == self._plain_square_clique(G, monkeypatch)[0]
+            assert all(G.has_edge(a, b) for a, b in itertools.combinations(square_witness, 2))
+            assert G.square_in_U_mask() & sum(1 << v for v in square_witness) == sum(
+                1 << v for v in square_witness
+            )
+
+    @staticmethod
+    def _plain_square_clique(G, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(graph, "Automorphisms", _IdentityOnly)
+            return graph.square_clique(G)
+
     def test_stats(self):
         ctx = build_field(2, 1, 9)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
@@ -414,6 +449,22 @@ class TestOrbitPruning:
         assert par.group_order == stats.group_order
         assert par.seed_size == stats.seed_size
         assert 0 < par.orbit_skips
+
+
+class TestHyperplaneOmega:
+    """The exact solve of a trace-zero hyperplane against the paper's closed form."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [(2, 1, n) for n in range(7, 12)] + [(3, 1, n) for n in range(5, 9)] + [(5, 1, 5)],
+    )
+    def test_trace_zero(self, spec):
+        ctx = build_field(*spec)
+        U = trace_zero_hyperplane(ctx)
+        G = build_graph(ctx, U)
+        omega, witness = clique_number_exact(G)
+        assert omega == hyperplane_omega(U) == len(witness)
+        assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
 
 
 class TestHandOff:
