@@ -68,7 +68,14 @@ from .errors import (
     ZeroDimension,
 )
 from .gf import FieldCtx
-from .linalg import Subspace, extend_echelon, rank
+from .linalg import (
+    Subspace,
+    _digit_add_np,
+    extend_echelon,
+    fp_combinations,
+    functional_of_hyperplane,
+    rank,
+)
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
@@ -600,6 +607,81 @@ class Automorphisms:
         lam, mult = self.maps.T
         logs = (lam + mult * self.ctx._log_np[v]) % self.ctx.mord
         return np.where(v, self.ctx._exp_np[logs], 0)
+
+
+# a hyperplane solve takes this many isometries of its form, built once the
+# search has spent _ISOMETRY_NODES nodes (checked when a depth-1 child returns)
+_ISOMETRY_GENERATORS = 12
+_ISOMETRY_NODES = 256
+
+
+class Isometries:
+    """Certified isometries of B(x, y) = Tr(cxy), for a hyperplane U = ker Tr(cx).
+
+    ab lies in U exactly when B(a, b) = 0, so a bijection that keeps B is an
+    automorphism of G_U.  The generators are, for even q, the transvections
+    x -> x + B(x, a) a with B(a, a) = 0 and, for odd q, the reflections
+    x -> x - 2 B(x, a) / B(a, a) a with B(a, a) != 0, for a the first
+    ``_ISOMETRY_GENERATORS`` powers g^j that qualify, j < (q^n - 1)/(q - 1)
+    (one per F_q*-orbit, which gives one map).  Each is a q^n-entry array,
+    x -> its image: B(x, a) is the trace table read at the log of ca x, and
+    x plus its multiple of a is a digit-wise sum.  Each array is certified
+    before use (``_certify_isometry``): a permutation, additive on every
+    F_p basis shift, that keeps B on every F_p basis pair; so it keeps B
+    everywhere, whatever built it.  ``perms`` holds the arrays, one row
+    each: k rows of q^n int64.
+    """
+
+    __slots__ = ("perms",)
+
+    def __init__(self, G: GraphGU):
+        ctx = G.ctx
+        p, q, mord = ctx.p, ctx.q, ctx.mord
+        c = functional_of_hyperplane(G.U)
+        exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
+        x = np.arange(ctx.order)
+        two = ctx.add(1, 1)
+        perms = []
+        for a in ctx._exp[:mord // (q - 1)]:
+            if len(perms) == _ISOMETRY_GENERATORS:
+                break
+            ca = ctx.mul(c, a)
+            b_aa = ctx._trace[ctx.mul(ca, a)]
+            if (b_aa == 0) != (p == 2):
+                continue
+            scale = 1 if p == 2 else ctx.neg(ctx.mul(two, ctx.inv(b_aa)))
+            # the element (scale * s) a for each scalar s of F_q
+            step = np.array([ctx.mul(ctx.mul(scale, s), a) for s in range(q)])
+            b_xa = trace[exp[(log[ca] + log) % mord]]
+            b_xa[0] = 0
+            perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
+            _certify_isometry(ctx, c, perm)
+            perms.append(perm)
+        self.perms = np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
+
+
+def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
+    """Raise ``StructureViolation`` unless ``perm`` is a permutation of the
+    field that keeps B(x, y) = Tr(cxy): equal to the F_p-linear map with
+    its images of the F_p basis p^i (``linalg.fp_combinations``), so
+    additive on every basis shift, and keeping B on every pair of basis
+    elements, so keeping B, which is F_p-bilinear."""
+    seen = np.zeros(ctx.order, dtype=bool)
+    seen[perm] = True
+    if not seen.all():
+        raise StructureViolation("an isometry generator is not a permutation")
+    basis = ctx.p ** np.arange(ctx.mn)
+    if not np.array_equal(perm, fp_combinations(ctx, perm[basis].tolist())):
+        raise StructureViolation("an isometry generator is not additive")
+    # a permutation fixing 0 sends the basis to nonzero elements, which have logs
+    exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
+
+    def gram(elems: np.ndarray) -> np.ndarray:
+        logs = log[c] + log[elems]
+        return trace[exp[(logs[:, None] + log[elems]) % ctx.mord]]
+
+    if not np.array_equal(gram(perm[basis]), gram(basis)):
+        raise StructureViolation("an isometry generator does not keep the form")
 
 
 @dataclass

@@ -86,7 +86,8 @@ def nullspace(ctx: FieldCtx, rows: list[list[int]]) -> list[list[int]]:
 
 
 def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
-    """Element indices xs plus the element s: base-p digits added mod p."""
+    """Element indices xs plus s, one element or an array of them: base-p
+    digits added mod p."""
     if p == 2:
         return xs ^ s
     out = np.zeros_like(xs)
@@ -94,6 +95,22 @@ def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
         place = p**j
         out += (xs // place + s // place) % p * place
     return out
+
+
+def fp_combinations(ctx: FieldCtx, gens: list[int]) -> np.ndarray:
+    """The element sum_i d_i gens[i] at each index sum_i d_i p^i (digits
+    d_i < p) below p^len(gens): by doubling, each generator multiplying
+    the elements found so far by p."""
+    p = ctx.p
+    elems = np.zeros(p ** len(gens), dtype=np.int64)
+    filled = 1
+    for g in gens:
+        for c in range(1, p):
+            elems[c * filled:(c + 1) * filled] = _digit_add_np(
+                elems[:filled], ctx.mul(c, g), p, ctx.mn
+            )
+        filled *= p
+    return elems
 
 
 class Subspace:
@@ -133,19 +150,10 @@ class Subspace:
         F_q, and each one multiplies the elements found so far by p.
         """
         if self._member is None:
-            ctx, p = self.ctx, self.ctx.p
-            elems = np.zeros(self.size, dtype=np.int64)
-            filled = 1
-            for b in self.basis:
-                for j in range(ctx.m):
-                    g = ctx.mul(p**j, b)
-                    for c in range(1, p):
-                        elems[c * filled:(c + 1) * filled] = _digit_add_np(
-                            elems[:filled], ctx.mul(c, g), p, ctx.mn
-                        )
-                    filled *= p
+            ctx = self.ctx
+            gens = [ctx.mul(ctx.p**j, b) for b in self.basis for j in range(ctx.m)]
             member = np.zeros(ctx.order, dtype=bool)
-            member[elems] = True
+            member[fp_combinations(ctx, gens)] = True
             member.flags.writeable = False
             self._member = member
         return self._member

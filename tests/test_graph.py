@@ -22,6 +22,7 @@ from paleyvec.linalg import (
     all_hyperplanes,
     all_subspaces,
     contains_nonzero_square,
+    functional_of_hyperplane,
     span,
     subfield_subspace,
     trace_zero_hyperplane,
@@ -709,6 +710,50 @@ def _pinned_rows(spec):
     vertices, rows = old_search_rows(G.adjacency, order)
     n = G.n_vertices
     return _rows_digest(G.adjacency, n), _rows_digest(rows, n, vertices)
+
+
+class TestIsometries:
+    """The isometry generators of a hyperplane's form, against its graph."""
+
+    @pytest.mark.parametrize("spec", ISOMETRY_FIELDS)
+    def test_every_generator_permutes_the_rows(self, spec):
+        ctx = build_field(*spec)
+        for _, U in all_hyperplanes(ctx):
+            G = build_graph(ctx, U)
+            A = _adjacency_matrix(G)
+            perms = graph.Isometries(G).perms
+            assert 0 < len(perms) <= graph._ISOMETRY_GENERATORS
+            for perm in perms:
+                assert (A[np.ix_(perm, perm)] == A).all()
+
+    @pytest.mark.parametrize("spec", [(2, 1, 12), (2, 3, 4), (3, 1, 8), (5, 1, 5)])
+    def test_generators_taken(self, spec):
+        ctx = build_field(*spec)
+        perms = graph.Isometries(build_graph(ctx, trace_zero_hyperplane(ctx))).perms
+        assert perms.shape == (graph._ISOMETRY_GENERATORS, ctx.order)
+        assert len({perm.tobytes() for perm in perms}) == len(perms)
+
+    @pytest.mark.parametrize("spec", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)])
+    def test_certificate(self, spec):
+        ctx = build_field(*spec)
+        c = functional_of_hyperplane(trace_zero_hyperplane(ctx))
+        identity = np.arange(ctx.order)
+        graph._certify_isometry(ctx, c, identity)
+        # x -> -x keeps Tr(cxy); x -> g x is linear but scales it by g^2
+        graph._certify_isometry(ctx, c, np.array([ctx.neg(v) for v in range(ctx.order)]))
+        times_g = ctx._exp_np[(ctx._log_np + 1) % ctx.mord]
+        times_g[0] = 0
+        swapped = identity.copy()
+        swapped[[1, 2]] = 2, 1
+        collapsed = identity.copy()
+        collapsed[1] = 0
+        for perm, message in [
+            (collapsed, "not a permutation"),
+            (swapped, "not additive"),
+            (times_g, "does not keep the form"),
+        ]:
+            with pytest.raises(StructureViolation, match=message):
+                graph._certify_isometry(ctx, c, perm)
 
 
 class TestPinnedRows:
