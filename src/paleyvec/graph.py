@@ -40,6 +40,17 @@ builds it once it has spent 64 nodes, so the many small solves never pay
 for it; with several workers the root branches from then on go to a
 process pool, and a solve that ends sooner starts none.
 
+A hyperplane U = ker Tr(cx) has more automorphisms: ab lies in U exactly
+when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``Isometries``
+builds twelve, transvections for even q and reflections for odd q, each a
+q^n-entry array certified as an isometry before use.  Once the search has
+spent 256 nodes, checked when a depth-1 child returns, it takes them as
+maps of its labels: their orbits, joined by the group's, cut the root, and
+the orbits under those that fix a root branch's vertex cut that branch's
+children (isomorphism pruning at depth 1).  A hyperplane so keeps a
+handful of root orbits: the 2^1^11 trace-zero one takes 5,194 nodes, not
+816,268.
+
 Whether v^2 lies in U is read from one place: U's membership array
 indexed by the field's table of squares, once per graph.  It gives the
 degrees (v != 0 has |U| neighbours, less one when v^2 lies in U), the
@@ -312,15 +323,19 @@ class _Search:
     ``symmetry``, when given, builds the group of ``Automorphisms`` (in
     vertex numbering) at most once; ``vertex_of`` maps each label to the
     vertex it keeps and ``label_of`` each vertex to its label.
+    ``isometries``, when given (a hyperplane), builds the ``Isometries`` of
+    its form at most once; they are kept as maps of the labels.
     """
 
     __slots__ = (
         "adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes",
         "symmetry", "vertex_of", "label_of", "group", "orbit_skips", "workers",
-        "check_at", "handoff_at",
+        "check_at", "handoff_at", "isometries", "label_perms", "orbits",
     )
 
-    def __init__(self, adj, deadline=None, symmetry=None, vertex_of=None, label_of=None):
+    def __init__(
+        self, adj, deadline=None, symmetry=None, vertex_of=None, label_of=None, isometries=None
+    ):
         full = (1 << len(adj)) - 1
         self.adj = adj
         self.bits = [1 << v for v in range(len(adj))]
@@ -340,6 +355,9 @@ class _Search:
         # expand calls _checkpoint at node check_at: the clock, or a hand-off
         self.handoff_at = sys.maxsize
         self.check_at = 256 if deadline is not None else sys.maxsize
+        self.isometries = isometries
+        self.label_perms: np.ndarray | None = None  # the isometries on labels, once built
+        self.orbits: _Orbits | None = None  # the root's orbits, once the isometries are built
 
     def seed(self, witness: list[int]) -> None:
         self.best = list(witness)
@@ -372,14 +390,48 @@ class _Search:
         return order, colors
 
     def orbit_mask(self, labels: list[int]) -> int:
-        """The union of the orbits of the given labels under the group, as
-        a bit mask.  The group holds x -> lam x, so an orbit holds whole
-        twin orbits and maps onto whole labels."""
-        images = self.group.images([self.vertex_of[v] for v in labels])
+        """The union of the orbits of the given labels, as a bit mask: under
+        the isometries and the group once the isometries are built (``orbits``),
+        else under the group once built, else the labels alone.  The group
+        holds x -> lam x, so an orbit holds whole twin orbits and maps onto
+        whole labels."""
         mask = 0
+        if self.orbits is not None:
+            for v in labels:
+                mask |= self.orbits.mask(v)
+            return mask
+        if self.group is None:
+            for v in labels:
+                mask |= self.bits[v]
+            return mask
+        images = self.group.images([self.vertex_of[v] for v in labels])
         for v in set(self.label_of[images].ravel().tolist()):
             mask |= self.bits[v]
         return mask
+
+    def _build_isometries(self) -> None:
+        """The isometries as label maps (an isometry keeps B(v, v), so it
+        maps whole twin orbits onto whole labels), and the root's orbits:
+        their parts, each joined with the parts of the group's images of
+        one of its labels.  Builds the group too if it is not yet built."""
+        perms = self.label_of[self.isometries().perms[:, self.vertex_of]]
+        self.isometries = None
+        if self.group is None:
+            self.group = self.symmetry()
+        labels = np.arange(len(self.adj))
+        parts = _join(labels, np.tile(labels, len(perms)), perms.ravel())
+        reps = np.flatnonzero(parts == labels)
+        images = self.label_of[self.group.images(np.asarray(self.vertex_of)[reps])]
+        self.orbits = _Orbits(_join(parts, np.repeat(reps, images.shape[1]), images.ravel()))
+        self.label_perms = perms
+        _check_deadline(self.deadline, "the isometries")
+
+    def stabiliser(self, v: int) -> np.ndarray:
+        """The parts of the labels under the isometries that fix label v,
+        as each label's least part-mate: those with B(a, v) = 0 fix v."""
+        perms = self.label_perms[self.label_perms[:, v] == v]
+        labels = np.arange(len(self.adj))
+        return _join(labels, np.tile(labels, len(perms)), perms.ravel())
 
     def root(self, cand: int, workers: int = 1) -> None:
         """``expand([], cand)``, with the root's branches cut by orbit and,
@@ -387,18 +439,22 @@ class _Search:
 
         Once the branch on v has returned, ``best_size`` bounds every
         clique through v, and so through any image of v: v's orbit leaves
-        the candidates.  The group is built when a root branch returns with
-        ``_ORBIT_NODES`` nodes spent in all; then the orbits of the vertices
-        branched on so far are cleared.  With ``workers`` > 1 the branch
-        running at that node count stops there instead, as does each later
-        branch on its first node, and they go to a pool (``_search_pool``),
-        so no CPU waits for the first branch.
+        the candidates (``orbit_mask``).  The group is built when a root
+        branch returns with ``_ORBIT_NODES`` nodes spent in all, the
+        isometries of a hyperplane when a depth-1 child returns with
+        ``_ISOMETRY_NODES`` spent (``branch``); each time, the orbits of
+        the vertices branched on so far are cleared.  With ``workers`` > 1
+        the branch running at ``_ORBIT_NODES`` stops there instead, as does
+        each later branch on its first node, and they go to a pool
+        (``_search_pool``), so no CPU waits for the first branch; the
+        isometries are then built with the group.
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
-        adj, bits = self.adj, self.bits
+        adj = self.adj
         branched: list[int] = []
         handoff: list[tuple[int, int]] = []
+        cut_by = None  # the structure whose orbits of every branched vertex are cleared
         if workers > 1 and self.symmetry is not None:
             self.handoff_at = self.check_at = _ORBIT_NODES
         for idx in range(len(order) - 1, -1, -1):
@@ -411,20 +467,20 @@ class _Search:
             rest = cand & adj[v]
             if rest:
                 try:
-                    self.expand([v], rest)
+                    self.branch(v, rest)
                 except _HandOff:
                     handoff.append((v, rest))
             elif self.best_size < 1:
                 self.best, self.best_size = [v], 1
-            if self.group is not None:
-                cand &= ~self.orbit_mask([v])
-                continue
-            cand ^= bits[v]
             branched.append(v)
-            if self.symmetry is not None and self.nodes >= _ORBIT_NODES:
+            if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
                 self.group = self.symmetry()
                 _check_deadline(self.deadline, "the automorphism group")
-                cand &= ~self.orbit_mask(branched)
+                if workers > 1 and self.isometries is not None:
+                    self._build_isometries()
+            now = self.orbits if self.orbits is not None else self.group
+            cand &= ~self.orbit_mask(branched if now is not cut_by else [v])
+            cut_by = now
         if handoff:
             self._search_pool(handoff, workers)
 
@@ -435,10 +491,14 @@ class _Search:
         strictly larger result replaces it, in branch order, so neither the
         witness nor the node count depends on which process took what.  A
         monotonic clock is only comparable within one process, so workers
-        get the time left and start their own clock from it."""
+        get the time left and start their own clock from it.  Workers hold
+        rows and no field, so a task carries its depth-1 cut, when the
+        isometries are built, as its stabiliser's part of each label."""
         workers = min(workers, len(branches))
         budget = None if self.deadline is None else self.deadline - time.monotonic()
         start = (self.adj, self.best, budget)
+        if self.label_perms is not None:
+            branches = [(v, rest, self.stabiliser(v)) for v, rest in branches]
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=start) as pool:
             for size, best, nodes in pool.map(_solve_branch, branches):
                 self.nodes += nodes
@@ -452,6 +512,50 @@ class _Search:
             raise _HandOff
         _check_deadline(self.deadline, "clique search")
         self.check_at = min(self.handoff_at, self.nodes + 256)
+
+    def branch(self, v: int, cand: int, cut: _Orbits | None = None) -> None:
+        """``expand([v], cand)``, a root branch, with its children cut by
+        orbit under the stabiliser of v.
+
+        Once the child w has returned, ``best_size`` bounds every clique
+        through v and w, and so through v and any image of w under a map
+        that fixes v: w's orbit under ``stabiliser(v)`` leaves the
+        candidates.  ``cut`` gives those orbits (a pool task); otherwise
+        they come once the isometries are built, which a returning child
+        triggers at ``_ISOMETRY_NODES`` nodes, and then the orbits of the
+        children returned so far are cleared too.
+        """
+        if self.nodes >= self.check_at:
+            self._checkpoint()
+        self.nodes += 1
+        order, colors = self._color_order(cand, self.best_size)
+        adj, bits = self.adj, self.bits
+        stack = [v]
+        returned: list[int] = []
+        for idx in range(len(order) - 1, -1, -1):
+            if 1 + colors[idx] <= self.best_size:
+                return
+            w = order[idx]
+            if not cand >> w & 1:
+                continue
+            stack.append(w)
+            rest = cand & adj[w]
+            if rest:
+                self.expand(stack, rest)
+            elif self.best_size < 2:
+                self.best, self.best_size = stack.copy(), 2
+            stack.pop()
+            if cut is None:
+                if self.isometries is not None and self.nodes >= _ISOMETRY_NODES:
+                    self._build_isometries()
+                if self.label_perms is None:
+                    cand ^= bits[w]
+                    returned.append(w)
+                    continue
+                cut = _Orbits(self.stabiliser(v))
+                for u in returned:
+                    cand &= ~cut.mask(u)
+            cand &= ~cut.mask(w)
 
     def expand(self, stack: list[int], cand: int) -> None:
         if self.nodes >= self.check_at:
@@ -476,6 +580,45 @@ class _Search:
             cand ^= bits[v]
 
 
+class _Orbits:
+    """A partition of the search labels, as each label's least part-mate,
+    with each part's bit mask packed on first use."""
+
+    __slots__ = ("parts", "masks")
+
+    def __init__(self, parts: np.ndarray):
+        self.parts = parts
+        self.masks: dict[int, int] = {}
+
+    def mask(self, label: int) -> int:
+        part = int(self.parts[label])
+        mask = self.masks.get(part)
+        if mask is None:
+            packed = np.packbits(self.parts == part, bitorder="little").tobytes()
+            mask = self.masks[part] = int.from_bytes(packed, "little")
+        return mask
+
+
+def _join(parts: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The partition ``parts`` (each label's least part-mate) with the
+    parts of us[i] and vs[i] joined for every i: a union-find in whole-array
+    steps, each hooking the larger root of every split pair onto the
+    smaller, then pointing every label at its root."""
+    parts = parts.copy()
+    while True:
+        ru, rv = parts[us], parts[vs]
+        split = ru != rv
+        if not split.any():
+            return parts
+        us, vs, ru, rv = us[split], vs[split], ru[split], rv[split]
+        np.minimum.at(parts, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = parts[parts]
+            if np.array_equal(up, parts):
+                break
+            parts = up
+
+
 _worker: tuple[_Search, list[int]] | None = None  # a pool process's search and seed
 
 
@@ -484,11 +627,13 @@ def _start_worker(rows, seed, budget) -> None:
     _worker = (_Search(rows, None if budget is None else time.monotonic() + budget), seed)
 
 
-def _solve_branch(branch: tuple[int, int]) -> tuple[int, tuple[int, ...], int]:
+def _solve_branch(branch: tuple) -> tuple[int, tuple[int, ...], int]:
+    """A root branch (v, cand), with its stabiliser's parts when it has a cut."""
     search, seed = _worker
     search.seed(seed)
     before = search.nodes
-    search.expand([branch[0]], branch[1])
+    v, cand, *parts = branch
+    search.branch(v, cand, _Orbits(parts[0]) if parts else None)
     return search.best_size, tuple(search.best), search.nodes - before
 
 
@@ -693,7 +838,9 @@ class SolveStats:
     ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
     order of the automorphism group that pruned the root, or None when the
     search never built it (a small solve); ``orbit_skips`` counts the root
-    vertices skipped as orbit-mates.  ``rows_ms``, ``seed_ms`` and
+    vertices skipped as orbit-mates; ``isometries`` is the number of
+    certified isometry generators the search used, 0 when it built none
+    (a small solve, or U not a hyperplane).  ``rows_ms``, ``seed_ms`` and
     ``search_ms`` time, in the order they run, the search rows, the seed
     clique (extended on those rows) and the search itself (with the group
     and any worker pool); ``workers`` is the number of pool processes that
@@ -705,6 +852,7 @@ class SolveStats:
     seed_size: int = 0
     group_order: int | None = None
     orbit_skips: int = 0
+    isometries: int = 0
     rows_ms: float = 0.0
     seed_ms: float = 0.0
     search_ms: float = 0.0
@@ -742,6 +890,15 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
     return np.where(twin, label_of[least], label_of), order[::-1].tolist()
 
 
+def _search(G: GraphGU, rows, label_of, vertex_of, deadline=None) -> _Search:
+    """The search on G's rows in search labels, with G's automorphism group
+    and, for a hyperplane, the isometries of its form, each built lazily."""
+    isometries = functools.partial(Isometries, G) if G.U.dim == G.ctx.n - 1 else None
+    return _Search(
+        rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of, isometries
+    )
+
+
 def clique_number_exact(
     G: GraphGU,
     *,
@@ -765,7 +922,12 @@ def clique_number_exact(
     The root's branches are cut by orbit under ``Automorphisms``, built
     once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
     the root branches from then on go to a pool of at most that many
-    processes (see ``_Search.root``).
+    processes (see ``_Search.root``).  For a hyperplane, the
+    ``Isometries`` of its form are built when a depth-1 child returns with
+    ``_ISOMETRY_NODES`` nodes spent, or with the group when the root hands
+    branches off: their orbits, joined with the group's, cut the root, and
+    the orbits under those that fix v cut the children of the root branch
+    on v (``_Search.branch``).  Solves that end sooner never build them.
 
     ``time_limit`` holds in every phase: the search rows come first, and
     the clock is checked after each block of them, after the seed, after
@@ -783,6 +945,9 @@ def clique_number_exact(
     byte each), from a membership table of about 2 q^n bytes when U is
     dense.  The label map takes 8 bytes per vertex and the group two
     integers per map, read from the graph's ``in_U_by_log`` (2 q^n bytes).
+    The isometries take k = ``_ISOMETRY_GENERATORS`` arrays of q^n int64
+    (8 k q^n bytes: 6 MB at 65,536 vertices) and the same k maps on the m
+    labels; each root branch cut by them holds m int64 more.
     """
     stats = SolveStats() if stats is None else stats
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -797,7 +962,7 @@ def clique_number_exact(
     _check_deadline(deadline, "the seed clique")
     stats.seed_size = len(seed)
     start = time.perf_counter()
-    search = _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of)
+    search = _search(G, rows, label_of, vertex_of, deadline)
     search.seed(label_of[seed].tolist())
     search.root((1 << len(rows)) - 1, workers)
     stats.search_ms = _ms_since(start)
@@ -806,6 +971,8 @@ def clique_number_exact(
     stats.workers = search.workers
     if search.group is not None:
         stats.group_order = search.group.order
+    if search.label_perms is not None:
+        stats.isometries = len(search.label_perms)
     if search.best_size == len(seed):
         return len(seed), tuple(seed)
     return search.best_size, tuple(sorted(vertex_of[v] for v in search.best))
@@ -817,10 +984,11 @@ def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
     v^2 in U}, since the span of a clique of G[S] is one too.  The exact
     solve's search (S keeps labels of its own, and phi(v)^2 = lam^2
     sigma_i(v^2) keeps S fixed, so the orbit cut holds) runs on S from the
-    seed {0}.  A witness whose size is not q^rank raises ``StructureViolation``."""
+    seed {0}; for a hyperplane the isometries keep B(v, v), and so S, and
+    cut it too.  A witness whose size is not q^rank raises ``StructureViolation``."""
     label_of, vertex_of = _search_labels(G)
     rows = _orbit_rows(G.ctx, G.U, label_of)
-    search = _Search(rows, None, functools.partial(Automorphisms, G), vertex_of, label_of)
+    search = _search(G, rows, label_of, vertex_of)
     search.seed([int(label_of[0])])
     search.root(sum(1 << v for v in label_of[G._square_in_U].tolist()))
     witness = tuple(sorted(vertex_of[v] for v in search.best))

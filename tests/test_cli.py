@@ -25,8 +25,9 @@ class TestOmega:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_json_search_stats(self, capsys, workers):
-        # the trace-zero hyperplane of 2^1^9: its greedy seed is optimal and
-        # the Frobenius maps x -> x^(2^i) prune the root
+        # the trace-zero hyperplane of 2^1^9: its greedy seed is optimal, the
+        # Frobenius maps x -> x^(2^i) prune the root and, past 256 nodes (or at
+        # the hand-off to the pool), 12 isometries of Tr(xy) prune it further
         code = cli.main(["omega", "--field", "2^1^9", "--subspace", "ker-trace-of=1",
                          "--mode", "exact", "--workers", workers])
         assert code == cli.EXIT_OK
@@ -35,11 +36,13 @@ class TestOmega:
                                 "decomposition", "runtime_ms", "search"}
         search = payload["search"]
         assert set(search) == {"vertices", "nodes", "seed_size", "group_order",
-                               "orbit_skips", "rows_ms", "seed_ms", "search_ms", "workers"}
+                               "orbit_skips", "isometries", "rows_ms", "seed_ms",
+                               "search_ms", "workers"}
         # q = 2: every F_q*-orbit is a single vertex, so all 512 are searched
         assert search["vertices"] == 512
         assert search["seed_size"] == payload["exact"] == 17
         assert search["group_order"] == 9
+        assert search["isometries"] == 12
         assert search["nodes"] > 0 and search["orbit_skips"] > 0
         assert search["workers"] == int(workers)
         phases = [search["rows_ms"], search["seed_ms"], search["search_ms"]]

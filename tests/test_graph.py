@@ -295,12 +295,15 @@ PINNED_SOLUTIONS = {
 # search, without symmetry (recorded before the root was pruned by orbit)
 # and with it; the odd-q node counts were recorded again when the search
 # came to take one vertex per F_q*-orbit of false twins (3^1^4: 73 and 64
-# before, 3^1^5: 167 without symmetry; every witness and q = 2 count held)
+# before, 3^1^5: 167 without symmetry; every witness and q = 2 count held);
+# "without symmetry" holds no isometries either, and 2^1^8, the one solve
+# here past 256 nodes, was recorded again when hyperplanes came to be cut by
+# them (271 before; its witness held)
 PINNED_SEARCHES = {
     (2, 1, 7): (9, (0, 1, 6, 10, 12, 96, 102, 106, 108), 744, 151),
     (3, 1, 4): (5, (0, 1, 10, 20, 63), 38, 38),
     (5, 1, 3): (6, (0, 40, 55, 69, 95, 110), 16, 16),
-    (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586, 271),
+    (2, 1, 8): (16, (0, 1, 6, 7, 8, 9, 14, 15, 18, 19, 20, 21, 26, 27, 28, 29), 1586, 259),
     (3, 1, 5): (10, (0, 9, 36, 72, 98, 134, 143, 184, 193, 229), 149, 76),
     (7, 1, 3): (8, (0, 87, 125, 156, 193, 243, 274, 312), 28, 28),
 }
@@ -319,6 +322,19 @@ class _IdentityOnly(Automorphisms):
     def __init__(self, G):
         super().__init__(G)
         self.maps = np.array([(0, 1)])
+
+
+class _NoIsometries(graph.Isometries):
+    """No isometry: with ``_IdentityOnly``, a hyperplane is searched without symmetry."""
+
+    def __init__(self, G):
+        self.perms = np.zeros((0, G.n_vertices), dtype=np.int64)
+
+
+def _without_symmetry(m):
+    """Patch the group to the identity and the isometries to none."""
+    m.setattr(graph, "Automorphisms", _IdentityOnly)
+    m.setattr(graph, "Isometries", _NoIsometries)
 
 
 def _solve(G, **kwargs):
@@ -350,7 +366,7 @@ class TestPinned:
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
         result, stats = _solve(G)
         assert (result, stats.nodes) == ((omega, witness), pruned_nodes)
-        monkeypatch.setattr(graph, "Automorphisms", _IdentityOnly)
+        _without_symmetry(monkeypatch)
         result, stats = _solve(G)
         assert (result, stats.nodes) == ((omega, witness), plain_nodes)
 
@@ -379,7 +395,7 @@ class TestOrbitPruning:
     @staticmethod
     def _plain(G, monkeypatch, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(graph, "Automorphisms", _IdentityOnly)
+            _without_symmetry(m)
             return _solve(G, **kwargs)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
@@ -424,7 +440,7 @@ class TestOrbitPruning:
             plain = self._plain(G, monkeypatch)[0]
             with monkeypatch.context() as m:
                 m.setattr(graph, "_ORBIT_NODES", 0)
-                m.setattr(graph, "_ISOMETRY_NODES", 0, raising=False)
+                m.setattr(graph, "_ISOMETRY_NODES", 0)
                 (size, witness), stats = _solve(G)
                 assert size == plain[0] == len(witness)
                 assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
@@ -438,7 +454,7 @@ class TestOrbitPruning:
     @staticmethod
     def _plain_square_clique(G, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(graph, "Automorphisms", _IdentityOnly)
+            _without_symmetry(m)
             return graph.square_clique(G)
 
     def test_stats(self):
@@ -506,10 +522,12 @@ class TestHandOff:
         [
             # the seed (3 vertices) is not maximum: a task's larger clique wins
             ((2, 1, 4), [5, 14], (4, (0, 4, 8, 15), 6)),
-            ((2, 1, 6), None, (8, (0, 1, 12, 13, 54, 55, 58, 59), 20)),
+            # hyperplanes: the parent builds the isometries at the hand-off,
+            # and each task carries its depth-1 cut (20 and 21 nodes before)
+            ((2, 1, 6), None, (8, (0, 1, 12, 13, 54, 55, 58, 59), 5)),
             # odd q, searched one vertex per pair {v, -v} of false twins: the
             # seed (5 vertices) is not maximum, and the serial witness wins
-            ((3, 1, 4), [1, 57, 63], (9, (0, 10, 20, 34, 44, 51, 59, 66, 76), 21)),
+            ((3, 1, 4), [1, 57, 63], (9, (0, 10, 20, 34, 44, 51, 59, 66, 76), 10)),
         ],
     )
     def test_pool_witness(self, spec, basis, expected, monkeypatch):
@@ -725,6 +743,27 @@ class TestIsometries:
             assert 0 < len(perms) <= graph._ISOMETRY_GENERATORS
             for perm in perms:
                 assert (A[np.ix_(perm, perm)] == A).all()
+
+    @pytest.mark.parametrize("spec", ISOMETRY_FIELDS)
+    def test_orbits_keep_adjacency(self, spec):
+        # the root's orbits keep degrees; the orbits under the maps that fix
+        # v leave v alone and keep adjacency to v
+        ctx = build_field(*spec)
+        for _, U in all_hyperplanes(ctx):
+            G = build_graph(ctx, U)
+            label_of, vertex_of = graph._search_labels(G)
+            rows = graph._orbit_rows(ctx, U, label_of)
+            search = graph._search(G, rows, label_of, vertex_of)
+            search._build_isometries()
+            labels = np.arange(len(rows))
+            degrees = np.array([row.bit_count() for row in rows])
+            parts = search.orbits.parts
+            assert all(len(set(degrees[parts == part])) == 1 for part in np.unique(parts))
+            for v in labels.tolist():
+                parts = search.stabiliser(v)
+                assert (parts == parts[v]).sum() == 1
+                near = np.array([rows[v] >> w & 1 for w in labels.tolist()])
+                assert all(len(set(near[parts == part])) == 1 for part in np.unique(parts))
 
     @pytest.mark.parametrize("spec", [(2, 1, 12), (2, 3, 4), (3, 1, 8), (5, 1, 5)])
     def test_generators_taken(self, spec):
