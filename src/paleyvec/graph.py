@@ -1057,11 +1057,6 @@ def _maximal_clique_vertices(G: GraphGU, C) -> list[int] | None:
     return None if common & ~mask else verts
 
 
-def is_maximal_clique(G: GraphGU, C) -> bool:
-    """True when the vertices C form an inclusion-maximal clique of G."""
-    return _maximal_clique_vertices(G, C) is not None
-
-
 # -- maximal clique decomposition -------------------------------------------
 
 

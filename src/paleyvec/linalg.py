@@ -448,12 +448,3 @@ def all_subspaces(ctx: FieldCtx, dim: int) -> Iterator[Subspace]:
                 rows[i][j] = v
             basis = tuple(ctx.element_from_coords(r) for r in rows)
             yield Subspace(ctx, basis)
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den

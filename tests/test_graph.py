@@ -36,7 +36,6 @@ from paleyvec.graph import (
     decompose_clique,
     enumerate_maximal_cliques,
     greedy_seed_clique,
-    is_maximal_clique,
 )
 from paleyvec.predict import hyperplane_omega
 
@@ -1203,7 +1202,7 @@ class TestMaximalCliques:
             G = build_graph(ctx, U)
             seen = set()
             for c in enumerate_maximal_cliques(G):
-                assert is_maximal_clique(G, c)
+                assert graph._maximal_clique_vertices(G, c) == sorted(c)
                 assert 0 in c
                 assert c not in seen
                 seen.add(c)
@@ -1496,13 +1495,13 @@ class TestSinglePassCrossCheck:
                         if len(clique) > 1 and rng.random() < 0.2:
                             dropped = rng.choice(clique)
                             smaller = [v for v in clique if v != dropped]
-                            assert not is_maximal_clique(G, smaller)
+                            assert graph._maximal_clique_vertices(G, smaller) is None
                             assert _outcome(decompose_clique, G, smaller) == _outcome(
                                 three_rank_decompose, G, smaller
                             )
                             outside = [v for v in range(ctx.order) if v not in clique]
                             bigger = list(clique) + [rng.choice(outside)]
-                            assert not is_maximal_clique(G, bigger)
+                            assert graph._maximal_clique_vertices(G, bigger) is None
                             assert _outcome(decompose_clique, G, bigger)[0] == "NotMaximal"
         # every branch, the choice after a failed single pass included
         assert seen >= {

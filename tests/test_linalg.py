@@ -24,7 +24,6 @@ from paleyvec.linalg import (
     contains_nonzero_square,
     extend_echelon,
     functional_of_hyperplane,
-    gaussian_binomial,
     hyperplane_from_functional,
     parse_subspace,
     rank,
@@ -35,6 +34,15 @@ from paleyvec.linalg import (
     zero_subspace,
 )
 from paleyvec.suites import BOUNDS_GRID, survey_family
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
+    return num // den
 
 
 def naive_span_set(ctx, gens):
