@@ -41,7 +41,7 @@ for it; with several workers the root branches from then on go to a
 process pool, and a solve that ends sooner starts none.
 
 A hyperplane U = ker Tr(cx) has more automorphisms: ab lies in U exactly
-when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``Isometries``
+when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``isometries``
 builds twelve, transvections for even q and reflections for odd q, each a
 q^n-entry array certified as an isometry before use.  Once the search has
 spent 256 nodes, checked when a depth-1 child returns, it takes them as
@@ -323,7 +323,7 @@ class _Search:
     ``symmetry``, when given, builds the group of ``Automorphisms`` (in
     vertex numbering) at most once; ``vertex_of`` maps each label to the
     vertex it keeps and ``label_of`` each vertex to its label.
-    ``isometries``, when given (a hyperplane), builds the ``Isometries`` of
+    ``isometries``, when given (a hyperplane), builds the ``isometries`` of
     its form at most once; they are kept as maps of the labels.
     """
 
@@ -414,7 +414,7 @@ class _Search:
         maps whole twin orbits onto whole labels), and the root's orbits:
         their parts, each joined with the parts of the group's images of
         one of its labels.  Builds the group too if it is not yet built."""
-        perms = self.label_of[self.isometries().perms[:, self.vertex_of]]
+        perms = self.label_of[self.isometries()[:, self.vertex_of]]
         self.isometries = None
         if self.group is None:
             self.group = self.symmetry()
@@ -497,8 +497,8 @@ class _Search:
         workers = min(workers, len(branches))
         budget = None if self.deadline is None else self.deadline - time.monotonic()
         start = (self.adj, self.best, budget)
-        if self.label_perms is not None:
-            branches = [(v, rest, self.stabiliser(v)) for v, rest in branches]
+        cut = self.label_perms is not None
+        branches = [(v, rest, self.stabiliser(v) if cut else None) for v, rest in branches]
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=start) as pool:
             for size, best, nodes in pool.map(_solve_branch, branches):
                 self.nodes += nodes
@@ -628,12 +628,12 @@ def _start_worker(rows, seed, budget) -> None:
 
 
 def _solve_branch(branch: tuple) -> tuple[int, tuple[int, ...], int]:
-    """A root branch (v, cand), with its stabiliser's parts when it has a cut."""
+    """A root branch (v, cand, parts), parts its stabiliser's or None."""
     search, seed = _worker
     search.seed(seed)
     before = search.nodes
-    v, cand, *parts = branch
-    search.branch(v, cand, _Orbits(parts[0]) if parts else None)
+    v, cand, parts = branch
+    search.branch(v, cand, None if parts is None else _Orbits(parts))
     return search.best_size, tuple(search.best), search.nodes - before
 
 
@@ -760,7 +760,7 @@ _ISOMETRY_GENERATORS = 12
 _ISOMETRY_NODES = 256
 
 
-class Isometries:
+def isometries(G: GraphGU) -> np.ndarray:
     """Certified isometries of B(x, y) = Tr(cxy), for a hyperplane U = ker Tr(cx).
 
     ab lies in U exactly when B(a, b) = 0, so a bijection that keeps B is an
@@ -773,36 +773,32 @@ class Isometries:
     x plus its multiple of a is a digit-wise sum.  Each array is certified
     before use (``_certify_isometry``): a permutation, additive on every
     F_p basis shift, that keeps B on every F_p basis pair; so it keeps B
-    everywhere, whatever built it.  ``perms`` holds the arrays, one row
-    each: k rows of q^n int64.
+    everywhere, whatever built it.  Returns the arrays, one row each: k
+    rows of q^n int64.
     """
-
-    __slots__ = ("perms",)
-
-    def __init__(self, G: GraphGU):
-        ctx = G.ctx
-        p, q, mord = ctx.p, ctx.q, ctx.mord
-        c = functional_of_hyperplane(G.U)
-        exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
-        x = np.arange(ctx.order)
-        two = ctx.add(1, 1)
-        perms = []
-        for a in ctx._exp[:mord // (q - 1)]:
-            if len(perms) == _ISOMETRY_GENERATORS:
-                break
-            ca = ctx.mul(c, a)
-            b_aa = ctx._trace[ctx.mul(ca, a)]
-            if (b_aa == 0) != (p == 2):
-                continue
-            scale = 1 if p == 2 else ctx.neg(ctx.mul(two, ctx.inv(b_aa)))
-            # the element (scale * s) a for each scalar s of F_q
-            step = np.array([ctx.mul(ctx.mul(scale, s), a) for s in range(q)])
-            b_xa = trace[exp[(log[ca] + log) % mord]]
-            b_xa[0] = 0
-            perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
-            _certify_isometry(ctx, c, perm)
-            perms.append(perm)
-        self.perms = np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
+    ctx = G.ctx
+    p, q, mord = ctx.p, ctx.q, ctx.mord
+    c = functional_of_hyperplane(G.U)
+    exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
+    x = np.arange(ctx.order)
+    two = ctx.add(1, 1)
+    perms = []
+    for a in ctx._exp[:mord // (q - 1)]:
+        if len(perms) == _ISOMETRY_GENERATORS:
+            break
+        ca = ctx.mul(c, a)
+        b_aa = ctx._trace[ctx.mul(ca, a)]
+        if (b_aa == 0) != (p == 2):
+            continue
+        scale = 1 if p == 2 else ctx.neg(ctx.mul(two, ctx.inv(b_aa)))
+        # the element (scale * s) a for each scalar s of F_q
+        step = np.array([ctx.mul(ctx.mul(scale, s), a) for s in range(q)])
+        b_xa = trace[exp[(log[ca] + log) % mord]]
+        b_xa[0] = 0
+        perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
+        _certify_isometry(ctx, c, perm)
+        perms.append(perm)
+    return np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
 
 
 def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
@@ -893,10 +889,8 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
 def _search(G: GraphGU, rows, label_of, vertex_of, deadline=None) -> _Search:
     """The search on G's rows in search labels, with G's automorphism group
     and, for a hyperplane, the isometries of its form, each built lazily."""
-    isometries = functools.partial(Isometries, G) if G.U.dim == G.ctx.n - 1 else None
-    return _Search(
-        rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of, isometries
-    )
+    iso = functools.partial(isometries, G) if G.U.dim == G.ctx.n - 1 else None
+    return _Search(rows, deadline, functools.partial(Automorphisms, G), vertex_of, label_of, iso)
 
 
 def clique_number_exact(
@@ -923,7 +917,7 @@ def clique_number_exact(
     once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
     the root branches from then on go to a pool of at most that many
     processes (see ``_Search.root``).  For a hyperplane, the
-    ``Isometries`` of its form are built when a depth-1 child returns with
+    ``isometries`` of its form are built when a depth-1 child returns with
     ``_ISOMETRY_NODES`` nodes spent, or with the group when the root hands
     branches off: their orbits, joined with the group's, cut the root, and
     the orbits under those that fix v cut the children of the root branch

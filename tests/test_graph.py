@@ -323,17 +323,15 @@ class _IdentityOnly(Automorphisms):
         self.maps = np.array([(0, 1)])
 
 
-class _NoIsometries(graph.Isometries):
+def _no_isometries(G):
     """No isometry: with ``_IdentityOnly``, a hyperplane is searched without symmetry."""
-
-    def __init__(self, G):
-        self.perms = np.zeros((0, G.n_vertices), dtype=np.int64)
+    return np.zeros((0, G.n_vertices), dtype=np.int64)
 
 
 def _without_symmetry(m):
     """Patch the group to the identity and the isometries to none."""
     m.setattr(graph, "Automorphisms", _IdentityOnly)
-    m.setattr(graph, "Isometries", _NoIsometries)
+    m.setattr(graph, "isometries", _no_isometries)
 
 
 def _solve(G, **kwargs):
@@ -738,7 +736,7 @@ class TestIsometries:
         for _, U in all_hyperplanes(ctx):
             G = build_graph(ctx, U)
             A = _adjacency_matrix(G)
-            perms = graph.Isometries(G).perms
+            perms = graph.isometries(G)
             assert 0 < len(perms) <= graph._ISOMETRY_GENERATORS
             for perm in perms:
                 assert (A[np.ix_(perm, perm)] == A).all()
@@ -767,7 +765,7 @@ class TestIsometries:
     @pytest.mark.parametrize("spec", [(2, 1, 12), (2, 3, 4), (3, 1, 8), (5, 1, 5)])
     def test_generators_taken(self, spec):
         ctx = build_field(*spec)
-        perms = graph.Isometries(build_graph(ctx, trace_zero_hyperplane(ctx))).perms
+        perms = graph.isometries(build_graph(ctx, trace_zero_hyperplane(ctx)))
         assert perms.shape == (graph._ISOMETRY_GENERATORS, ctx.order)
         assert len({perm.tobytes() for perm in perms}) == len(perms)
 
