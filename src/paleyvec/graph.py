@@ -391,18 +391,13 @@ class _Search:
 
     def orbit_mask(self, labels: list[int]) -> int:
         """The union of the orbits of the given labels, as a bit mask: under
-        the isometries and the group once the isometries are built (``orbits``),
-        else under the group once built, else the labels alone.  The group
-        holds x -> lam x, so an orbit holds whole twin orbits and maps onto
-        whole labels."""
+        the isometries and the group once the isometries are built
+        (``orbits``), else under the group.  The group holds x -> lam x, so
+        an orbit holds whole twin orbits and maps onto whole labels."""
         mask = 0
         if self.orbits is not None:
             for v in labels:
                 mask |= self.orbits.mask(v)
-            return mask
-        if self.group is None:
-            for v in labels:
-                mask |= self.bits[v]
             return mask
         images = self.group.images([self.vertex_of[v] for v in labels])
         for v in set(self.label_of[images].ravel().tolist()):
@@ -451,10 +446,11 @@ class _Search:
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
-        adj = self.adj
+        adj, bits = self.adj, self.bits
         branched: list[int] = []
         handoff: list[tuple[int, int]] = []
         cut_by = None  # the structure whose orbits of every branched vertex are cleared
+        hyperplane = self.isometries is not None  # its root branches take the depth-1 cut
         if workers > 1 and self.symmetry is not None:
             self.handoff_at = self.check_at = _ORBIT_NODES
         for idx in range(len(order) - 1, -1, -1):
@@ -467,7 +463,10 @@ class _Search:
             rest = cand & adj[v]
             if rest:
                 try:
-                    self.branch(v, rest)
+                    if hyperplane:
+                        self.branch(v, rest)
+                    else:
+                        self.expand([v], rest)
                 except _HandOff:
                     handoff.append((v, rest))
             elif self.best_size < 1:
@@ -479,6 +478,9 @@ class _Search:
                 if workers > 1 and self.isometries is not None:
                     self._build_isometries()
             now = self.orbits if self.orbits is not None else self.group
+            if now is None:
+                cand ^= bits[v]
+                continue
             cand &= ~self.orbit_mask(branched if now is not cut_by else [v])
             cut_by = now
         if handoff:
@@ -514,7 +516,7 @@ class _Search:
         self.check_at = min(self.handoff_at, self.nodes + 256)
 
     def branch(self, v: int, cand: int, cut: _Orbits | None = None) -> None:
-        """``expand([v], cand)``, a root branch, with its children cut by
+        """``expand([v], cand)`` for a hyperplane, with its children cut by
         orbit under the stabiliser of v.
 
         Once the child w has returned, ``best_size`` bounds every clique
@@ -633,7 +635,10 @@ def _solve_branch(branch: tuple) -> tuple[int, tuple[int, ...], int]:
     search.seed(seed)
     before = search.nodes
     v, cand, parts = branch
-    search.branch(v, cand, None if parts is None else _Orbits(parts))
+    if parts is None:
+        search.expand([v], cand)
+    else:
+        search.branch(v, cand, _Orbits(parts))
     return search.best_size, tuple(search.best), search.nodes - before
 
 
