@@ -37,8 +37,9 @@ The maps x -> lam * x^(p^i) with lam^2 sigma_i(U) = U, sigma_i the
 p^i-power Frobenius, form a group of automorphisms (``Automorphisms``)
 that prunes the root's branches by orbit (orbital branching).  The search
 builds it once it has spent 64 nodes, so the many small solves never pay
-for it; with several workers the root branches from then on go to a
-process pool, and a solve that ends sooner starts none.
+for it, and with it its orbits on the search labels, by a union-find over
+two maps that generate it; with several workers the root branches from
+then on go to a process pool, and a solve that ends sooner starts none.
 
 A hyperplane U = ker Tr(cx) has more automorphisms: ab lies in U exactly
 when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``isometries``
@@ -357,7 +358,7 @@ class _Search:
         self.check_at = 256 if deadline is not None else sys.maxsize
         self.isometries = isometries
         self.label_perms: np.ndarray | None = None  # the isometries on labels, once built
-        self.orbits: _Orbits | None = None  # the root's orbits, once the isometries are built
+        self.orbits: np.ndarray | None = None  # the root's parts, once the group is built
 
     def seed(self, witness: list[int]) -> None:
         self.best = list(witness)
@@ -389,35 +390,28 @@ class _Search:
             color += 1
         return order, colors
 
-    def orbit_mask(self, labels: list[int]) -> int:
-        """The union of the orbits of the given labels, as a bit mask: under
-        the isometries and the group once the isometries are built
-        (``orbits``), else under the group.  The group holds x -> lam x, so
-        an orbit holds whole twin orbits and maps onto whole labels."""
-        mask = 0
-        if self.orbits is not None:
-            for v in labels:
-                mask |= self.orbits.mask(v)
-            return mask
-        images = self.group.images([self.vertex_of[v] for v in labels])
-        for v in set(self.label_of[images].ravel().tolist()):
-            mask |= self.bits[v]
-        return mask
+    def _build_group(self) -> None:
+        """The group, and the root's orbits under it: the parts of the
+        labels joined along its ``generators`` (the group maps whole twin
+        orbits onto whole twin orbits, and so labels onto labels)."""
+        self.group = self.symmetry()
+        labels = np.arange(len(self.adj))
+        gens = self.group.generators()
+        images = self.label_of[self.group.images(self.vertex_of, gens)]
+        self.orbits = _join(labels, np.repeat(labels, len(gens)), images.ravel())
+        _check_deadline(self.deadline, "the automorphism group")
 
     def _build_isometries(self) -> None:
         """The isometries as label maps (an isometry keeps B(v, v), so it
-        maps whole twin orbits onto whole labels), and the root's orbits:
-        their parts, each joined with the parts of the group's images of
-        one of its labels.  Builds the group too if it is not yet built."""
+        maps whole twin orbits onto whole labels), and the root's orbits
+        under them and the group.  Builds the group too if it is not yet
+        built."""
         perms = self.label_of[self.isometries()[:, self.vertex_of]]
         self.isometries = None
         if self.group is None:
-            self.group = self.symmetry()
+            self._build_group()
         labels = np.arange(len(self.adj))
-        parts = _join(labels, np.tile(labels, len(perms)), perms.ravel())
-        reps = np.flatnonzero(parts == labels)
-        images = self.label_of[self.group.images(np.asarray(self.vertex_of)[reps])]
-        self.orbits = _Orbits(_join(parts, np.repeat(reps, images.shape[1]), images.ravel()))
+        self.orbits = _join(self.orbits, np.tile(labels, len(perms)), perms.ravel())
         self.label_perms = perms
         _check_deadline(self.deadline, "the isometries")
 
@@ -433,24 +427,22 @@ class _Search:
         for several workers, shared with a process pool.
 
         Once the branch on v has returned, ``best_size`` bounds every
-        clique through v, and so through any image of v: v's orbit leaves
-        the candidates (``orbit_mask``).  The group is built when a root
-        branch returns with ``_ORBIT_NODES`` nodes spent in all, the
-        isometries of a hyperplane when a depth-1 child returns with
-        ``_ISOMETRY_NODES`` spent (``branch``); each time, the orbits of
-        the vertices branched on so far are cleared.  With ``workers`` > 1
-        the branch running at ``_ORBIT_NODES`` stops there instead, as does
-        each later branch on its first node, and they go to a pool
-        (``_search_pool``), so no CPU waits for the first branch; the
-        isometries are then built with the group.
+        clique through v, and so through any image of v: the orbits of the
+        vertices branched on so far leave the candidates (``_cover``).  The
+        group and its orbits are built when a root branch returns with
+        ``_ORBIT_NODES`` nodes spent in all, the isometries of a hyperplane
+        when a depth-1 child returns with ``_ISOMETRY_NODES`` spent
+        (``branch``).  With ``workers`` > 1 the branch running at
+        ``_ORBIT_NODES`` stops there instead, as does each later branch on
+        its first node, and they go to a pool (``_search_pool``), so no CPU
+        waits for the first branch; the isometries are then built with the
+        group.
         """
         self.nodes += 1
         order, colors = self._color_order(cand, self.best_size + 1)
         adj, bits = self.adj, self.bits
-        branched: list[int] = []
+        branched = 0
         handoff: list[tuple[int, int]] = []
-        cut_by = None  # the structure whose orbits of every branched vertex are cleared
-        hyperplane = self.isometries is not None  # its root branches take the depth-1 cut
         if workers > 1 and self.symmetry is not None:
             self.handoff_at = self.check_at = _ORBIT_NODES
         for idx in range(len(order) - 1, -1, -1):
@@ -463,26 +455,17 @@ class _Search:
             rest = cand & adj[v]
             if rest:
                 try:
-                    if hyperplane:
-                        self.branch(v, rest)
-                    else:
-                        self.expand([v], rest)
+                    self.branch(v, rest)
                 except _HandOff:
                     handoff.append((v, rest))
             elif self.best_size < 1:
                 self.best, self.best_size = [v], 1
-            branched.append(v)
+            branched |= bits[v]
             if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
-                self.group = self.symmetry()
-                _check_deadline(self.deadline, "the automorphism group")
+                self._build_group()
                 if workers > 1 and self.isometries is not None:
                     self._build_isometries()
-            now = self.orbits if self.orbits is not None else self.group
-            if now is None:
-                cand ^= bits[v]
-                continue
-            cand &= ~self.orbit_mask(branched if now is not cut_by else [v])
-            cut_by = now
+            cand &= ~(branched if self.orbits is None else _cover(self.orbits, branched))
         if handoff:
             self._search_pool(handoff, workers)
 
@@ -515,17 +498,18 @@ class _Search:
         _check_deadline(self.deadline, "clique search")
         self.check_at = min(self.handoff_at, self.nodes + 256)
 
-    def branch(self, v: int, cand: int, cut: _Orbits | None = None) -> None:
-        """``expand([v], cand)`` for a hyperplane, with its children cut by
-        orbit under the stabiliser of v.
+    def branch(self, v: int, cand: int, cut: np.ndarray | None = None) -> None:
+        """``expand([v], cand)``, with its children cut by orbit under the
+        isometries that fix v.
 
         Once the child w has returned, ``best_size`` bounds every clique
         through v and w, and so through v and any image of w under a map
-        that fixes v: w's orbit under ``stabiliser(v)`` leaves the
-        candidates.  ``cut`` gives those orbits (a pool task); otherwise
-        they come once the isometries are built, which a returning child
-        triggers at ``_ISOMETRY_NODES`` nodes, and then the orbits of the
-        children returned so far are cleared too.
+        that fixes v: the orbits under ``stabiliser(v)`` of the children
+        returned so far leave the candidates.  ``cut`` gives those parts (a
+        pool task); otherwise they come once the isometries are built,
+        which a returning child triggers at ``_ISOMETRY_NODES`` nodes.
+        Without isometries the branch is ``expand([v], cand)`` node for
+        node.
         """
         if self.nodes >= self.check_at:
             self._checkpoint()
@@ -533,7 +517,7 @@ class _Search:
         order, colors = self._color_order(cand, self.best_size)
         adj, bits = self.adj, self.bits
         stack = [v]
-        returned: list[int] = []
+        returned = 0
         for idx in range(len(order) - 1, -1, -1):
             if 1 + colors[idx] <= self.best_size:
                 return
@@ -547,17 +531,13 @@ class _Search:
             elif self.best_size < 2:
                 self.best, self.best_size = stack.copy(), 2
             stack.pop()
+            returned |= bits[w]
             if cut is None:
                 if self.isometries is not None and self.nodes >= _ISOMETRY_NODES:
                     self._build_isometries()
-                if self.label_perms is None:
-                    cand ^= bits[w]
-                    returned.append(w)
-                    continue
-                cut = _Orbits(self.stabiliser(v))
-                for u in returned:
-                    cand &= ~cut.mask(u)
-            cand &= ~cut.mask(w)
+                if self.label_perms is not None:
+                    cut = self.stabiliser(v)
+            cand &= ~(returned if cut is None else _cover(cut, returned))
 
     def expand(self, stack: list[int], cand: int) -> None:
         if self.nodes >= self.check_at:
@@ -582,23 +562,14 @@ class _Search:
             cand ^= bits[v]
 
 
-class _Orbits:
-    """A partition of the search labels, as each label's least part-mate,
-    with each part's bit mask packed on first use."""
-
-    __slots__ = ("parts", "masks")
-
-    def __init__(self, parts: np.ndarray):
-        self.parts = parts
-        self.masks: dict[int, int] = {}
-
-    def mask(self, label: int) -> int:
-        part = int(self.parts[label])
-        mask = self.masks.get(part)
-        if mask is None:
-            packed = np.packbits(self.parts == part, bitorder="little").tobytes()
-            mask = self.masks[part] = int.from_bytes(packed, "little")
-        return mask
+def _cover(parts: np.ndarray, labels: int) -> int:
+    """The union of the parts (each label's least part-mate) that meet the
+    labels of a bit mask, as a bit mask."""
+    m = len(parts)
+    raw = np.frombuffer(labels.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    met = np.zeros(m, dtype=bool)
+    met[parts[np.unpackbits(raw, count=m, bitorder="little").view(bool)]] = True
+    return int.from_bytes(np.packbits(met[parts], bitorder="little").tobytes(), "little")
 
 
 def _join(parts: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -634,11 +605,7 @@ def _solve_branch(branch: tuple) -> tuple[int, tuple[int, ...], int]:
     search, seed = _worker
     search.seed(seed)
     before = search.nodes
-    v, cand, parts = branch
-    if parts is None:
-        search.expand([v], cand)
-    else:
-        search.branch(v, cand, _Orbits(parts))
+    search.branch(*branch)
     return search.best_size, tuple(search.best), search.nodes - before
 
 
@@ -749,12 +716,26 @@ class Automorphisms:
     def order(self) -> int:
         return len(self.maps)
 
-    def images(self, vertices) -> np.ndarray:
-        """The image of each given vertex under each map, by one gather:
-        row k holds the images of the k-th vertex, and one vertex gives one
-        row."""
+    def generators(self) -> np.ndarray:
+        """Rows of ``maps`` that generate the group, at most two.  The i of
+        a composition is the sum of the two mod mn, so the maps with i = 0,
+        x -> lam x, form a subgroup of F*, which is cyclic: of order k, it
+        is generated by lam = g^((q^n - 1)/k mod q^n - 1).  The i that occur
+        form a subgroup of Z/mn, generated by the least positive one: any
+        map with that i and the first generate the group."""
+        mult = self.maps[:, 1]
+        mord = self.ctx.mord
+        rows = [(mord // int((mult == 1).sum()) % mord, 1)]
+        if (mult > 1).any():
+            rows.append(self.maps[np.flatnonzero(mult > 1)[np.argmin(mult[mult > 1])]])
+        return np.array(rows, dtype=np.int64)
+
+    def images(self, vertices, maps: np.ndarray | None = None) -> np.ndarray:
+        """The image of each given vertex under each map (default ``maps``),
+        by one gather: row k holds the images of the k-th vertex, and one
+        vertex gives one row."""
         v = np.asarray(vertices)[..., None]
-        lam, mult = self.maps.T
+        lam, mult = (self.maps if maps is None else maps).T
         logs = (lam + mult * self.ctx._log_np[v]) % self.ctx.mord
         return np.where(v, self.ctx._exp_np[logs], 0)
 
@@ -943,7 +924,8 @@ def clique_number_exact(
     filled one block of at most 1 M cells at a time (``_BLOCK_CELLS``, a
     byte each), from a membership table of about 2 q^n bytes when U is
     dense.  The label map takes 8 bytes per vertex and the group two
-    integers per map, read from the graph's ``in_U_by_log`` (2 q^n bytes).
+    integers per map, read from the graph's ``in_U_by_log`` (2 q^n bytes),
+    and its orbits 8 bytes per label.
     The isometries take k = ``_ISOMETRY_GENERATORS`` arrays of q^n int64
     (8 k q^n bytes: 6 MB at 65,536 vertices) and the same k maps on the m
     labels; each root branch cut by them holds m int64 more.

@@ -670,6 +670,19 @@ def test_group_matches_full_gather():
         assert np.array_equal(maps, old_automorphism_maps(G)), U.basis
 
 
+def test_generators_give_the_orbits():
+    # the parts joined along the generators are the image sets under every map
+    for U in _group_cross_check_subspaces():
+        G = build_graph(U.ctx, U)
+        group = Automorphisms(G)
+        gens = group.generators()
+        assert 1 <= len(gens) <= 2
+        assert {tuple(row) for row in gens.tolist()} <= {tuple(row) for row in group.maps.tolist()}
+        vertices = np.arange(G.n_vertices)
+        parts = graph._join(vertices, np.repeat(vertices, len(gens)), group.images(vertices, gens).ravel())
+        assert np.array_equal(parts, group.images(vertices).min(axis=1)), U.basis
+
+
 def _pinned_subspace(spec):
     """The subspace whose rows ``TestPinnedRows`` pins for a field."""
     ctx = build_field(*spec)
@@ -754,7 +767,7 @@ class TestIsometries:
             search._build_isometries()
             labels = np.arange(len(rows))
             degrees = np.array([row.bit_count() for row in rows])
-            parts = search.orbits.parts
+            parts = search.orbits
             assert all(len(set(degrees[parts == part])) == 1 for part in np.unique(parts))
             for v in labels.tolist():
                 parts = search.stabiliser(v)
