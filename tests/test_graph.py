@@ -1231,6 +1231,51 @@ class TestMaximalCliques:
             assert all(0 in c for c in enumerate_maximal_cliques(G))
 
 
+# SHA-256, per field, of each subspace's basis followed by its maximal
+# cliques as yielded (in yield order, each tuple unsorted), with "cap"
+# where the cap of 4,000 ends a run; with the count of cliques yielded
+PINNED_CLIQUE_ORDER = {
+    (2, 1, 5): (22072, "92be1b24a9c207cae85f38e2328c87c9dccb631bfe3edabc09e054a6f3a5e287"),
+    (2, 2, 3): (8841, "7ddd5639aa1380af897732bcf37fc7bcb6d4bcc1c3ba782a49f844b499b0d026"),
+}
+
+
+class TestCliqueOrder:
+    """The order in which maximal cliques are yielded, which the pinned
+    decompositions and the capped runs of the suites depend on."""
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_CLIQUE_ORDER))
+    def test_yield_order_pinned(self, spec):
+        ctx = build_field(*spec)
+        h = hashlib.sha256()
+        count = 0
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                h.update(repr(U.basis).encode())
+                try:
+                    for c in enumerate_maximal_cliques(G, cap=4000):
+                        h.update(repr(c).encode())
+                        count += 1
+                except CapExceeded:
+                    h.update(b"cap")
+        assert (count, h.hexdigest()) == PINNED_CLIQUE_ORDER[spec]
+
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+    def test_cap_yields_the_uncapped_prefix(self, spec):
+        ctx = build_field(*spec)
+        for U in itertools.islice(all_subspaces(ctx, ctx.n - 1), 6):
+            G = build_graph(ctx, U)
+            full = list(enumerate_maximal_cliques(G))
+            assert len(full) > 2
+            for k in sorted({1, 2, len(full) // 2, len(full) - 1}):
+                cliques = enumerate_maximal_cliques(G, cap=k)
+                assert [next(cliques) for _ in range(k)] == full[:k]
+                with pytest.raises(CapExceeded, match=f"more than {k} maximal cliques"):
+                    next(cliques)
+            assert list(enumerate_maximal_cliques(G, cap=len(full))) == full
+
+
 def old_decompose(G, C):
     """Reference split by sets and the enumeration check of trivial intersection."""
     ctx = G.ctx
