@@ -553,20 +553,6 @@ class FieldCtx:
             return 0
         return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
 
-    def subfield_elements(self, d: int) -> list[int]:
-        """The q^d fixed points of the q^d-power map, in increasing index order."""
-        if self.n % d:
-            raise NotADivisor(f"{d} does not divide {self.n}")
-        if d == self.n:
-            return list(range(self.order))
-        if self._exp is not None:
-            step = self.mord // (self.q**d - 1)
-            out = [0] + [self._exp[k * step] for k in range(self.q**d - 1)]
-        else:
-            out = [a for a in range(self.order) if self.frobenius(a, d) == a]
-        out.sort()
-        return out
-
     # -- coordinates ----------------------------------------------------
 
     def element_coords(self, a: int) -> tuple[int, ...]:

@@ -983,59 +983,64 @@ def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
 
 
 def enumerate_maximal_cliques(G: GraphGU, cap: int = DEFAULT_CLIQUE_CAP):
-    """All inclusion-maximal cliques, by pivoted recursion, each exactly once."""
+    """All inclusion-maximal cliques, each exactly once, in a fixed order.
+
+    The search is Bron-Kerbosch with the pivot rule of Tomita, Tanaka and
+    Takahashi (Theor. Comput. Sci. 363, 2006), run in one generator frame
+    on an explicit stack of (P, X, branches not yet taken).  At a node
+    with candidates P and excluded X the pivot is the first vertex of
+    P | X, by index, with the most neighbours in P; the scan stops once a
+    score reaches its ceiling, |P|, or |P| - 1 when X is empty, since no
+    later vertex can beat it.  The node branches on the vertices of P
+    outside the pivot's row in increasing index, and each clique is
+    yielded as the tuple of its branch vertices, in branching order.  The
+    cap counts yielded cliques: a run capped at k yields the first k
+    cliques of the uncapped run and then raises ``CapExceeded``.  The
+    pinned orders in the tests and the capped runs of the suites rely on
+    this order.
+    """
     adj = G.adjacency
     count = 0
-
-    def recurse(R: list[int], P: int, X: int):
-        nonlocal count
-        if not P and not X:
+    R: list[int] = []  # R[i] is the branch vertex taken at stack[i]
+    stack: list[list[int]] = []
+    P, X = (1 << G.n_vertices) - 1, 0
+    while True:
+        if P:
+            ceiling = P.bit_count() - (not X)
+            pivot_score = -1
+            rest = P | X
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                score = (P & adj[u]).bit_count()
+                if score > pivot_score:
+                    pivot, pivot_score = u, score
+                    if score == ceiling:
+                        break
+                rest ^= low
+            stack.append([P, X, P & ~adj[pivot]])
+            R.append(-1)
+        elif not X:
             count += 1
             if count > cap:
                 raise CapExceeded(f"more than {cap} maximal cliques")
             yield tuple(R)
-            return
-        both = P | X
-        pivot = -1
-        pivot_score = -1
-        rest = both
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            score = (P & adj[u]).bit_count()
-            if score > pivot_score:
-                pivot, pivot_score = u, score
-        ext = P & ~adj[pivot]
-        while ext:
-            low = ext & -ext
-            v = low.bit_length() - 1
-            ext ^= low
-            R.append(v)
-            yield from recurse(R, P & adj[v], X & adj[v])
+        # take the next branch of the deepest node that has one left
+        while stack:
+            frame = stack[-1]
+            P, X, ext = frame
+            if ext:
+                low = ext & -ext
+                v = low.bit_length() - 1
+                frame[0], frame[1], frame[2] = P ^ low, X | low, ext ^ low
+                R[-1] = v
+                row = adj[v]
+                P, X = P & row, X & row
+                break
+            stack.pop()
             R.pop()
-            P &= ~low
-            X |= low
-
-    yield from recurse([], (1 << G.n_vertices) - 1, 0)
-
-
-def _maximal_clique_vertices(G: GraphGU, C) -> list[int] | None:
-    """C's vertices in increasing order when they form a maximal clique of
-    G, else None: one sweep over the rows against the clique's mask, each
-    row holding the rest of the clique, and their AND nothing outside it."""
-    verts = sorted(set(C))
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-    adj = G.adjacency
-    common = -1
-    for v in verts:
-        row = adj[v]
-        if row & mask != mask ^ 1 << v:
-            return None
-        common &= row
-    return None if common & ~mask else verts
+        else:
+            return
 
 
 # -- maximal clique decomposition -------------------------------------------
@@ -1056,25 +1061,45 @@ def decompose_clique(G: GraphGU, C) -> tuple[int, tuple[int, ...], tuple[int, ..
     q^t + r with r <= dim(U) + 1 when t = 0 and r + t <= dim(U) otherwise.
     A clique that is not maximal raises ``NotMaximal`` before any of them.
 
-    The square part v2 is read from ``G.square_in_U_mask()`` and v1 is the
-    rest.  One echelon (``linalg.extend_echelon``) is fed v2, which gives
-    t, and then v1: the second and third checks, rank(v1) = r and
-    rank(v2 + v1) = t + r, hold together exactly when every element of v1
-    adds to the rank, so a valid clique takes a single pass.  Only when
-    that pass fails is rank(v1) taken alone: a dependent v1 raises the
-    second check's message, as when the checks ran one by one, and
-    otherwise the spans intersect.
+    One sweep over the clique's vertices in increasing order checks
+    maximality and splits the clique.  C is a maximal clique exactly when
+    the AND of its closed rows, ``adj[v] | 1 << v`` over v in C, is C's
+    own mask: each closed row holds all of C exactly when C is a clique,
+    and the AND holds nothing outside C exactly when no vertex extends
+    it.  The same sweep puts v in v2 when its bit is set in the square
+    mask and in v1 otherwise.  A vertex outside the graph is refused as
+    by a row check in vertex order: ``NotMaximal`` after a vertex of the
+    graph, ``IndexError`` when it comes first.
+
+    One echelon (``linalg.extend_echelon``) is fed v2, which gives t, and
+    then v1: the second and third checks, rank(v1) = r and rank(v2 + v1)
+    = t + r, hold together exactly when every element of v1 adds to the
+    rank, so a valid clique takes a single pass.  Only when that pass
+    fails is rank(v1) taken alone: a dependent v1 raises the second
+    check's message, as when the checks ran one by one, and otherwise the
+    spans intersect.
     """
-    verts = _maximal_clique_vertices(G, C)
-    if verts is None:
+    verts = sorted(set(C))
+    adj = G._rows or G.adjacency  # the slot once built, as in ``has_edge``
+    sq_mask = G._sq_mask
+    mask = 0
+    common = -1
+    v2: list[int] = []
+    v1: list[int] = []
+    try:
+        for v in verts:
+            bit = 1 << v
+            mask |= bit
+            common &= adj[v] | bit
+            (v2 if sq_mask & bit else v1).append(v)
+    except IndexError:
+        if verts[0] >= G.n_vertices:
+            raise
+        common = 0  # a vertex of the graph is not adjacent to one outside it
+    if common != mask:
         raise NotMaximal(f"{sorted(C)} is not a maximal clique")
     ctx = G.ctx
     U = G.U
-    sq_mask = G.square_in_U_mask()
-    v2: list[int] = []
-    v1: list[int] = []
-    for v in verts:
-        (v2 if sq_mask >> v & 1 else v1).append(v)
     echelon: dict = {}
     t = extend_echelon(ctx, echelon, v2)
     if ctx.q**t != len(v2):

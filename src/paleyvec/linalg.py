@@ -23,7 +23,9 @@ of the embedded F_q.  The F_p-rank is taken on the indices themselves:
 for p = 2 an index is its own F_2 coordinate row, so the kernel is an XOR
 basis on Python ints; for odd p the rows are the base-p digits of the
 indices, eliminated mod p.  Each element's rows are computed once per
-field, on first sight, and kept in the field's memo.
+field, on first sight, and kept in the field's memo.  For q = 2 (m = 1)
+an element is its only row, and the kernel reduces it as it comes, with
+no memo and no tuple of rows.
 """
 
 from __future__ import annotations
@@ -181,9 +183,6 @@ class Subspace:
             key = key * q + members // place % q
         return members[np.argsort(key)].tolist()
 
-    def serialize(self) -> str:
-        return "basis=" + ",".join(str(b) for b in self.basis)
-
 
 def span(ctx: FieldCtx, gens: Iterable[int]) -> Subspace:
     """Canonical subspace generated by the given elements."""
@@ -214,18 +213,27 @@ def extend_echelon(ctx: FieldCtx, echelon: dict, elems: Iterable[int]) -> int:
     reduces to 0; otherwise each of its m rows adds a pivot, keyed by its
     leading bit for p = 2 and by its pivot column for odd p.  Rows come from
     the field's memo, so each element's expansion and digits are computed
-    once; for q = 2 the index is its own row and nothing is kept.
+    once; for q = 2 the index is its own row, reduced as it comes, and
+    nothing is kept.
     """
     gained = 0
     if ctx.p == 2:
-        memo = None if ctx.m == 1 else ctx._fp_rows
+        if ctx.m == 1:
+            for x in elems:
+                while x:
+                    top = x.bit_length()
+                    b = echelon.get(top)
+                    if b is None:
+                        echelon[top] = x
+                        gained += 1
+                        break
+                    x ^= b
+            return gained
+        memo = ctx._fp_rows
         for v in elems:
-            if memo is None:
-                rows = (v,)
-            else:
-                rows = memo.get(v)
-                if rows is None:
-                    rows = memo[v] = _fp_rows(ctx, v)
+            rows = memo.get(v)
+            if rows is None:
+                rows = memo[v] = _fp_rows(ctx, v)
             for x in rows:
                 while x:
                     b = echelon.get(x.bit_length())

@@ -12,7 +12,6 @@ from paleyvec.errors import (
     DegreeOutOfRange,
     EvenCharacteristic,
     NonPrime,
-    NotADivisor,
     NotInSubfield,
     ParseError,
 )
@@ -505,31 +504,6 @@ class TestQuadraticCharacter:
         mu = ctx.least_nonsquare()
         assert ctx.quadratic_character(mu) == -1
         assert all(ctx.quadratic_character(c) == 1 for c in range(1, mu))
-
-
-class TestSubfields:
-    def test_full_field(self):
-        ctx = build_field(2, 1, 4)
-        assert ctx.subfield_elements(4) == list(range(16))
-
-    def test_f4_inside_f16(self):
-        ctx = build_field(2, 1, 4)
-        sub = ctx.subfield_elements(2)
-        assert len(sub) == 4
-        for x in sub:
-            assert ctx.pow(x, 4) == x
-            for y in sub:
-                assert ctx.mul(x, y) in sub
-                assert ctx.add(x, y) in sub
-
-    def test_cardinality(self):
-        ctx = build_field(2, 1, 6)
-        for d in (1, 2, 3, 6):
-            assert len(ctx.subfield_elements(d)) == 2**d
-
-    def test_not_a_divisor(self):
-        with pytest.raises(NotADivisor):
-            build_field(2, 1, 4).subfield_elements(3)
 
 
 class TestFieldSpec:

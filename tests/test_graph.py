@@ -1213,7 +1213,8 @@ class TestMaximalCliques:
             G = build_graph(ctx, U)
             seen = set()
             for c in enumerate_maximal_cliques(G):
-                assert graph._maximal_clique_vertices(G, c) == sorted(c)
+                _, V1, square_part = decompose_clique(G, c)
+                assert sorted(V1 + square_part) == sorted(c)
                 assert 0 in c
                 assert c not in seen
                 seen.add(c)
@@ -1276,6 +1277,69 @@ class TestCliqueOrder:
             assert list(enumerate_maximal_cliques(G, cap=len(full))) == full
 
 
+def recursive_maximal_cliques(adj, n):
+    """``enumerate_maximal_cliques`` as it stood before the explicit stack:
+    one generator frame per node, and a pivot scan over all of P | X."""
+
+    def recurse(R, P, X):
+        if not P and not X:
+            yield tuple(R)
+            return
+        pivot, pivot_score = -1, -1
+        for u in range(n):
+            if (P | X) >> u & 1:
+                score = (P & adj[u]).bit_count()
+                if score > pivot_score:
+                    pivot, pivot_score = u, score
+        ext = P & ~adj[pivot]
+        for v in range(n):
+            if ext >> v & 1:
+                R.append(v)
+                yield from recurse(R, P & adj[v], X & adj[v])
+                R.pop()
+                P &= ~(1 << v)
+                X |= 1 << v
+
+    yield from recurse([], (1 << n) - 1, 0)
+
+
+class TestEnumerationCrossCheck:
+    """The one-frame enumeration against the recursion it replaced: the
+    same cliques in the same order, on graphs G_U and on random graphs,
+    where a pivot scan that stopped early would pick a different pivot."""
+
+    @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
+    def test_product_subspace_graphs(self, spec):
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                want = list(recursive_maximal_cliques(G.adjacency, G.n_vertices))
+                assert list(enumerate_maximal_cliques(G)) == want
+
+    def test_random_graphs(self):
+        rng = random.Random(2006)
+        ctx = build_field(2, 1, 4)
+        G = build_graph(ctx, trace_zero_hyperplane(ctx))
+        n = G.n_vertices
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(20):
+                mat = np.zeros((n, n), dtype=bool)
+                for a, b in itertools.combinations(range(n), 2):
+                    mat[a, b] = mat[b, a] = rng.random() < density
+                G._rows = pack_rows(mat)
+                want = list(recursive_maximal_cliques(G._rows, n))
+                assert list(enumerate_maximal_cliques(G)) == want
+
+    def test_pivot_reaching_the_ceiling_after_the_first_vertex(self):
+        # a triangle 0, 1, 2 and the edge 1 3: at the root vertex 0 scores 2,
+        # one below the ceiling 3 that vertex 1 reaches and so is the pivot
+        ctx = build_field(2, 1, 2)
+        G = build_graph(ctx, span(ctx, [1]))
+        G._rows = [0b0110, 0b1101, 0b0011, 0b0010]
+        assert list(enumerate_maximal_cliques(G)) == [(1, 0, 2), (1, 3)]
+
+
 def old_decompose(G, C):
     """Reference split by sets and the enumeration check of trivial intersection."""
     ctx = G.ctx
@@ -1334,6 +1398,15 @@ class TestDecomposition:
             decompose_clique(G, (0, 2))
         with pytest.raises(NotMaximal):
             decompose_clique(G, (1, 2))
+
+    def test_vertex_outside_the_graph(self):
+        ctx = build_field(2, 1, 2)
+        G = build_graph(ctx, span(ctx, [1]))
+        # refused as by a row check in vertex order
+        with pytest.raises(NotMaximal, match=r"\[0, 2, 3, 4\] is not a maximal clique"):
+            decompose_clique(G, (0, 2, 3, 4))
+        with pytest.raises(IndexError):
+            decompose_clique(G, (4,))
 
     def test_structure_on_instances(self):
         rng = random.Random(31)
@@ -1551,14 +1624,14 @@ class TestSinglePassCrossCheck:
                         if len(clique) > 1 and rng.random() < 0.2:
                             dropped = rng.choice(clique)
                             smaller = [v for v in clique if v != dropped]
-                            assert graph._maximal_clique_vertices(G, smaller) is None
-                            assert _outcome(decompose_clique, G, smaller) == _outcome(
-                                three_rank_decompose, G, smaller
-                            )
+                            want = _outcome(three_rank_decompose, G, smaller)
+                            assert want[0] == "NotMaximal"
+                            assert _outcome(decompose_clique, G, smaller) == want
                             outside = [v for v in range(ctx.order) if v not in clique]
                             bigger = list(clique) + [rng.choice(outside)]
-                            assert graph._maximal_clique_vertices(G, bigger) is None
-                            assert _outcome(decompose_clique, G, bigger)[0] == "NotMaximal"
+                            want = _outcome(three_rank_decompose, G, bigger)
+                            assert want[0] == "NotMaximal"
+                            assert _outcome(decompose_clique, G, bigger) == want
         # every branch, the choice after a failed single pass included
         assert seen >= {
             "split",
