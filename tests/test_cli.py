@@ -225,6 +225,8 @@ def test_time_limit_is_honoured(argv, capsys):
 
 
 def test_predict_above_table_limit(capsys):
+    # D of a subspace of an untabled field, from U's squares and the
+    # subfield's trace basis
     argv = ["omega", "--field", "11^1^6", "--subspace", "basis=1,11", "--mode", "predict"]
     assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["predicted"] == 12

@@ -46,8 +46,8 @@ def test_hyperplane_closed_form(spec):
 def test_cli_exact_is_q_power_plus_r(capsys):
     ctx = build_field(3, 1, 3)
     for _, U in all_hyperplanes(ctx):
-        code = cli.main(["omega", "--field", "3^1^3", "--subspace", "basis=" + ",".join(map(str, U.basis)),
-                         "--mode", "exact"])
+        basis = "basis=" + ",".join(map(str, U.basis))
+        code = cli.main(["omega", "--field", "3^1^3", "--subspace", basis, "--mode", "exact"])
         assert code == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         dec = payload["decomposition"]
