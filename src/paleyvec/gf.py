@@ -309,7 +309,8 @@ class FieldCtx:
     Memos grow on use: each element's F_p rows (see
     ``linalg.extend_echelon``) and, on a tabled field, three read-only
     index arrays that every subspace of the field reads, each built once:
-    ``squares``, ``orbit_least`` and, per divisor d of n, ``subfield_grid``.
+    ``squares``, ``orbit_least`` with ``orbit_leaders`` and, per divisor d
+    of n, ``subfield_grid``.
     A context stays in its process: a parallel solve sends its workers rows only.
     """
 
@@ -365,7 +366,7 @@ class FieldCtx:
         self._exp = self._log = None
         self._exp_np = self._log_np = None
         self._trace = None
-        self._squares = self._orbit_least = None
+        self._squares = self._orbit_least = self._orbit_leaders = None
         self._subfield_grids: dict[int, np.ndarray] = {}
         self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
         if self.tabled:
@@ -480,13 +481,22 @@ class FieldCtx:
     def orbit_least(self) -> np.ndarray:
         """Read-only array mapping every element v to the least element of
         its orbit v F_q* (0 to 0), in the narrowest unsigned type that holds
-        an index.  Built on first use and kept; needs the tables."""
+        an index.  Built on first use and kept, with ``orbit_leaders``;
+        needs the tables."""
         if self._orbit_least is None:
             orbits = self._exp_np.reshape(self.q - 1, self.mord // (self.q - 1))
-            least = self._orbit_least = np.zeros(self.order, np.min_scalar_type(self.mord))
+            least = np.zeros(self.order, np.min_scalar_type(self.mord))
             least[orbits] = orbits.min(axis=0)
-            least.flags.writeable = False
+            leaders = least == np.arange(self.order)
+            least.flags.writeable = leaders.flags.writeable = False
+            self._orbit_least, self._orbit_leaders = least, leaders
         return self._orbit_least
+
+    def orbit_leaders(self) -> np.ndarray:
+        """Read-only boolean array, True at each element that is the least
+        of its orbit v F_q* (0 included).  Built with ``orbit_least``."""
+        self.orbit_least()
+        return self._orbit_leaders
 
     def subfield_grid(self, d: int) -> np.ndarray:
         """Read-only array g^(2k + j*step) at row k < step, column j < d, for

@@ -54,10 +54,17 @@ handful of root orbits: the 2^1^11 trace-zero one takes 5,194 nodes, not
 
 Whether v^2 lies in U is read from one place: U's membership array
 indexed by the field's table of squares, once per graph.  It gives the
-degrees (v != 0 has |U| neighbours, less one when v^2 lies in U), the
 search labels, which so need no sort, and, packed into an integer,
 ``square_in_U_mask``, from which the seed cliques and the clique
 decomposition take it; ``square_clique`` searches those vertices alone.
+The degrees (v != 0 has |U| neighbours, less one when v^2 lies in U) are
+formed from it only when ``degrees`` is read, which a solve never does.
+
+The seed cliques read U through its canonical basis: the first nonzero
+element in coordinate order is the last basis element, and the square
+the second seed needs is found by a walk of U in that order
+(``Subspace.iter_elements``) that stops at the first hit.  A solve so
+never lists U.
 """
 
 from __future__ import annotations
@@ -118,10 +125,7 @@ def check_vertex_budget(n_vertices: int, max_vertices: int | None = None) -> Non
 class GraphGU:
     """Graph on F_{q^n} with edges (a, b) whenever a != b and ab lies in U."""
 
-    __slots__ = (
-        "ctx", "U", "n_vertices", "degrees", "_square_in_U", "_sq_mask", "_rows",
-        "_by_log",
-    )
+    __slots__ = ("ctx", "U", "n_vertices", "_square_in_U", "_sq_mask", "_rows", "_by_log")
 
     def __init__(self, ctx: FieldCtx, U: Subspace):
         self.ctx = ctx
@@ -129,14 +133,19 @@ class GraphGU:
         self.n_vertices = ctx.order
         self._rows: list[int] | None = None
         self._by_log: bytes | None = None
-        # the row of v != 0 is v^-1 U less v itself when v^2 lies in U
         square_in_U = U.member[ctx.squares()]
-        degrees = U.size - square_in_U.astype(np.intp)
-        degrees[0] = ctx.order - 1
-        self.degrees = degrees.tolist()
         self._square_in_U = square_in_U
         packed = np.packbits(square_in_U, bitorder="little").tobytes()
         self._sq_mask = int.from_bytes(packed, "little")
+
+    @property
+    def degrees(self) -> list[int]:
+        """The degree of each vertex, by index, formed from the square mask
+        on each read (nothing in a solve reads it): the row of v != 0 is
+        v^-1 U less v itself when v^2 lies in U."""
+        degrees = self.U.size - self._square_in_U.astype(np.intp)
+        degrees[0] = self.n_vertices - 1
+        return degrees.tolist()
 
     @property
     def adjacency(self) -> list[int]:
@@ -173,16 +182,17 @@ class GraphGU:
 
 
 def build_graph(ctx: FieldCtx, U: Subspace, *, max_vertices: int | None = None) -> GraphGU:
-    """The product-subspace graph, with its degrees and square mask.
+    """The product-subspace graph, with its square mask.
 
     It costs one q^n-entry gather of U's membership by the field's table
-    of squares, from which both are read; the rows are packed on the first
-    read of ``adjacency`` (``_orbit_rows``), which an exact solve never
-    makes.  Row v is v^-1 U with 0 added and v itself removed, and false
-    twins share one integer: a dense U costs one q^n-byte column gather
-    per F_q*-orbit, a sparse U a scatter of q^dim cells.  The rows read
-    the field's log tables, so a field without them is refused; above the
-    default table limit the rows alone would take at least 128 GB.
+    of squares, and the pack of that gather into the mask; the degrees are
+    formed from it on each read of ``degrees``, and the rows are packed on
+    the first read of ``adjacency`` (``_orbit_rows``).  An exact solve
+    reads neither.  Row v is v^-1 U with 0 added and v itself removed,
+    and false twins share one integer: a dense U costs one q^n-byte column
+    gather per F_q*-orbit, a sparse U a scatter of q^dim cells.  The rows
+    read the field's log tables, so a field without them is refused; above
+    the default table limit the rows alone would take at least 128 GB.
     """
     if U.dim < 1:
         raise ZeroDimension("graphs need a subspace of dimension at least 1")
@@ -207,18 +217,20 @@ def _orbit_rows(
     U: Subspace,
     label_of: np.ndarray | None = None,
     deadline: float | None = None,
+    m: int | None = None,
 ) -> list[int]:
     """The rows of G_U in the labelling ``label_of`` (vertex -> label in
     0..m-1, onto, default the identity): row i holds bit j when a vertex of
     label i and one of label j are adjacent.  Vertices that share a label
-    must make up a whole F_q*-orbit of false twins.  Needs the field's
-    tables.
+    must make up a whole F_q*-orbit of false twins.  The number of labels
+    m is read off ``label_of`` unless given.  Needs the field's tables.
 
     The row of g^k is g^-k U, the same for every vertex of the orbit
     g^k F_q*, so one base row is filled per orbit.  A block of base rows
     is filled label-major, cell (j, i) for label j and base row start + i:
     - dense U (|U| >= q^n / _DENSE_SHARE): member[i] says whether g^i lies
-      in U (i mod q^n - 1), so the cells of label j are the run of member
+      in U (i mod q^n - 1, from copies of U's membership by log, enough
+      for the last window), so the cells of label j are the run of member
       from start + log v, for v a vertex of that label (lam v g^i lies in U
       exactly when v g^i does).  They are row log v of a window over
       member, and one gather by the logs copies every run;
@@ -233,7 +245,8 @@ def _orbit_rows(
     n, mord, exp, log = ctx.order, ctx.mord, ctx._exp_np, ctx._log_np
     if label_of is None:
         label_of = np.arange(n)
-    m = int(label_of.max()) + 1
+    if m is None:
+        m = int(label_of.max()) + 1
     lexp = label_of[exp]  # the label of g^i
     zero = int(label_of[0])
     # F_q* is generated by g^step, so column k holds the orbit of g^k
@@ -244,7 +257,7 @@ def _orbit_rows(
     chunk = 8 * max(1, min(_BLOCK_CELLS // (8 * height), -(-step // 8)))
     dense = _DENSE_SHARE * U.size >= n
     if dense:
-        member = np.resize(U.member[exp], step + chunk + mord)
+        member = np.concatenate((U.member[exp],) * (1 + -(-(step + chunk) // mord)))
         logs = np.zeros(height, dtype=np.intp)
         logs[label_of] = log  # any vertex of a label; 0's cells are set below
     else:
@@ -268,15 +281,19 @@ def _orbit_rows(
             cells.reshape(-1)[(at * chunk + np.arange(count)[:, None]).reshape(-1)] = True
         cells[zero] = True
         diagonal = (lexp[start:start + count], np.arange(count))
-        loops = cells[diagonal].tolist()  # v^2 in U: v sees itself in the base row
+        loops = cells[diagonal]  # v^2 in U: v sees itself in the base row
         cells[diagonal] = False
         packed = _pack_columns(cells, count)
-        for row, orbit, loop in zip(packed, orbits[:, start:start + count].T.tolist(), loops):
-            first = orbit[0]
+        block = orbits[:, start:start + count]
+        for first, row in zip(block[0].tolist(), packed):
             rows[first] = row
-            if loop or orbit[-1] != first:
-                for w in orbit[1:]:
-                    rows[w] = row ^ (1 << first | 1 << w) if loop else row
+        # the orbits whose vertices have labels of their own
+        spread = np.flatnonzero(block[-1] != block[0])
+        spread_orbits = block[:, spread].T.tolist()
+        for i, loop, orbit in zip(spread.tolist(), loops[spread].tolist(), spread_orbits):
+            first, row = orbit[0], packed[i]
+            for w in orbit[1:]:
+                rows[w] = row ^ (1 << first | 1 << w) if loop else row
         _check_deadline(deadline, "search-row build")
     return rows
 
@@ -294,7 +311,8 @@ def _pack_columns(cells: np.ndarray, count: int) -> list[int]:
     packed = np.matmul(_BYTE_BITS, words)
     nbytes = len(packed)
     raw = np.ascontiguousarray(packed.view(np.uint8).T[:count]).tobytes()
-    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, count * nbytes, nbytes)]
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + nbytes], "little") for i in range(0, count * nbytes, nbytes)]
 
 
 # -- exact maximum clique ---------------------------------------------------
@@ -613,12 +631,14 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     """Constructive starter cliques, greedily extended.
 
     Finds the triangle {0, a, u/a} built from the least a with a^2
-    outside U (there is one whenever U is proper), and when U contains a
-    nonzero square w = a^2 the clique a*F_q (plus one extra vertex when
-    dim > 1).  Each is extended by the least common neighbour in turn.
+    outside U (there is one whenever U is proper) and u the first nonzero
+    element of U, and when U contains a nonzero square w = a^2 the clique
+    a*F_q (plus one extra vertex when dim > 1).  Each is extended by the
+    least common neighbour in turn.
     """
     label_of, vertex_of = _search_labels(G)
-    return _seed_clique(G, label_of, vertex_of, _orbit_rows(G.ctx, G.U, label_of))
+    rows = _orbit_rows(G.ctx, G.U, label_of, m=len(vertex_of))
+    return _seed_clique(G, label_of, vertex_of, rows)
 
 
 def _seed_clique(
@@ -626,44 +646,59 @@ def _seed_clique(
 ) -> list[int]:
     """``greedy_seed_clique`` on search rows labelled by ``_search_labels``.
 
-    Candidate labels are walked in ascending order of the vertex each
-    keeps, which picks what a walk over the graph's rows by least vertex
-    picks: a false-twin orbit keeps its least vertex (its members tie in
-    degree), and that walk takes it or none of its non-adjacent twins.
+    U is read through its canonical basis, in the order of
+    ``Subspace.enumerate_elements``: its first nonzero elements are the
+    multiples of the last basis element u0, and the next is the basis
+    element before it.  So u0 is the first nonzero element, and the extra
+    vertex's u, the first element off the line F_q w, is u0 unless w lies
+    on F_q u0, and then that next basis element.  w, the first nonzero
+    square, is u0 for p = 2, where every element is a square, and for odd
+    p comes from ``iter_elements``, which stops at it.
+
+    The extension takes the candidate labels in ascending order of the
+    vertex each keeps, which picks what a walk over the graph's rows by
+    least vertex picks: a false-twin orbit keeps its least vertex (its
+    members tie in degree), and that walk takes it or none of its
+    non-adjacent twins.  Below the label of 0 the labels come in two runs,
+    the kept false twins and then the vertices with v^2 in U, and within a
+    run a higher label keeps a lower vertex; so the next vertex is the
+    lower of the two runs' top candidates, one bit length each.
     """
     ctx = G.ctx
     U = G.U
-    members = U.enumerate_elements()[1:]
+    m = len(rows)
+    # labels m - 2 down to m - 1 - twins keep false twins, those below squares in U
+    twins = m - G._sq_mask.bit_count()
+    in_run = (1 << m - 1 - twins) - 1
+    u0 = U.basis[-1]
     seeds: list[list[int]] = []
-    u0 = members[0]
-    # 0 is in U, so any vertex with its square outside U is nonzero
-    sq_out = ~G.square_in_U_mask() & (1 << G.n_vertices) - 1
-    if sq_out:
-        a_out = (sq_out & -sq_out).bit_length() - 1
+    if twins:
+        a_out = vertex_of[m - 2]  # the least vertex with its square outside U
         seeds.append([0, a_out, ctx.mul(u0, ctx.inv(a_out))])
-    w = next((u for u in members if ctx.is_square(u)), None)
-    if w is not None:
+    if G._sq_mask > 1:  # some v != 0 has v^2 in U: U holds a nonzero square
+        w = u0 if ctx.p == 2 else next(u for u in U.iter_elements() if u and ctx.is_square(u))
         a = ctx.sqrt(w)
         line = [ctx.mul(a, lam) for lam in range(ctx.q)]
         if U.dim > 1:
-            line_prod = {ctx.mul(w, lam) for lam in range(ctx.q)}
-            extra = next(u for u in members if u not in line_prod)
+            # w / u0 has an index below q exactly when it lies in F_q
+            extra = U.basis[-2] if ctx.mul(w, ctx.inv(u0)) < ctx.q else u0
             line.append(ctx.mul(extra, ctx.inv(a)))
         seeds.append(line)
-    nbytes = (len(rows) + 7) // 8
     best: list[int] = []
     for seed in seeds:
         seed = sorted(set(seed))
-        cand = (1 << len(rows)) - 1
-        for v in seed:
-            cand &= rows[label_of[v]]
+        cand = (1 << m) - 1
+        for j in label_of[seed].tolist():
+            cand &= rows[j]
         clique = list(seed)
-        raw = np.frombuffer(cand.to_bytes(nbytes, "little"), dtype=np.uint8)
-        labels = np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
-        for j in sorted(labels, key=vertex_of.__getitem__):
-            if cand >> j & 1:
-                clique.append(vertex_of[j])
-                cand &= rows[j]
+        while cand:
+            squares = cand & in_run
+            j = (cand ^ squares).bit_length() - 1
+            k = squares.bit_length() - 1
+            if j < 0 or k >= 0 and vertex_of[k] < vertex_of[j]:
+                j = k
+            clique.append(vertex_of[j])
+            cand &= rows[j]
         if len(clique) > len(best):
             best = sorted(clique)
     return best
@@ -782,17 +817,20 @@ def isometries(G: GraphGU) -> np.ndarray:
         b_xa = trace[exp[(log[ca] + log) % mord]]
         b_xa[0] = 0
         perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
-        _certify_isometry(ctx, c, perm)
+        _certify_isometry(ctx, c, perm, trace)
         perms.append(perm)
     return np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
 
 
-def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
+def _certify_isometry(
+    ctx: FieldCtx, c: int, perm: np.ndarray, trace: np.ndarray | None = None
+) -> None:
     """Raise ``StructureViolation`` unless ``perm`` is a permutation of the
     field that keeps B(x, y) = Tr(cxy): equal to the F_p-linear map with
     its images of the F_p basis p^i (``linalg.fp_combinations``), so
     additive on every basis shift, and keeping B on every pair of basis
-    elements, so keeping B, which is F_p-bilinear."""
+    elements, so keeping B, which is F_p-bilinear.  ``trace`` is the
+    field's trace table as an array, converted here when not given."""
     seen = np.zeros(ctx.order, dtype=bool)
     seen[perm] = True
     if not seen.all():
@@ -801,7 +839,8 @@ def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
     if not np.array_equal(perm, fp_combinations(ctx, perm[basis].tolist())):
         raise StructureViolation("an isometry generator is not additive")
     # a permutation fixing 0 sends the basis to nonzero elements, which have logs
-    exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
+    exp, log = ctx._exp_np, ctx._log_np
+    trace = np.asarray(ctx._trace) if trace is None else trace
 
     def gram(elems: np.ndarray) -> np.ndarray:
         logs = log[c] + log[elems]
@@ -864,7 +903,7 @@ def _search_labels(G: GraphGU) -> tuple[np.ndarray, list[int]]:
     """
     n, square_in_U, least = G.n_vertices, G._square_in_U, G.ctx.orbit_least()
     twin = ~square_in_U  # constant on each orbit v F_q*, as lam^2 U = U
-    kept_twin = np.flatnonzero(twin & (least == np.arange(n)))
+    kept_twin = np.flatnonzero(twin & G.ctx.orbit_leaders())
     order = np.concatenate(([0], kept_twin, np.flatnonzero(square_in_U)[1:]))
     label_of = np.empty(n, dtype=np.intp)
     label_of[order] = np.arange(len(order) - 1, -1, -1)
@@ -896,8 +935,11 @@ def clique_number_exact(
     twins, and any one of them stands for the rest, so the search runs on
     one vertex per orbit (``_search_labels``), with rows built in search
     labels by ``_orbit_rows``; the seed cliques are extended on those rows
-    too, so the solve never packs the graph's own.  When the search finds
-    no clique larger than the seed, the seed is the witness.
+    too, so the solve never packs the graph's own.  The seeds read U
+    through its canonical basis and a walk that stops at the first square
+    (``_seed_clique``), so the solve never lists U, and it never forms the
+    graph's degree list.  When the search finds no clique larger than the
+    seed, the seed is the witness.
 
     The root's branches are cut by orbit under ``Automorphisms``, built
     once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
@@ -934,7 +976,7 @@ def clique_number_exact(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     start = time.perf_counter()
     label_of, vertex_of = _search_labels(G)
-    rows = _orbit_rows(G.ctx, G.U, label_of, deadline)
+    rows = _orbit_rows(G.ctx, G.U, label_of, deadline, len(vertex_of))
     stats.rows_ms = _ms_since(start)
     stats.vertices = len(rows)
     start = time.perf_counter()
@@ -968,7 +1010,7 @@ def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
     seed {0}; for a hyperplane the isometries keep B(v, v), and so S, and
     cut it too.  A witness whose size is not q^rank raises ``StructureViolation``."""
     label_of, vertex_of = _search_labels(G)
-    rows = _orbit_rows(G.ctx, G.U, label_of)
+    rows = _orbit_rows(G.ctx, G.U, label_of, m=len(vertex_of))
     search = _search(G, rows, label_of, vertex_of)
     search.seed([int(label_of[0])])
     search.root(sum(1 << v for v in label_of[G._square_in_U].tolist()))

@@ -11,7 +11,9 @@ indices.  The array is built on first use, never on construction, by
 enumerating the F_p-span of U with numpy: the index of an element is the
 base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
 when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
-"v^2 in U" for every v at once, and sorted by coordinates it lists U.
+"v^2 in U" for every v at once, and sorted by coordinates it lists U;
+``Subspace.iter_elements`` walks U in the same order from its basis,
+for a caller that stops at the first hit.
 
 Where only a dimension is needed, ``rank`` answers without the canonical
 basis, by one incremental kernel, ``extend_echelon``, which feeds
@@ -182,6 +184,19 @@ class Subspace:
                 place *= q
             key = key * q + members // place % q
         return members[np.argsort(key)].tolist()
+
+    def iter_elements(self) -> Iterator[int]:
+        """The elements one at a time, in the order of ``enumerate_elements``,
+        none listed ahead and with no size budget: on the canonical basis
+        that order is lexicographic in the coefficients (F_q indices), the
+        first basis element's the most significant."""
+        ctx = self.ctx
+        multiples = [[ctx.mul(c, b) for c in range(ctx.q)] for b in self.basis]
+        for terms in itertools.product(*multiples):
+            x = 0
+            for y in terms:
+                x = ctx.add(x, y)
+            yield x
 
 
 def span(ctx: FieldCtx, gens: Iterable[int]) -> Subspace:

@@ -19,6 +19,7 @@ from paleyvec.errors import (
 from paleyvec import graph
 from paleyvec.gf import build_field
 from paleyvec.linalg import (
+    Subspace,
     all_hyperplanes,
     all_subspaces,
     contains_nonzero_square,
@@ -30,6 +31,7 @@ from paleyvec.linalg import (
 )
 from paleyvec.graph import (
     Automorphisms,
+    GraphGU,
     SolveStats,
     build_graph,
     clique_number_exact,
@@ -900,15 +902,16 @@ class TestRowsCrossCheck:
 
     def test_threshold_picks_both_fills(self, monkeypatch):
         # 2^1^6 with d = 1 is scattered and with d = 2 gathered; only the
-        # gather lays U's membership out by log with np.resize
+        # gather lays U's membership out by log, copies joined by np.concatenate
         ctx = build_field(2, 1, 6)
-        resize, gathers = np.resize, []
+        concatenate, gathers = np.concatenate, []
 
-        def counted(*args):
-            gathers.append(1)
-            return resize(*args)
+        def counted(arrays, *args, **kwargs):
+            if arrays[0].dtype == bool:
+                gathers.append(1)
+            return concatenate(arrays, *args, **kwargs)
 
-        monkeypatch.setattr(np, "resize", counted)
+        monkeypatch.setattr(np, "concatenate", counted)
         for d in (1, 2):
             for U in itertools.islice(all_subspaces(ctx, d), 20):
                 gathers.clear()
@@ -1114,6 +1117,53 @@ class TestRowsPackedOnce:
                 assert greedy_seed_clique(G) == old_greedy_seed_clique(G), U.basis
 
     @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_member_walk_matches_listing(self, spec):
+        # the seed's lazy walk of U against its listing, on every subspace,
+        # the zero space and the whole field included
+        ctx = build_field(*spec)
+        for d in range(ctx.n + 1):
+            for U in all_subspaces(ctx, d):
+                assert list(U.iter_elements()) == U.enumerate_elements(), U.basis
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_solve_lists_no_subspace(self, spec, monkeypatch):
+        # the seed reads U through its basis; nothing in a solve lists U
+        calls = []
+        real = Subspace.enumerate_elements
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(Subspace, "enumerate_elements", counted)
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                clique_number_exact(build_graph(ctx, U))
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_degrees_formed_on_read(self, spec, monkeypatch):
+        # neither the build nor a solve forms the degree list; a read does
+        calls = []
+        real = GraphGU.degrees
+
+        def counted(self):
+            calls.append(1)
+            return real.fget(self)
+
+        monkeypatch.setattr(GraphGU, "degrees", property(counted))
+        ctx = build_field(*spec)
+        for d in range(1, ctx.n):
+            for U in all_subspaces(ctx, d):
+                G = build_graph(ctx, U)
+                clique_number_exact(G)
+                assert calls == []
+                assert G.degrees == [row.bit_count() for row in G.adjacency]
+                assert calls == [1]
+                calls.clear()
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
     def test_edge_test_reads_no_row(self, spec, monkeypatch):
         # every ordered pair, a = b and zeros included, on every proper subspace
         calls = []
@@ -1141,9 +1191,9 @@ class TestRowsPackedOnce:
         calls = []
         real = graph._orbit_rows
 
-        def counted(ctx, U, label_of=None, deadline=None):
+        def counted(ctx, U, label_of=None, deadline=None, m=None):
             calls.append(label_of is not None)
-            return real(ctx, U, label_of, deadline)
+            return real(ctx, U, label_of, deadline, m)
 
         monkeypatch.setattr(graph, "_orbit_rows", counted)
         U = _pinned_subspace(spec)
