@@ -669,7 +669,7 @@ def _seed_clique(
     m = len(rows)
     # labels m - 2 down to m - 1 - twins keep false twins, those below squares in U
     twins = m - G._sq_mask.bit_count()
-    in_run = (1 << m - 1 - twins) - 1
+    square_run = (1 << m - 1 - twins) - 1
     u0 = U.basis[-1]
     seeds: list[list[int]] = []
     if twins:
@@ -692,7 +692,7 @@ def _seed_clique(
             cand &= rows[j]
         clique = list(seed)
         while cand:
-            squares = cand & in_run
+            squares = cand & square_run
             j = (cand ^ squares).bit_length() - 1
             k = squares.bit_length() - 1
             if j < 0 or k >= 0 and vertex_of[k] < vertex_of[j]:
