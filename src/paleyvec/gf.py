@@ -365,7 +365,7 @@ class FieldCtx:
         self.generator = None
         self._exp = self._log = None
         self._exp_np = self._log_np = None
-        self._trace = None
+        self._trace = self._trace_np = None
         self._squares = self._orbit_least = self._orbit_leaders = None
         self._subfield_grids: dict[int, np.ndarray] = {}
         self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
@@ -402,6 +402,9 @@ class FieldCtx:
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity
         self._trace = trace.tolist()
+        # the trace as a read-only array, for the isometry certificates
+        self._trace_np = trace.astype(np.min_scalar_type(self.q - 1))
+        self._trace_np.flags.writeable = False
         self._exp = self._exp_np.tolist()
         self._log = self._log_np.tolist()
 

@@ -217,20 +217,18 @@ def _orbit_rows(
     U: Subspace,
     label_of: np.ndarray | None = None,
     deadline: float | None = None,
-    m: int | None = None,
 ) -> list[int]:
     """The rows of G_U in the labelling ``label_of`` (vertex -> label in
     0..m-1, onto, default the identity): row i holds bit j when a vertex of
     label i and one of label j are adjacent.  Vertices that share a label
-    must make up a whole F_q*-orbit of false twins.  The number of labels
-    m is read off ``label_of`` unless given.  Needs the field's tables.
+    must make up a whole F_q*-orbit of false twins.  Needs the field's
+    tables.
 
     The row of g^k is g^-k U, the same for every vertex of the orbit
     g^k F_q*, so one base row is filled per orbit.  A block of base rows
     is filled label-major, cell (j, i) for label j and base row start + i:
     - dense U (|U| >= q^n / _DENSE_SHARE): member[i] says whether g^i lies
-      in U (i mod q^n - 1, from copies of U's membership by log, enough
-      for the last window), so the cells of label j are the run of member
+      in U (i mod q^n - 1), so the cells of label j are the run of member
       from start + log v, for v a vertex of that label (lam v g^i lies in U
       exactly when v g^i does).  They are row log v of a window over
       member, and one gather by the logs copies every run;
@@ -245,8 +243,7 @@ def _orbit_rows(
     n, mord, exp, log = ctx.order, ctx.mord, ctx._exp_np, ctx._log_np
     if label_of is None:
         label_of = np.arange(n)
-    if m is None:
-        m = int(label_of.max()) + 1
+    m = int(label_of.max()) + 1
     lexp = label_of[exp]  # the label of g^i
     zero = int(label_of[0])
     # F_q* is generated by g^step, so column k holds the orbit of g^k
@@ -257,7 +254,7 @@ def _orbit_rows(
     chunk = 8 * max(1, min(_BLOCK_CELLS // (8 * height), -(-step // 8)))
     dense = _DENSE_SHARE * U.size >= n
     if dense:
-        member = np.concatenate((U.member[exp],) * (1 + -(-(step + chunk) // mord)))
+        member = np.resize(U.member[exp], step + chunk + mord)
         logs = np.zeros(height, dtype=np.intp)
         logs[label_of] = log  # any vertex of a label; 0's cells are set below
     else:
@@ -637,8 +634,7 @@ def greedy_seed_clique(G: GraphGU) -> list[int]:
     least common neighbour in turn.
     """
     label_of, vertex_of = _search_labels(G)
-    rows = _orbit_rows(G.ctx, G.U, label_of, m=len(vertex_of))
-    return _seed_clique(G, label_of, vertex_of, rows)
+    return _seed_clique(G, label_of, vertex_of, _orbit_rows(G.ctx, G.U, label_of))
 
 
 def _seed_clique(
@@ -800,7 +796,7 @@ def isometries(G: GraphGU) -> np.ndarray:
     ctx = G.ctx
     p, q, mord = ctx.p, ctx.q, ctx.mord
     c = functional_of_hyperplane(G.U)
-    exp, log, trace = ctx._exp_np, ctx._log_np, np.asarray(ctx._trace)
+    exp, log, trace = ctx._exp_np, ctx._log_np, ctx._trace_np
     x = np.arange(ctx.order)
     two = ctx.add(1, 1)
     perms = []
@@ -817,20 +813,17 @@ def isometries(G: GraphGU) -> np.ndarray:
         b_xa = trace[exp[(log[ca] + log) % mord]]
         b_xa[0] = 0
         perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
-        _certify_isometry(ctx, c, perm, trace)
+        _certify_isometry(ctx, c, perm)
         perms.append(perm)
     return np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
 
 
-def _certify_isometry(
-    ctx: FieldCtx, c: int, perm: np.ndarray, trace: np.ndarray | None = None
-) -> None:
+def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
     """Raise ``StructureViolation`` unless ``perm`` is a permutation of the
     field that keeps B(x, y) = Tr(cxy): equal to the F_p-linear map with
     its images of the F_p basis p^i (``linalg.fp_combinations``), so
     additive on every basis shift, and keeping B on every pair of basis
-    elements, so keeping B, which is F_p-bilinear.  ``trace`` is the
-    field's trace table as an array, converted here when not given."""
+    elements, so keeping B, which is F_p-bilinear."""
     seen = np.zeros(ctx.order, dtype=bool)
     seen[perm] = True
     if not seen.all():
@@ -839,8 +832,7 @@ def _certify_isometry(
     if not np.array_equal(perm, fp_combinations(ctx, perm[basis].tolist())):
         raise StructureViolation("an isometry generator is not additive")
     # a permutation fixing 0 sends the basis to nonzero elements, which have logs
-    exp, log = ctx._exp_np, ctx._log_np
-    trace = np.asarray(ctx._trace) if trace is None else trace
+    exp, log, trace = ctx._exp_np, ctx._log_np, ctx._trace_np
 
     def gram(elems: np.ndarray) -> np.ndarray:
         logs = log[c] + log[elems]
@@ -976,7 +968,7 @@ def clique_number_exact(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     start = time.perf_counter()
     label_of, vertex_of = _search_labels(G)
-    rows = _orbit_rows(G.ctx, G.U, label_of, deadline, len(vertex_of))
+    rows = _orbit_rows(G.ctx, G.U, label_of, deadline)
     stats.rows_ms = _ms_since(start)
     stats.vertices = len(rows)
     start = time.perf_counter()
@@ -1010,7 +1002,7 @@ def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
     seed {0}; for a hyperplane the isometries keep B(v, v), and so S, and
     cut it too.  A witness whose size is not q^rank raises ``StructureViolation``."""
     label_of, vertex_of = _search_labels(G)
-    rows = _orbit_rows(G.ctx, G.U, label_of, m=len(vertex_of))
+    rows = _orbit_rows(G.ctx, G.U, label_of)
     search = _search(G, rows, label_of, vertex_of)
     search.seed([int(label_of[0])])
     search.root(sum(1 << v for v in label_of[G._square_in_U].tolist()))

@@ -902,16 +902,15 @@ class TestRowsCrossCheck:
 
     def test_threshold_picks_both_fills(self, monkeypatch):
         # 2^1^6 with d = 1 is scattered and with d = 2 gathered; only the
-        # gather lays U's membership out by log, copies joined by np.concatenate
+        # gather lays U's membership out by log with np.resize
         ctx = build_field(2, 1, 6)
-        concatenate, gathers = np.concatenate, []
+        resize, gathers = np.resize, []
 
-        def counted(arrays, *args, **kwargs):
-            if arrays[0].dtype == bool:
-                gathers.append(1)
-            return concatenate(arrays, *args, **kwargs)
+        def counted(*args):
+            gathers.append(1)
+            return resize(*args)
 
-        monkeypatch.setattr(np, "concatenate", counted)
+        monkeypatch.setattr(np, "resize", counted)
         for d in (1, 2):
             for U in itertools.islice(all_subspaces(ctx, d), 20):
                 gathers.clear()
@@ -1191,9 +1190,9 @@ class TestRowsPackedOnce:
         calls = []
         real = graph._orbit_rows
 
-        def counted(ctx, U, label_of=None, deadline=None, m=None):
+        def counted(ctx, U, label_of=None, deadline=None):
             calls.append(label_of is not None)
-            return real(ctx, U, label_of, deadline, m)
+            return real(ctx, U, label_of, deadline)
 
         monkeypatch.setattr(graph, "_orbit_rows", counted)
         U = _pinned_subspace(spec)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from record_bench import run_workload
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ["wall_s", "instance_ms_p50", "setup_s", "peak_rss_mb"]
@@ -40,14 +41,7 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def run(root: Path, args) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-            "--seed", str(args.seed), "--trace", "0"]
-    if args.seconds is not None:
-        argv += ["--seconds", str(args.seconds)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: {root}: run.py exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = run_workload(args.workload, args.seed, root, args.seconds)["result"]
     return {"failed": result["failed"],
             **{name: result["metrics"][name]["value"] for name in METRICS}}
 

@@ -43,12 +43,18 @@ def src_lines(rev: str) -> int:
     return sum(git("show", f"{rev}:{path}").count("\n") for path in paths if path.endswith(".py"))
 
 
-def run_workload(workload: str, seed: int) -> dict:
+def run_workload(workload: str, seed: int, root: Path = ROOT,
+                 seconds: float | None = None) -> dict:
+    """One untraced run of the workload from the checkout at ``root``, for
+    ``seconds`` when given (else ``run.py``'s own length)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"error: {root}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
     *log, last = proc.stdout.strip().splitlines()
     return {"workload": workload, "seed": seed, "result": json.loads(last), "log": log}
 
