@@ -1,5 +1,7 @@
 """Tests for bilinear forms, their invariants, and the orthogonal basis."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -19,18 +21,29 @@ from paleyvec.forms import (
     verify_orthogonal_set,
 )
 from paleyvec.graph import build_graph
-from paleyvec.linalg import hyperplane_from_functional, span, zero_subspace
+from paleyvec.linalg import all_subspaces, hyperplane_from_functional, span, zero_subspace
+
+
+def leibniz_det(ctx, mat):
+    """Determinant over F_q by the permutation expansion, with no
+    elimination: the oracle for the determinant and the sign of a form."""
+    n = len(mat)
+    acc = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, mat[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = ctx.sub(acc, term) if inversions % 2 else ctx.add(acc, term)
+    return acc
 
 
 def random_invertible(ctx, rng):
     """Random invertible matrix over F_q, by rejection."""
-    from paleyvec.linalg import _rref
-
     n = ctx.n
     while True:
         mat = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]
-        rows, _ = _rref(ctx, mat)
-        if len(rows) == n:
+        if leibniz_det(ctx, mat):
             return mat
 
 
@@ -209,6 +222,64 @@ class TestChi:
             for lam in range(1, ctx.order):
                 chi = chi_of_form(BilinearForm.trace_form(ctx, lam))
                 assert (chi == base) == ctx.is_square(lam)
+
+
+# SHA-256 of chi_of_form over lambda = 1, ..., q^n - 1, one byte per sign
+PINNED_CHI = {
+    (3, 1, 2): "ac819090c5dfad17dbf4378b1b62a178acb88b5501c8d05c6faffa405fb257e8",
+    (3, 1, 3): "a8cd2f32ec02556bda6a4f27c0c79a9ef2fea55ebe036a133ab5d25c96cf8e72",
+    (3, 1, 4): "5bb0ba5e0d47fba0525d92b4bc3df7906c271ca9732702149ee2a7a080d56da6",
+    (3, 1, 5): "f9a2c3bab1f5c0fce274eae366232dd73c3055cf4cb86eb72b3735c124a7d21a",
+    (5, 1, 2): "2770300699693cd7e863288bd7a1c1c9a6d70f4664912662c435a7a8446e2877",
+    (5, 1, 3): "4c5282b7fc5f3b00f5dbf3e7ef2922a5c2b60aee6c58e15f0e6271fde364d012",
+    (5, 1, 4): "f44713df078c4dd48d53ff2c61f43ddad4511d56ca93525ce9ed3947d4dfa0ed",
+    (7, 1, 2): "a31eca562f150578e94a184e4aeb56ba07a2439e14e7ac610af798292688c56d",
+    (7, 1, 3): "7a37694afe857951c44e2e49651d2a1b4b10ac0aee6e8e5957b1cfbbf86e3f48",
+    (3, 2, 2): "a91eadb389387ff5b7a47e155c905863391d5486e76e91cb01af954243f9fc45",
+}
+
+# SHA-256 of the complement's basis for every subspace of every dimension,
+# in the order of all_subspaces, for the trace forms of lambda = 1 and 2
+PINNED_COMPLEMENTS = {
+    (3, 1, 3): "1ce870c40efd1bdc157c8639912c9e77fb7cc1112f0d0ffc11f2c7146f899ed2",
+    (5, 1, 2): "f4aa2f97be0e285898bcc2089e5eba6bcd7ae80ec323d9aed7a24b0a251871a7",
+    (2, 1, 4): "a3817f8ca910a64e75475f935d32cc1f06c49d1f7aa90bcd5e68d6478e7a712c",
+}
+
+
+class TestPinnedForms:
+    @pytest.mark.parametrize("spec", sorted(PINNED_CHI))
+    def test_chi_pinned(self, spec):
+        ctx = build_field(*spec)
+        signs = bytes(chi_of_form(BilinearForm.trace_form(ctx, lam)) % 3
+                      for lam in range(1, ctx.order))
+        assert hashlib.sha256(signs).hexdigest() == PINNED_CHI[spec]
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_COMPLEMENTS))
+    def test_complements_pinned(self, spec):
+        ctx = build_field(*spec)
+        digest = hashlib.sha256()
+        for lam in (1, 2):
+            B = BilinearForm.trace_form(ctx, lam)
+            for dim in range(ctx.n + 1):
+                for U in all_subspaces(ctx, dim):
+                    digest.update(repr(orthogonal_complement(U, B).basis).encode())
+        assert digest.hexdigest() == PINNED_COMPLEMENTS[spec]
+
+    def test_chi_is_the_character_of_a_congruent_determinant(self):
+        # a congruence T^t G T multiplies det G by det(T)^2, a nonzero square
+        rng = random.Random(47)
+        checked = 0
+        for spec in [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3), (7, 1, 2),
+                     (3, 2, 2)]:
+            ctx = build_field(*spec)
+            for _ in range(45):
+                B = BilinearForm.trace_form(ctx, rng.randrange(1, ctx.order))
+                T = random_invertible(ctx, rng)
+                det = leibniz_det(ctx, congruent_gram(ctx, B.gram_matrix(), T))
+                assert ctx.quadratic_character(det) == chi_of_form(B), (spec, B)
+                checked += 1
+        assert checked >= 300
 
 
 class TestComplement:
