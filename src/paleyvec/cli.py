@@ -211,7 +211,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_form(args) -> int:
-    ctx = _field_from_args(args)
+    p, m, n = parse_field_spec(args.field)
+    if args.lam < 1 or not power_exceeds(p, m * n, args.lam):
+        raise ParseError(f"--lambda {args.lam} is not in 1..q^n - 1 for field {args.field}")
+    ctx = build_field(p, m, n)
     B = BilinearForm.trace_form(ctx, args.lam)
     inv = M_of_form(B)
     payload = {

@@ -1,185 +1,86 @@
-"""Symmetric F_q-bilinear forms on F_{q^n} and their invariants.
+"""The trace forms B(x, y) = Tr(lam x y) on F_{q^n}, 0 < lam < q^n, and
+their invariants.
 
-Two kinds of forms are supported: trace forms (x, y) -> Tr(lam * x * y)
-for a nonzero multiplier lam, and explicit symmetric Gram matrices over
-F_q in the polynomial basis.  Both are required to be non-degenerate.
-
-The invariants computed here are the sign of the diagonalized form (odd
-q), the largest totally isotropic dimension t, and the largest size M of
-a pairwise orthogonal set of field elements.  For odd q both t and M
-have closed forms, which searches that use neither check.  The sign and
-the complement take either kind of form; t and M are searched for trace
-forms only, on the graph of the hyperplane ker Tr(lam x): isotropic
-vectors are the vertices whose square lies in it, orthogonal pairs its
-edges, M its clique number and q^t that of its isotropic vertices
-(``graph.square_clique``).  The witness checks evaluate the form itself.
+Each is a non-degenerate symmetric F_q-bilinear form.  Its Gram matrix
+in the polynomial basis and the rows of its orthogonal complements come
+from one kernel, ``linalg.trace_pairing``.  The invariants are the sign
+chi of the form (odd q), the largest totally isotropic dimension t, and
+the largest size M of a pairwise orthogonal set of field elements.  A
+form over F_q, q odd, is classified by its rank and the square class of
+its determinant, so chi is the quadratic character of det G.  For odd q
+both t and M have closed forms, which searches that use neither check.
+t and M are searched on the graph of the hyperplane ker Tr(lam x):
+isotropic vectors are the vertices whose square lies in it, orthogonal
+pairs its edges, M its clique number and q^t that of its isotropic
+vertices (``graph.square_clique``).  The witness checks evaluate the
+form itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ConstructionFailed,
-    DegenerateForm,
-    EvenCharacteristic,
-    PreconditionViolated,
-    StructureViolation,
-)
+from .errors import ConstructionFailed, DegenerateForm, StructureViolation
 from .gf import FieldCtx
 from .graph import GraphGU, build_graph, clique_number_exact, square_clique
-from .linalg import Subspace, hyperplane_from_functional, nullspace, rank, span
+from .linalg import (
+    Subspace,
+    determinant,
+    hyperplane_from_functional,
+    nullspace,
+    rank,
+    span,
+    trace_pairing,
+)
 
 
 class BilinearForm:
-    """A non-degenerate symmetric F_q-bilinear form on F_{q^n}."""
+    """The trace form B(x, y) = Tr(lam x y) of a multiplier lam != 0."""
 
-    __slots__ = ("ctx", "lam", "_gram")
+    __slots__ = ("ctx", "lam")
 
-    def __init__(self, ctx: FieldCtx, lam: int | None, gram=None):
+    def __init__(self, ctx: FieldCtx, lam: int):
         self.ctx = ctx
         self.lam = lam
-        self._gram = gram
 
     @classmethod
     def trace_form(cls, ctx: FieldCtx, lam: int) -> "BilinearForm":
         if lam == 0:
             raise DegenerateForm("the zero multiplier gives a degenerate form")
         form = cls(ctx, lam)
-        form.gram_matrix()  # verifies non-degeneracy
-        return form
-
-    @classmethod
-    def from_gram(cls, ctx: FieldCtx, gram) -> "BilinearForm":
-        gram = tuple(tuple(int(v) for v in row) for row in gram)
-        if len(gram) != ctx.n or any(len(row) != ctx.n for row in gram):
-            raise DegenerateForm(f"gram matrix must be {ctx.n}x{ctx.n}")
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if gram[i][j] != gram[j][i]:
-                    raise DegenerateForm("gram matrix must be symmetric")
-                if not 0 <= gram[i][j] < ctx.q:
-                    raise DegenerateForm("gram entries must be F_q scalars")
-        form = cls(ctx, None, gram)
-        if rank(ctx, map(ctx.element_from_coords, gram)) != ctx.n:
-            raise DegenerateForm("gram matrix is singular")
+        if determinant(ctx, form.gram_matrix()) == 0:
+            raise DegenerateForm(f"trace form with multiplier {lam} is degenerate")
         return form
 
     def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
-        if self._gram is None:
-            ctx = self.ctx
-            basis = [ctx.basis_element(i) for i in range(ctx.n)]
-            gram = tuple(
-                tuple(
-                    ctx.to_fq(ctx.trace(ctx.mul(self.lam, ctx.mul(bi, bj))))
-                    for bj in basis
-                )
-                for bi in basis
-            )
-            if rank(ctx, map(ctx.element_from_coords, gram)) != ctx.n:
-                raise DegenerateForm(f"trace form with multiplier {self.lam} is degenerate")
-            self._gram = gram
-        return self._gram
+        """Tr(lam y^i y^j) at row i, column j."""
+        ctx = self.ctx
+        basis = [ctx.basis_element(i) for i in range(ctx.n)]
+        return tuple(map(tuple, trace_pairing(ctx, self.lam, basis)))
 
     def evaluate(self, x: int, y: int) -> int:
         ctx = self.ctx
-        if self.lam is not None:
-            return ctx.to_fq(ctx.trace(ctx.mul(self.lam, ctx.mul(x, y))))
-        gram = self._gram
-        xs = ctx.element_coords(x)
-        ys = ctx.element_coords(y)
-        acc = 0
-        for i, xi in enumerate(xs):
-            if not xi:
-                continue
-            row = gram[i]
-            inner = 0
-            for j, yj in enumerate(ys):
-                if yj and row[j]:
-                    inner = ctx.add(inner, ctx.mul(row[j], yj))
-            acc = ctx.add(acc, ctx.mul(xi, inner))
-        return acc
+        return ctx.trace(ctx.mul(self.lam, ctx.mul(x, y)))
 
     def __repr__(self) -> str:
-        if self.lam is not None:
-            return f"BilinearForm(trace, lam={self.lam})"
-        return f"BilinearForm(gram={self._gram})"
-
-
-def diagonalize(form: BilinearForm) -> tuple[int, ...]:
-    """Diagonal of a congruent diagonal Gram matrix (q odd).
-
-    Symmetric row/column elimination with the first usable pivot by
-    index; when every remaining diagonal entry vanishes, a row and column
-    combination manufactures one (possible since q is odd).
-    """
-    ctx = form.ctx
-    if ctx.p == 2:
-        raise EvenCharacteristic("diagonalization by congruence needs q odd")
-    n = ctx.n
-    g = [list(row) for row in form.gram_matrix()]
-
-    def add_multiple(dst, src, factor):
-        # row operation followed by the mirror column operation
-        for c in range(n):
-            g[dst][c] = ctx.add(g[dst][c], ctx.mul(factor, g[src][c]))
-        for r in range(n):
-            g[r][dst] = ctx.add(g[r][dst], ctx.mul(factor, g[r][src]))
-
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-
-    for k in range(n):
-        if g[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if g[j][j]), None)
-            if j is not None:
-                swap(k, j)
-            else:
-                i, j = next(
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if g[i][j]
-                )
-                add_multiple(i, j, 1)  # doubles the off-diagonal entry onto g[i][i]
-                if i != k:
-                    swap(k, i)
-        pivot = g[k][k]
-        ipivot = ctx.inv(pivot)
-        for r in range(k + 1, n):
-            if g[r][k]:
-                add_multiple(r, k, ctx.neg(ctx.mul(g[r][k], ipivot)))
-    return tuple(g[k][k] for k in range(n))
+        return f"BilinearForm(trace, lam={self.lam})"
 
 
 def chi_of_form(form: BilinearForm) -> int:
-    """Product of the quadratic characters over any diagonalization (q odd)."""
-    sign = 1
-    for a in diagonalize(form):
-        sign *= form.ctx.quadratic_character(a)
-    return sign
+    """The sign of the form (q odd): the quadratic character of the
+    determinant of its Gram matrix.  A congruence P^t G P multiplies the
+    determinant by det(P)^2, so this is the product of the characters of
+    the diagonal over any diagonalisation.  Even q raises
+    ``EvenCharacteristic``."""
+    ctx = form.ctx
+    return ctx.quadratic_character(determinant(ctx, form.gram_matrix()))
 
 
 def orthogonal_complement(U: Subspace, form: BilinearForm) -> Subspace:
-    """All w with B(u, w) = 0 for every u in U; dimension n - dim(U)."""
+    """All w with B(u, w) = 0 for every u in U, dimension n - dim(U): the
+    nullspace of the pairing rows of U's basis."""
     ctx = form.ctx
-    if U.dim == 0:
-        return span(ctx, [ctx.basis_element(i) for i in range(ctx.n)])
-    gram = form.gram_matrix()
-    rows = []
-    for u in U.basis:
-        coords = ctx.element_coords(u)
-        row = []
-        for j in range(ctx.n):
-            acc = 0
-            for i, ci in enumerate(coords):
-                if ci and gram[i][j]:
-                    acc = ctx.add(acc, ctx.mul(ci, gram[i][j]))
-            row.append(acc)
-        rows.append(row)
-    kernel = nullspace(ctx, rows)
+    kernel = nullspace(ctx, trace_pairing(ctx, form.lam, U.basis))
     result = span(ctx, [ctx.element_from_coords(v) for v in kernel])
     if result.dim != ctx.n - U.dim:
         raise DegenerateForm("complement dimension is wrong; form must be degenerate")
@@ -190,37 +91,25 @@ def orthogonal_complement(U: Subspace, form: BilinearForm) -> Subspace:
 
 
 def _orthogonality_graph(form: BilinearForm) -> GraphGU:
-    """G_U for the hyperplane U = ker Tr(lam x) of a trace form: since
-    Tr(lam x y) = 0 exactly when xy lies in U, distinct x and y are
-    orthogonal when adjacent, and x is isotropic when x^2 lies in U.  A
-    form given by its Gram matrix is refused."""
-    if form.lam is None:
-        raise PreconditionViolated(
-            "orthogonal sets and isotropic subspaces are solved for trace forms only"
-        )
-    ctx = form.ctx
-    return build_graph(ctx, hyperplane_from_functional(ctx, form.lam))
-
-
-def isotropic_dimension_search(form: BilinearForm) -> tuple[int, Subspace]:
-    """Largest totally isotropic subspace of a trace form, with its
-    dimension: ``graph.square_clique`` on the form's orthogonality graph,
-    whose totally isotropic subspaces are the subspaces W with W W inside
-    the hyperplane."""
-    t, witness = square_clique(_orthogonality_graph(form))
-    return t, span(form.ctx, witness)
+    """G_U for the hyperplane U = ker Tr(lam x): since Tr(lam x y) = 0
+    exactly when xy lies in U, distinct x and y are orthogonal when
+    adjacent, and x is isotropic when x^2 lies in U."""
+    return build_graph(form.ctx, hyperplane_from_functional(form.ctx, form.lam))
 
 
 def t_of_form(form: BilinearForm) -> tuple[int, Subspace]:
     """Largest totally isotropic dimension, with a verified witness subspace.
 
-    The value is the search's.  For odd q it must equal the closed form (n
-    odd gives (n-1)/2; n even adds the sign of the form times the sign of
-    -1 raised to n/2), and a difference raises ``StructureViolation``.
+    The value is ``graph.square_clique``'s on the orthogonality graph, whose
+    totally isotropic subspaces are the subspaces W with W W inside the
+    hyperplane.  For odd q it must equal the closed form (n odd gives
+    (n-1)/2; n even adds the sign of the form times the sign of -1 raised
+    to n/2), and a difference raises ``StructureViolation``.
     """
     ctx = form.ctx
     n = ctx.n
-    t, witness = isotropic_dimension_search(form)
+    t, elems = square_clique(_orthogonality_graph(form))
+    witness = span(ctx, elems)
     if ctx.p != 2:
         if n % 2:
             closed = (n - 1) // 2
@@ -253,22 +142,18 @@ class FormInvariants:
     M_upper: int | None  # stated upper bound when q is even
 
 
-def orthogonal_set_max(form: BilinearForm):
-    """Exact largest pairwise-orthogonal set of a trace form: the clique
-    number of its orthogonality graph (see ``_orthogonality_graph``)."""
-    return clique_number_exact(_orthogonality_graph(form))
-
-
 def M_of_form(form: BilinearForm) -> FormInvariants:
     """Largest pairwise-orthogonal set size of a trace form, with witness
     and bound data.
 
-    Odd q: the closed form q^t + n - 2t; the witness search must reach it.
+    The set is a maximum clique of the orthogonality graph (see
+    ``_orthogonality_graph``).  Odd q: the closed form q^t + n - 2t; the
+    search must reach it.
     Even q: exact value by search, checked against the stated bound
     (n + 1 when q = 2 and t <= 2, else q^t + n - 2t).
     """
     ctx = form.ctx
-    found, witness_E = orthogonal_set_max(form)
+    found, witness_E = clique_number_exact(_orthogonality_graph(form))
     t, witness_W = t_of_form(form)
     M = ctx.q**t + ctx.n - 2 * t
     if ctx.p != 2:

@@ -47,7 +47,6 @@ from .errors import (
     DegreeOutOfRange,
     EvenCharacteristic,
     NonPrime,
-    NotADivisor,
     NotInSubfield,
     ParseError,
 )
@@ -365,7 +364,7 @@ class FieldCtx:
         self.generator = None
         self._exp = self._log = None
         self._exp_np = self._log_np = None
-        self._trace = self._trace_np = None
+        self._trace_np = None
         self._squares = self._orbit_least = self._orbit_leaders = None
         self._subfield_grids: dict[int, np.ndarray] = {}
         self._fp_rows: dict[int, tuple] = {}  # element -> F_p rows, see linalg.extend_echelon
@@ -384,7 +383,7 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         """The least generator and its exp/log tables from one set of matrix
-        squares (see ``_power_tables``), then the trace and the scalar lists.
+        squares (see ``_power_tables``), then the trace and the exp/log lists.
 
         The scan for the generator starts at q: the indices below q are
         F_q, whose units have order dividing q - 1 < q^n - 1."""
@@ -401,8 +400,6 @@ class FieldCtx:
         del rows
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity
-        self._trace = trace.tolist()
-        # the trace as a read-only array, for the isometry certificates
         self._trace_np = trace.astype(np.min_scalar_type(self.q - 1))
         self._trace_np.flags.writeable = False
         self._exp = self._exp_np.tolist()
@@ -526,26 +523,14 @@ class FieldCtx:
 
         The result lies in the embedded base field, so its index is < q.
         """
-        if self._trace is not None:
-            return self._trace[a]
+        if self._trace_np is not None:
+            return int(self._trace_np[a])
         acc = 0
         cur = a
         for _ in range(self.n):
             acc = self.add(acc, cur)
             cur = self.pow(cur, self.q)
         return acc
-
-    def in_subfield(self, a: int, d: int) -> bool:
-        """Membership in F_{q^d}, tested as a fixed point of the q^d-power map."""
-        if self.n % d:
-            raise NotADivisor(f"{d} does not divide {self.n}")
-        return self.frobenius(a, d) == a
-
-    def to_fq(self, a: int) -> int:
-        """Index of an embedded base-field element as an F_q scalar."""
-        if not self.in_subfield(a, 1):
-            raise NotInSubfield(f"element {a} is not in the embedded F_{self.q}")
-        return a
 
     def is_square(self, a: int) -> bool:
         """True when a is the square of some element of F_{q^n}."""

@@ -804,7 +804,7 @@ def isometries(G: GraphGU) -> np.ndarray:
         if len(perms) == _ISOMETRY_GENERATORS:
             break
         ca = ctx.mul(c, a)
-        b_aa = ctx._trace[ctx.mul(ca, a)]
+        b_aa = ctx.trace(ctx.mul(ca, a))
         if (b_aa == 0) != (p == 2):
             continue
         scale = 1 if p == 2 else ctx.neg(ctx.mul(two, ctx.inv(b_aa)))

@@ -4,7 +4,10 @@ Every subspace is kept in reduced row echelon form with respect to the
 fixed polynomial basis 1, y, ..., y^(n-1), pivots taken on the lowest
 coordinate first.  The canonical basis is unique, so two subspaces are
 equal exactly when their basis tuples are equal.  ``span`` computes it by
-one elimination over F_q (``_rref``), the same for every q.
+one elimination over F_q (``_rref``), the same for every q, which also
+gives ``nullspace`` and ``determinant``.  ``trace_pairing`` writes the
+functionals x -> Tr(lam e x) as rows, for the hyperplanes here and the
+trace forms of ``forms``.
 
 Membership "x in U" is a lookup in a boolean array over all field
 indices.  The array is built on first use, never on construction, by
@@ -51,17 +54,24 @@ from .gf import FieldCtx, _divisors
 ENUM_BUDGET = 1 << 20  # the largest subspace whose elements are listed
 
 
-def _rref(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_q. Returns (rows, pivot columns)."""
+def _rref(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form over F_q.  Returns (rows, pivot columns,
+    scale), where scale is the product of the pivots as they are
+    normalised, negated at each row swap: the determinant of a square
+    matrix of full rank."""
     rows = [list(r) for r in rows]
     ncols = ctx.n
     pivots: list[int] = []
+    scale = 1
     r = 0
     for col in range(ncols):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            scale = ctx.neg(scale)
+        scale = ctx.mul(scale, rows[r][col])
         inv = ctx.inv(rows[r][col])
         rows[r] = [ctx.mul(inv, v) for v in rows[r]]
         for i in range(len(rows)):
@@ -72,12 +82,12 @@ def _rref(ctx: FieldCtx, rows: list[list[int]]) -> tuple[list[list[int]], list[i
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return rows[:r], pivots, scale
 
 
 def nullspace(ctx: FieldCtx, rows: list[list[int]]) -> list[list[int]]:
     """Basis of the right kernel of the given F_q matrix (rows of length n)."""
-    reduced, pivots = _rref(ctx, rows)
+    reduced, pivots, _ = _rref(ctx, rows)
     free = [c for c in range(ctx.n) if c not in pivots]
     basis = []
     for f in free:
@@ -87,6 +97,21 @@ def nullspace(ctx: FieldCtx, rows: list[list[int]]) -> list[list[int]]:
             vec[p] = ctx.neg(reduced[i][f])
         basis.append(vec)
     return basis
+
+
+def determinant(ctx: FieldCtx, rows: list[list[int]]) -> int:
+    """Determinant of an n x n matrix over F_q, by ``_rref``."""
+    reduced, _, scale = _rref(ctx, rows)
+    return scale if len(reduced) == ctx.n else 0
+
+
+def trace_pairing(ctx: FieldCtx, lam: int, elems: Iterable[int]) -> list[list[int]]:
+    """One row per element e: Tr(lam e y^j) for j < n, the F_q coordinates
+    of the functional x -> Tr(lam e x) in the polynomial basis."""
+    if not 0 < lam < ctx.order:
+        raise ValueError(f"multiplier {lam} out of range for {ctx!r}")
+    basis = [ctx.basis_element(j) for j in range(ctx.n)]
+    return [[ctx.trace(ctx.mul(ctx.mul(lam, e), b)) for b in basis] for e in elems]
 
 
 def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
@@ -205,7 +230,7 @@ def span(ctx: FieldCtx, gens: Iterable[int]) -> Subspace:
     for g in gens:
         if not 0 <= g < ctx.order:
             raise ValueError(f"element index {g} out of range for {ctx!r}")
-    reduced, _ = _rref(ctx, [ctx.element_coords(g) for g in gens])
+    reduced, _, _ = _rref(ctx, [ctx.element_coords(g) for g in gens])
     return Subspace(ctx, tuple(ctx.element_from_coords(r) for r in reduced))
 
 
@@ -314,8 +339,7 @@ def hyperplane_from_functional(ctx: FieldCtx, c: int) -> Subspace:
     """Kernel of x -> Tr(c x), an (n-1)-dimensional subspace for c != 0."""
     if c == 0:
         raise ZeroFunctional("the zero functional has no hyperplane kernel")
-    row = [ctx.to_fq(ctx.trace(ctx.mul(c, ctx.basis_element(j)))) for j in range(ctx.n)]
-    kernel = nullspace(ctx, [row])
+    kernel = nullspace(ctx, trace_pairing(ctx, c, [1]))
     return span(ctx, [ctx.element_from_coords(v) for v in kernel])
 
 
@@ -353,10 +377,7 @@ def functional_of_hyperplane(U: Subspace) -> int:
     ctx = U.ctx
     if U.dim != ctx.n - 1:
         raise WrongDimension(f"need dimension {ctx.n - 1}, got {U.dim}")
-    rows = []
-    for b in U.basis:
-        rows.append([ctx.to_fq(ctx.trace(ctx.mul(b, ctx.basis_element(j)))) for j in range(ctx.n)])
-    kernel = nullspace(ctx, rows)
+    kernel = nullspace(ctx, trace_pairing(ctx, 1, U.basis))
     assert len(kernel) == 1, "trace pairing must be non-degenerate"
     return ctx.element_from_coords(kernel[0])
 

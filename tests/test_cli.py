@@ -168,6 +168,14 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["bench", "--field", "2^1^3", "--max-vertices", "x"], cli.EXIT_USAGE),
         (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--max-vertices", "1"],
          cli.EXIT_BUDGET),
+        # a multiplier outside 1..q^n - 1, as a form or as a functional
+        (["form", "--field", "3^1^3", "--lambda", "-1"], cli.EXIT_USAGE),
+        (["form", "--field", "3^1^3", "--lambda", "27"], cli.EXIT_USAGE),
+        (["form", "--field", "3^1^3", "--lambda", "0"], cli.EXIT_USAGE),
+        (["form", "--field", "3^1^3", "--lambda", "26"], cli.EXIT_OK),
+        (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=-1"], cli.EXIT_USAGE),
+        (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=27"], cli.EXIT_USAGE),
+        (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=26"], cli.EXIT_OK),
     ],
 )
 def test_exit_codes(argv, code, capsys):

@@ -6,22 +6,25 @@ import random
 
 import pytest
 
-from paleyvec.errors import DegenerateForm, EvenCharacteristic, PreconditionViolated
+from paleyvec.errors import DegenerateForm, EvenCharacteristic
 from paleyvec.gf import build_field
 from paleyvec.forms import (
     BilinearForm,
     M_of_form,
     chi_of_form,
-    diagonalize,
-    isotropic_dimension_search,
     orthogonal_complement,
-    orthogonal_set_max,
     special_basis,
     t_of_form,
     verify_orthogonal_set,
 )
-from paleyvec.graph import build_graph
-from paleyvec.linalg import all_subspaces, hyperplane_from_functional, span, zero_subspace
+from paleyvec.graph import build_graph, square_clique
+from paleyvec.linalg import (
+    all_subspaces,
+    determinant,
+    hyperplane_from_functional,
+    span,
+    zero_subspace,
+)
 
 
 def leibniz_det(ctx, mat):
@@ -64,6 +67,28 @@ def congruent_gram(ctx, gram, T):
     return mat_mul(mat_mul(Tt, [list(r) for r in gram]), T)
 
 
+class GramForm:
+    """The symmetric form of a Gram matrix over F_q in the polynomial basis,
+    evaluated coordinate by coordinate: the reference for a trace form."""
+
+    def __init__(self, ctx, gram):
+        self.ctx = ctx
+        self.gram = tuple(tuple(row) for row in gram)
+
+    def gram_matrix(self):
+        return self.gram
+
+    def evaluate(self, x, y):
+        ctx = self.ctx
+        ys = ctx.element_coords(y)
+        return _dot(ctx, ctx.element_coords(x), [_dot(ctx, row, ys) for row in self.gram])
+
+
+def hyperplane_graph(form):
+    """The graph the t and M searches of a trace form solve."""
+    return build_graph(form.ctx, hyperplane_from_functional(form.ctx, form.lam))
+
+
 def orthogonality_adjacency(form):
     """Reference: the bit-packed graph on the field with edges where the
     form vanishes, evaluated pair by pair."""
@@ -93,7 +118,7 @@ def span_closure_search(form):
     basis), each partial subspace closed by scalar adds; kept as the
     oracle for the square-clique search."""
     ctx = form.ctx
-    G = build_graph(ctx, hyperplane_from_functional(ctx, form.lam))
+    G = hyperplane_graph(form)
     adj, sq_mask = G.adjacency, G.square_in_U_mask()
     limit = ctx.n // 2  # a totally isotropic space sits inside its own complement
     isotropic = [w for w in range(1, ctx.order) if sq_mask >> w & 1]
@@ -152,39 +177,41 @@ class TestGram:
         ctx = build_field(3, 1, 2)
         with pytest.raises(DegenerateForm):
             BilinearForm.trace_form(ctx, 0)
-        with pytest.raises(DegenerateForm):
-            BilinearForm.from_gram(ctx, [[1, 0], [0, 0]])
-        with pytest.raises(DegenerateForm):
-            BilinearForm.from_gram(ctx, [[1, 2], [0, 1]])
+        for lam in (-1, ctx.order):
+            with pytest.raises(ValueError, match="out of range"):
+                BilinearForm.trace_form(ctx, lam)
 
     def test_evaluate_matches_gram(self):
         rng = random.Random(42)
         ctx = build_field(3, 1, 3)
         lam = 7
         B = BilinearForm.trace_form(ctx, lam)
-        G = BilinearForm.from_gram(ctx, B.gram_matrix())
+        G = GramForm(ctx, B.gram_matrix())
         for _ in range(100):
             x = rng.randrange(27)
             y = rng.randrange(27)
             assert B.evaluate(x, y) == G.evaluate(x, y)
 
 
-class TestDiagonalize:
-    def test_already_diagonal(self):
-        ctx = build_field(3, 1, 2)
-        B = BilinearForm.from_gram(ctx, [[2, 0], [0, 1]])
-        assert diagonalize(B) == (2, 1)
+    def test_determinant_matches_expansion(self):
+        rng = random.Random(46)
+        for spec in [(3, 1, 2), (3, 1, 3), (5, 1, 3), (2, 1, 4), (3, 2, 2), (2, 2, 3)]:
+            ctx = build_field(*spec)
+            for _ in range(40):
+                mat = [[rng.randrange(ctx.q) for _ in range(ctx.n)] for _ in range(ctx.n)]
+                if rng.random() < 0.25:
+                    mat[-1] = list(mat[0])  # singular
+                assert determinant(ctx, mat) == leibniz_det(ctx, mat), (spec, mat)
 
-    def test_f9_b1(self):
-        ctx = build_field(3, 1, 2)
-        d = diagonalize(BilinearForm.trace_form(ctx, 1))
-        chis = sorted(ctx.quadratic_character(a) for a in d)
-        assert chis == [-1, 1]
+
+class TestDiagonalize:
+    """The sign is the same over every diagonalisation: congruent Gram
+    matrices give it."""
 
     def test_even_characteristic_rejected(self):
         ctx = build_field(2, 1, 2)
         with pytest.raises(EvenCharacteristic):
-            diagonalize(BilinearForm.trace_form(ctx, 1))
+            chi_of_form(BilinearForm.trace_form(ctx, 1))
 
     def test_chi_invariant_under_congruence(self):
         rng = random.Random(43)
@@ -194,20 +221,8 @@ class TestDiagonalize:
             base = chi_of_form(B)
             for _ in range(50):
                 T = random_invertible(ctx, rng)
-                B2 = BilinearForm.from_gram(ctx, congruent_gram(ctx, B.gram_matrix(), T))
+                B2 = GramForm(ctx, congruent_gram(ctx, B.gram_matrix(), T))
                 assert chi_of_form(B2) == base
-
-    def test_congruence_produces_valid_diagonal(self):
-        rng = random.Random(44)
-        ctx = build_field(3, 1, 4)
-        for _ in range(20):
-            T = random_invertible(ctx, rng)
-            gram = congruent_gram(
-                ctx, BilinearForm.trace_form(ctx, 1).gram_matrix(), T
-            )
-            B = BilinearForm.from_gram(ctx, gram)
-            diag = diagonalize(B)
-            assert all(a != 0 for a in diag)
 
 
 class TestChi:
@@ -324,20 +339,21 @@ class TestIsotropic:
 
     def test_search_reads_the_graph(self, monkeypatch):
         # isotropy and orthogonality come from the hyperplane graph, so the
-        # search never evaluates the form; the witness check still does
+        # search never evaluates the form; only the witness check does, once
+        # per pair of witness basis elements
         ctx = build_field(3, 1, 4)
-        want = [isotropic_dimension_search(BilinearForm.trace_form(ctx, lam))
-                for lam in range(1, ctx.order, 7)]
+        calls = []
+        evaluate = BilinearForm.evaluate
 
-        def refuse(*args):
-            raise AssertionError("evaluate called")
+        def counted(form, x, y):
+            calls.append((x, y))
+            return evaluate(form, x, y)
 
-        monkeypatch.setattr(BilinearForm, "evaluate", refuse)
-        got = [isotropic_dimension_search(BilinearForm.trace_form(ctx, lam))
-               for lam in range(1, ctx.order, 7)]
-        assert got == want
-        with pytest.raises(AssertionError, match="evaluate called"):
-            t_of_form(BilinearForm.trace_form(ctx, 1))
+        monkeypatch.setattr(BilinearForm, "evaluate", counted)
+        for lam in range(1, ctx.order, 7):
+            calls.clear()
+            t, W = t_of_form(BilinearForm.trace_form(ctx, lam))
+            assert calls == [(u, w) for u in W.basis for w in W.basis]
 
     def test_closed_form_matches_search_all_lambda(self):
         for spec in [(3, 1, 2), (3, 1, 3), (3, 1, 4)]:
@@ -345,20 +361,20 @@ class TestIsotropic:
             for lam in range(1, ctx.order):
                 B = BilinearForm.trace_form(ctx, lam)
                 t, _ = t_of_form(B)
-                found, _ = isotropic_dimension_search(B)
+                found, _ = square_clique(hyperplane_graph(B))
                 assert t == found, (spec, lam)
 
     @pytest.mark.parametrize("spec", REFERENCE_FIELDS)
     def test_search_matches_span_closure_reference(self, spec):
-        # t from the public search and from t_of_form against the reference
-        # search, on every multiplier; each witness is totally isotropic
+        # t from t_of_form against the reference search, on every
+        # multiplier; each witness is totally isotropic
         ctx = build_field(*spec)
         for lam in range(1, ctx.order):
             B = BilinearForm.trace_form(ctx, lam)
             want, _ = span_closure_search(B)
-            for t, W in (isotropic_dimension_search(B), t_of_form(B)):
-                assert (t, W.dim) == (want, want), (spec, lam)
-                assert all(B.evaluate(u, w) == 0 for u in W.basis for w in W.basis)
+            t, W = t_of_form(B)
+            assert (t, W.dim) == (want, want), (spec, lam)
+            assert all(B.evaluate(u, w) == 0 for u in W.basis for w in W.basis)
 
 
 class TestOrthogonalSets:
@@ -395,23 +411,13 @@ class TestOrthogonalSets:
 
     @pytest.mark.parametrize("spec", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 4), (2, 2, 2)])
     def test_trace_form_graph_is_hyperplane_graph(self, spec):
-        # the graph orthogonal_set_max solves, against the same form given by
-        # its Gram matrix, evaluated pair by pair
+        # the graph M_of_form solves, against the same form given by its
+        # Gram matrix, evaluated pair by pair
         ctx = build_field(*spec)
         for lam in range(1, ctx.order):
             B = BilinearForm.trace_form(ctx, lam)
-            by_pairs = orthogonality_adjacency(BilinearForm.from_gram(ctx, B.gram_matrix()))
-            G = build_graph(ctx, hyperplane_from_functional(ctx, lam))
-            assert G.adjacency == by_pairs, lam
-
-    def test_gram_form_refused(self):
-        # orthogonal sets and isotropic subspaces are solved on the
-        # hyperplane graph of a trace form
-        ctx = build_field(3, 1, 2)
-        G = BilinearForm.from_gram(ctx, BilinearForm.trace_form(ctx, 1).gram_matrix())
-        for solve in (orthogonal_set_max, M_of_form, isotropic_dimension_search, t_of_form):
-            with pytest.raises(PreconditionViolated, match="trace forms only"):
-                solve(G)
+            by_pairs = orthogonality_adjacency(GramForm(ctx, B.gram_matrix()))
+            assert hyperplane_graph(B).adjacency == by_pairs, lam
 
     def test_even_q_bound(self):
         for spec in [(2, 1, 3), (2, 1, 4), (2, 2, 2)]:

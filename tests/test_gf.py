@@ -202,7 +202,7 @@ class TestGolden:
         assert ctx.base_modulus == base_mod
         assert ctx.ext_modulus == ext_mod
         assert ctx.generator == g
-        assert (_digest(ctx._exp), _digest(ctx._log), _digest(ctx._trace)) == (exp, log, trace)
+        assert (_digest(ctx._exp), _digest(ctx._log), _digest(ctx._trace_np)) == (exp, log, trace)
 
 
 def _check_power_table(exp, log, mul_poly, size):

@@ -1,4 +1,5 @@
-"""Alternated parent/change pairs of one benchmark workload.
+"""Alternated parent/change pairs of one benchmark workload, with a
+no-regression verdict per end-to-end metric.
 
 Run from the root of a checkout:
 
@@ -10,17 +11,25 @@ left alone); the change side runs from the working tree.  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once on each side, each
 in a fresh process, and the side that runs first alternates from pair to
 pair.  The run length is ``run.py``'s own unless ``--seconds`` is given, and
-is the same on both sides.  For each end-to-end metric the tool prints every
-pair, each side's median and quartiles, and how many pairs the change won
-(lower wins; ties count for neither).  A gain holds when the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.
+is the same on both sides.
+
+The metrics, their directions and their bounds are the ``end_to_end``
+entries of ``BENCHMARK.json``.  For each metric the tool prints every pair,
+each side's median and quartiles, how many pairs the change won, and the
+change of the median relative to the parent's, signed so that positive is
+worse, against the bound.  The verdict is ``regression`` when that change
+exceeds the bound and ``within bound`` otherwise; it is ``unresolved`` when
+the distance between the parent's quartiles, relative to its median, is
+wider than the bound, unless every change run beats every parent run.  A
+gain holds when the change wins at least nine tenths of the pairs and the
+medians differ by more than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -31,7 +40,6 @@ from pathlib import Path
 from record_bench import run_workload
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ["wall_s", "instance_ms_p50", "setup_s", "peak_rss_mb"]
 
 
 def unpack(rev: str, into: Path) -> None:
@@ -40,15 +48,33 @@ def unpack(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(root: Path, args) -> dict:
+def run(root: Path, args, metrics: list[dict]) -> dict:
     result = run_workload(args.workload, args.seed, root, args.seconds)["result"]
     return {"failed": result["failed"],
-            **{name: result["metrics"][name]["value"] for name in METRICS}}
+            **{m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summary(values: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = quartiles(values)
     return f"median {q2:.5g} (quartiles {q1:.5g}-{q3:.5g})"
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The median's relative change (positive is worse) against the bound."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1 if better == "lower" else -1
+    worse = sign * (statistics.median(change) - median) / median
+    beats_all = (max(change) < min(parent) if better == "lower"
+                 else min(change) > max(parent))
+    if (q3 - q1) / median > bound and not beats_all:
+        state = "unresolved"
+    else:
+        state = "regression" if worse > bound else "within bound"
+    return f"median {worse:+.1%} against bound {bound:.0%}: {state}"
 
 
 def main(argv=None) -> int:
@@ -60,6 +86,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
 
+    with open(ROOT / "BENCHMARK.json") as fh:
+        metrics = json.load(fh)["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         unpack(args.base, Path(tmp))
@@ -67,17 +95,19 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in sides:
-                runs[side].append(run(roots[side], args))
+                runs[side].append(run(roots[side], args, metrics))
             print(f"pair {pair} ({sides[0]} first): " + "; ".join(
-                f"{name} {runs['parent'][-1][name]:.5g} -> {runs['change'][-1][name]:.5g}"
-                for name in METRICS), file=sys.stderr)
+                f"{m['name']} {runs['parent'][-1][m['name']]:.5g} ->"
+                f" {runs['change'][-1][m['name']]:.5g}" for m in metrics), file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs against {args.base}")
-    for name in METRICS:
+    for m in metrics:
+        name, better = m["name"], m["better"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        wins = sum(c < p for p, c in zip(parent, change))
-        print(f"  {name}: parent {summary(parent)}; change {summary(change)};"
-              f" change lower in {wins} of {args.pairs}")
+        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        print(f"  {name} ({better} is better): parent {summary(parent)};"
+              f" change {summary(change)}; change better in {wins} of {args.pairs};"
+              f" {verdict(parent, change, better, m['bound'])}")
     failed = [sum(r["failed"] for r in runs[side]) for side in ("parent", "change")]
     print(f"  failed: parent {failed[0]}, change {failed[1]}")
     return 0
