@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -315,6 +316,116 @@ class TestIrreducibility:
                 assert _is_irreducible(f, size, ops) == want, f
                 count += want
             assert count == _gauss_count(k, size)
+
+
+# The modulus search as it was written on index-form coefficients, kept as
+# the oracle for the search kernel: polynomial arithmetic through an _OracleOps
+# record of scalar operations, and Ben-Or's scan over it.
+
+
+class _OracleOps(NamedTuple):
+    add: object
+    sub: object
+    mul: object
+    inv: object
+
+
+def _oracle_norm(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _oracle_mod(a, f, ops):
+    a, df = list(a), len(f) - 1
+    while len(a) > df:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - df
+            for i in range(df):
+                if f[i]:
+                    a[shift + i] = ops.sub(a[shift + i], ops.mul(lead, f[i]))
+        a.pop()
+    return _oracle_norm(a)
+
+
+def _oracle_mulmod(a, b, f, ops):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if ai and bj:
+                out[i + j] = ops.add(out[i + j], ops.mul(ai, bj))
+    return _oracle_mod(_oracle_norm(out), f, ops)
+
+
+def _oracle_is_irreducible(f, size, ops):
+    k = len(f) - 1
+    t = [0, 1]
+    for _ in range(k // 2):
+        result, base, e = [1], _oracle_mod(t, f, ops), size
+        while e:
+            if e & 1:
+                result = _oracle_mulmod(result, base, f, ops)
+            base = _oracle_mulmod(base, base, f, ops)
+            e >>= 1
+        t = result
+        a = _oracle_norm([ops.sub(x, y) for x, y in itertools.zip_longest(t, [0, 1], fillvalue=0)])
+        b = list(f)
+        while b:
+            if b[-1] != 1:
+                ilead = ops.inv(b[-1])
+                b = [ops.mul(c, ilead) for c in b]
+            a, b = b, _oracle_mod(a, b, ops)
+        if len(a) != 1:
+            return False
+    return k >= 1
+
+
+def _oracle_lex_least(degree, size, ops):
+    start = size ** (degree - 1) if degree > 1 else 0
+    for idx in range(start, size**degree):
+        f = [idx // size ** (degree - 1 - pos) % size for pos in range(degree)] + [1]
+        if _oracle_is_irreducible(f, size, ops):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def _oracle_ops(p, m):
+    """F_{p^m} on base-p digit indices, with the oracle's own base modulus."""
+    if m == 1:
+        return _OracleOps(lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                          lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
+    mul = _base_mul_oracle(p, m, _oracle_lex_least(m, p, _oracle_ops(p, 1)))
+
+    def digitwise(a, b, sign):
+        return sum((a // p**i + sign * (b // p**i)) % p * p**i for i in range(m))
+
+    inverse = {a: next(b for b in range(1, p**m) if mul(a, b) == 1) for a in range(1, p**m)}
+    return _OracleOps(lambda a, b: digitwise(a, b, 1), lambda a, b: digitwise(a, b, -1),
+                      mul, inverse.__getitem__)
+
+
+def _small_fields():
+    """Every (p, m, n) with m <= 4, n >= 2 and p^(mn) <= 2^12."""
+    return [(p, m, n) for p in range(2, 65) if all(p % f for f in range(2, p))
+            for m in range(1, 5) for n in range(2, 13) if p ** (m * n) <= 1 << 12]
+
+
+class TestModulusCrossCheck:
+    def test_field_list(self):
+        fields = _small_fields()
+        assert len(fields) == 55 and (61, 1, 2) in fields and (2, 4, 3) in fields
+
+    @pytest.mark.parametrize("spec", _small_fields(), ids=lambda s: "^".join(map(str, s)))
+    def test_moduli_match_index_form_search(self, spec):
+        p, m, n = spec
+        ctx = FieldCtx(p, m, n)
+        ops = _oracle_ops(p, m)
+        assert ctx.ext_modulus == _oracle_lex_least(n, p**m, ops)
+        if m > 1:
+            assert ctx.base_modulus == _oracle_lex_least(m, p, _oracle_ops(p, 1))
 
 
 class TestArithmetic:

@@ -20,6 +20,7 @@ from paleyvec import graph
 from paleyvec.gf import build_field
 from paleyvec.linalg import (
     Subspace,
+    fp_combinations,
     all_hyperplanes,
     all_subspaces,
     contains_nonzero_square,
@@ -846,6 +847,53 @@ def old_search_rows(adj, order):
 
 
 CROSS_CHECK_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3, 2, 2)]
+
+
+def doubling_combinations(ctx, gens):
+    """``linalg.fp_combinations`` as it was written: by doubling, each
+    generator adding its multiples to the elements found so far, base-p
+    digit by digit."""
+    p = ctx.p
+    elems = np.zeros(p ** len(gens), dtype=np.int64)
+    filled = 1
+    for g in gens:
+        for c in range(1, p):
+            s = ctx.mul(c, g)
+            block = elems[:filled]
+            if p == 2:
+                block = block ^ s
+            else:
+                block = sum((block // p**j + s // p**j) % p * p**j for j in range(ctx.mn))
+            elems[c * filled:(c + 1) * filled] = block
+        filled *= p
+    return elems
+
+
+def _member_generators(U):
+    ctx = U.ctx
+    return [ctx.mul(ctx.p**j, b) for b in U.basis for j in range(ctx.m)]
+
+
+class TestFpCombinationsCrossCheck:
+    """``linalg.fp_combinations`` against the doubling it replaced, on the
+    F_p-generators of a subspace's membership array."""
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_FIELDS)
+    def test_every_subspace(self, spec):
+        ctx = build_field(*spec)
+        for d in range(ctx.n + 1):
+            for U in all_subspaces(ctx, d):
+                gens = _member_generators(U)
+                got = fp_combinations(ctx, gens)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, doubling_combinations(ctx, gens))
+
+    @pytest.mark.parametrize("spec", [(3, 2, 4), (5, 1, 5), (7, 1, 4), (3, 1, 8)])
+    def test_hyperplanes(self, spec):
+        ctx = build_field(*spec)
+        for _, U in itertools.islice(all_hyperplanes(ctx), 3):
+            gens = _member_generators(U)
+            assert np.array_equal(fp_combinations(ctx, gens), doubling_combinations(ctx, gens))
 
 
 def _orders(n, degrees):
