@@ -42,7 +42,7 @@ from .linalg import (
     parse_subspace,
 )
 from .predict import predict_omega
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_fields
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -198,6 +198,11 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--qmax", args.qmax), ("--nmax", args.nmax)):
+        if value is not None and value < 2:
+            raise ParseError(f"{flag} {value} selects no field: q and n are at least 2")
+    if args.suite != "all" and not suite_fields(args.suite, args.qmax, args.nmax):
+        raise ParseError(f"the filter selects no field of suite {args.suite}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     reports = []

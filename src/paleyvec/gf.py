@@ -18,20 +18,30 @@ divisible by x, and Ben-Or's test rejects a candidate at its first
 factor of degree <= k/2.  The generator is the least primitive element.
 This pins down the encoding, so indices are reproducible across runs.
 For m > 1, F_q is itself the tower ``build_field(p, 1, m)``: its modulus
-is the base modulus, its indices are the F_q coefficients, and its
-operations are the ones the extension's modulus search and polynomial
-arithmetic use; for m = 1 they are the residues mod p.
+is the base modulus and its indices are the F_q coefficients.
+
+The modulus search and the polynomial arithmetic read F_q from flat
+lists of length q, built once per field (``_LogField``): a coefficient is
+held as its discrete log, so a product is a sum of logs and a sum is one
+lookup in the Zech list; for m = 1 the lists are those of the residues
+mod p on a primitive root, for m > 1 the exp list of ``build_field(p, 1,
+m)``.  Ben-Or's scan takes each q-th power as m p-th powers, which in
+characteristic p spread a polynomial's terms p places apart.
 
 Multiplication, inversion, powering and traces run on discrete-log
 tables whenever q^n fits the table budget; addition works digit-wise on
 the base-p expansion (a plain XOR when p = 2).  Multiplication by an
-element is F_p-linear on base-p digit vectors, and the repeated squares
-of a candidate generator's matrix serve twice: their products test the
-candidate's primitivity, and for the least primitive one they fill the
-tables by doubling, one numpy matrix product a step (see _power_tables).
-Fields above the table budget fall back to polynomial arithmetic, which
-is slower but has no size limit below the construction cap; it serves
-predictions there, while graphs (and ``squares``) need the tables.
+element is F_p-linear on base-p digit vectors, and linear in the element
+too: one product of its digits with a tensor built once per field gives
+its matrix (``_mul_tensor``).  The repeated squares of the candidate
+generators' matrices serve twice: their products test the candidates'
+primitivity, a batch at a time, and for the least primitive one they
+fill the tables by doubling (see _power_tables).  Matrix products of
+digits run in floats, which numpy hands to BLAS and which are exact at
+these sizes (``_digit_product``).  Fields above the table budget fall
+back to polynomial arithmetic, which is slower but has no size limit
+below the construction cap; it serves predictions there, while graphs
+(and ``squares``) need the tables.
 """
 
 from __future__ import annotations
@@ -94,118 +104,131 @@ def _divisors(k: int) -> list[int]:
     return [d for d in range(1, k + 1) if k % d == 0]
 
 
-class _Ops(NamedTuple):
-    """Scalar field operations used by the polynomial helpers."""
+class _LogField(NamedTuple):
+    """F_q as the polynomial kernels read it, from flat lists of length q.
 
-    add: Callable[[int, int], int]
-    sub: Callable[[int, int], int]
-    mul: Callable[[int, int], int]
-    inv: Callable[[int], int]
+    A coefficient is held as its discrete log to some generator g of F_q*,
+    zero as None.  A product adds logs; a sum g^u + g^v is
+    g^(u + zech[v - u]), where zech[k] is the log of 1 + g^k (None where
+    g^k = -1).  ``log`` and ``exp`` convert from and to indices."""
+
+    p: int
+    q: int
+    log: list
+    exp: list
+    zech: list
+    minus: int  # the log of -1
 
 
-# Polynomials are little-endian coefficient lists with no trailing zeros;
-# [] is the zero polynomial.
+def _log_field(p: int, m: int) -> _LogField:
+    """F_{p^m} on its least primitive residue for m = 1, else on the exp
+    list of the field ``build_field(p, 1, m)`` (same indices)."""
+    q = p**m
+    if m == 1:
+        r = next(r for r in range(1, p) if all(pow(r, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
+        exp = [1]
+        while len(exp) < p - 1:
+            exp.append(exp[-1] * r % p)
+    else:
+        exp = build_field(p, 1, m)._exp
+    log = [None] * q
+    for k, a in enumerate(exp):
+        log[a] = k
+    zech = [log[a - a % p + (a + 1) % p] for a in exp]  # 1 + a: its constant digit + 1
+    return _LogField(p, q, log, exp, zech, 0 if p == 2 else (q - 1) // 2)
 
-def _pnorm(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
+
+# Polynomials are little-endian lists of coefficient logs with no trailing
+# None; [] is the zero polynomial.
+
+def _lstrip(c: list) -> list:
+    while c and c[-1] is None:
         c.pop()
     return c
 
 
-def _psub(a: list[int], b: list[int], ops: _Ops) -> list[int]:
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(ops.sub(x, y))
-    return _pnorm(out)
+def _laxpy(out: list, shift: int, c: int, terms: list, F: _LogField) -> None:
+    """out += g^c x^shift * (the sum of g^w x^i over the (i, w) in terms)."""
+    L, zech = F.q - 1, F.zech
+    for i, w in terms:
+        v = c + w
+        j = shift + i
+        s = out[j]
+        if s is None:
+            out[j] = v % L
+        else:
+            z = zech[(v - s) % L]
+            out[j] = None if z is None else (s + z) % L
 
 
-def _pmul(a: list[int], b: list[int], ops: _Ops) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = ops.add(out[i + j], ops.mul(ai, bj))
-    return _pnorm(out)
+def _lmul(a: list, b: list, F: _LogField) -> list:
+    out = [None] * max(len(a) + len(b) - 1, 0)
+    terms = [(j, w) for j, w in enumerate(b) if w is not None]
+    for i, u in enumerate(a):
+        if u is not None:
+            _laxpy(out, i, u, terms, F)
+    return _lstrip(out)
 
 
-def _pmod(a: list[int], f: list[int], ops: _Ops) -> list[int]:
-    # f must be monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                if f[i]:
-                    a[shift + i] = ops.sub(a[shift + i], ops.mul(lead, f[i]))
-        a.pop()
-    return _pnorm(a)
+def _lnegated(f: list, F: _LogField) -> list:
+    """The terms (i, log) of -f / lead(f) below its leading term."""
+    L, shift = F.q - 1, F.minus - f[-1]
+    return [(i, (w + shift) % L) for i, w in enumerate(f[:-1]) if w is not None]
 
 
-def _pmulmod(a: list[int], b: list[int], f: list[int], ops: _Ops) -> list[int]:
-    return _pmod(_pmul(a, b, ops), f, ops)
+def _lrem(a: list, f: list, neg: list, F: _LogField) -> list:
+    """a mod f, in place, with neg = ``_lnegated(f)``: each top term c x^(k + s)
+    of a adds c x^s neg, which cancels it, for k the degree of f."""
+    k = len(f) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        if a[top] is not None:
+            _laxpy(a, top - k, a[top], neg, F)
+    del a[k:]
+    return _lstrip(a)
 
 
-def _ppowmod(a: list[int], e: int, f: list[int], ops: _Ops) -> list[int]:
-    result = [1]
-    base = _pmod(list(a), f, ops)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, ops)
-        base = _pmulmod(base, base, f, ops)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], ops: _Ops) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        lead = b[-1]
-        if lead != 1:
-            ilead = ops.inv(lead)
-            b = [ops.mul(c, ilead) for c in b]
-        a, b = b, _pmod(a, b, ops)
-    return a
-
-
-def _is_irreducible(f: list[int], field_size: int, ops: _Ops) -> bool:
-    """Ben-Or's test for a monic polynomial over a field with Q = field_size elements.
+def _is_irreducible(f: list[int], F: _LogField) -> bool:
+    """Ben-Or's test for a monic polynomial f (coefficient indices) over F.
 
     A reducible f of degree k has an irreducible factor of some degree
-    j <= k/2, which divides x^(Q^j) - x; the scan over j stops at the
-    first gcd(x^(Q^j) - x, f) that is not 1.
+    j <= k/2, which divides x^(q^j) - x; the scan over j stops at the
+    first gcd(x^(q^j) - x, f) that is not 1.  A q-th power is m p-th
+    powers, and in characteristic p, t^p is the sum of c^p x^(pi) over the
+    terms c x^i of t: the logs times p, spread p places apart, then
+    reduced mod f, in about (p - 1) k steps a term of f.
     """
+    p, L = F.p, F.q - 1
     k = len(f) - 1
-    x = t = [0, 1]
+    fl = [F.log[c] for c in f]
+    neg = _lnegated(fl, F)
+    t = [None, 0]  # x
     for _ in range(k // 2):
-        t = _ppowmod(t, field_size, f, ops)
-        if len(_pgcd(_psub(t, x, ops), f, ops)) != 1:
+        e = 1
+        while e < F.q:
+            spread = [None] * (p * len(t) - p + 1)
+            spread[::p] = [None if w is None else w * p % L for w in t]
+            t = _lrem(spread, fl, neg, F)
+            e *= p
+        b = t + [None] * (2 - len(t))
+        _laxpy(b, 1, F.minus, [(0, 0)], F)  # t - x
+        a, b = fl, _lstrip(b)
+        while b:  # Euclid's algorithm: a ends as gcd(f, t - x), up to a unit
+            a, b = b, _lrem(a[:], b, _lnegated(b, F), F)
+        if len(a) != 1:
             return False
     return k >= 1
 
 
-def _lex_least_irreducible(degree: int, field_size: int, ops: _Ops) -> tuple[int, ...]:
+def _lex_least_irreducible(degree: int, F: _LogField) -> tuple[int, ...]:
     """First monic irreducible of the given degree in constant-term-major order.
 
     Above degree 1 the scan skips the candidates with f(0) = 0 (divisible by x).
     """
-    start = field_size ** (degree - 1) if degree > 1 else 0
-    for idx in range(start, field_size**degree):
-        rem = idx
-        coeffs = []
-        for pos in range(degree):
-            pw = field_size ** (degree - 1 - pos)
-            coeffs.append(rem // pw)
-            rem %= pw
-        f = coeffs + [1]
-        if _is_irreducible(f, field_size, ops):
+    q = F.q
+    start = q ** (degree - 1) if degree > 1 else 0
+    for idx in range(start, q**degree):
+        f = [idx // q ** (degree - 1 - pos) % q for pos in range(degree)] + [1]
+        if _is_irreducible(f, F):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -247,54 +270,136 @@ def _pow_idx(a: int, e: int, mul: Callable[[int, int], int]) -> int:
     return result
 
 
-def _index_of_digits(rows: np.ndarray, p: int) -> np.ndarray:
-    """Index of each base-p digit row, one column at a time (no int64 copy of rows)."""
-    out = np.zeros(len(rows), dtype=np.int64)
-    for j in range(rows.shape[1] - 1, -1, -1):
-        out *= p
-        out += rows[:, j]
+_BLOCK = 1 << 15  # rows per block of the float products below
+
+# numpy multiplies integer matrices without BLAS, and floats many times
+# faster; for digit matrices the float products are exact.  A sum of k
+# products of base-p digits is an integer below k (p - 1)^2: float32 holds
+# it below 2^22, where floor((x + 1/2) / p) is also its exact quotient by p,
+# and float64 does past that.
+
+
+def _exact_float(k: int, p: int) -> type:
+    """The float type of a product of base-p digit matrices with inner size k."""
+    return np.float32 if k * (p - 1) ** 2 < 1 << 22 else np.float64
+
+
+def _float_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for integral x in its ``_exact_float`` range."""
+    quotient = x + x.dtype.type(0.5)
+    quotient *= x.dtype.type(1 / p)
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    x -= quotient
+    return x
+
+
+def _digit_product(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """out = a @ b mod p for base-p digit matrices, a block of rows of a at a time."""
+    b = b.astype(_exact_float(len(b), p))
+    for lo in range(0, len(a), _BLOCK):
+        out[lo:lo + _BLOCK] = _float_mod(a[lo:lo + _BLOCK].astype(b.dtype) @ b, p)
     return out
 
 
-def _power_tables(p: int, digits: int, mul: Callable[[int, int], int], start: int):
+def _index_of_digits(rows: np.ndarray, p: int) -> np.ndarray:
+    """Index of each base-p digit row: a float product with the place
+    values, a block of rows at a time (no int64 copy of rows); exact, as
+    every partial sum is an integer below p^len(row) <= 2^24 (float32) or
+    2^53 (float64)."""
+    places = p ** np.arange(rows.shape[1], dtype=np.float64)
+    places = places.astype(np.float32 if p ** rows.shape[1] <= 1 << 24 else np.float64)
+    out = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _BLOCK):
+        out[lo:lo + _BLOCK] = rows[lo:lo + _BLOCK].astype(places.dtype) @ places
+    return out
+
+
+def _mul_tensor(p: int, m: int, modulus: tuple[int, ...], F: _LogField) -> np.ndarray:
+    """Row k holds the base-p digits of p^k * p^i for each i < mn, in the
+    field F_q[x]/(modulus) with F_q = F.  Multiplication is F_p-linear in
+    the multiplier too, so a's matrix is its digits times these rows
+    (``_mul_matrices``).
+
+    The index p^(mj + l) is the element beta_l x^j, beta_l = p^l (l < m)
+    being the F_p basis of the embedded F_q.  The places i < m take the
+    F_q products beta_u beta_l; each further x is one product with the
+    matrix of x, a shift by one F_q place that reduces the top place by
+    the monic modulus.  Digits are held as floats (``_exact_float``)."""
+    n = len(modulus) - 1
+    mn, L = m * n, F.q - 1
+
+    def digits(*logs):  # the digits of the F_q product of g^log over logs
+        a = F.exp[sum(logs) % L]
+        return [a // p**t % p for t in range(m)]
+
+    beta = [F.log[p**l] for l in range(m)]
+    x = np.eye(mn, k=m, dtype=_exact_float(mn, p))  # row i: the digits of p^i x
+    for l in range(m):
+        for s, f in enumerate(modulus[:n]):
+            if f:
+                x[mn - m + l, s * m:(s + 1) * m] = digits(beta[l], F.log[f], F.minus)
+    tensor = np.zeros((mn, mn, mn), x.dtype)
+    for k in range(mn):
+        s, u = divmod(k, m)
+        for l in range(m):
+            tensor[k, l, s * m:(s + 1) * m] = digits(beta[u], beta[l])
+    for j in range(1, n):
+        tensor[:, m * j:m * (j + 1)] = _float_mod(tensor[:, m * (j - 1):m * j] @ x, p)
+    return tensor.reshape(mn, mn * mn)
+
+
+def _mul_matrices(tensor: np.ndarray, elems: np.ndarray, p: int) -> np.ndarray:
+    """The matrix of multiplication by each of elems: row i of a's holds
+    the digits of a * p^i."""
+    mn = tensor.shape[0]
+    digits = (elems[:, None] // p ** np.arange(mn) % p).astype(tensor.dtype)
+    return _float_mod(digits @ tensor, p).reshape(len(elems), mn, mn)
+
+
+_CANDIDATES = 8  # candidate generators tested in one batch
+
+
+def _power_tables(p: int, tensor: np.ndarray, start: int):
     """(g, rows, exp, log) for a field of order p^digits, g its least primitive element.
 
     Multiplication by a is F_p-linear on base-p digit vectors: its matrix
-    holds the digits of a * p^i in row i, and a^e is the product of the
-    matrix's repeated squares at the bits of e.  The candidates a = start,
-    start + 1, ... are tried in turn; a is rejected when a^((p^digits - 1)/r)
-    is 1 for some prime factor r.  The indices below start must hold no
-    primitive element.  For the first survivor g, the digit rows of
-    g^0 .. g^(2^j - 1) are extended by one product with its j-th square.
-    rows[k] holds the digits of exp[k] = g^k, in the narrowest unsigned type
-    that holds a row-by-column sum; log inverts exp on the nonzero indices
-    (log[0] = 0).
+    (``_mul_matrices``) holds the digits of a * p^i in row i, and a^e is
+    the product of the matrix's repeated squares at the bits of e.  The
+    candidates a = start, start + 1, ... are tried _CANDIDATES at a time,
+    one stacked product a step; a is rejected when a^((p^digits - 1)/r) is
+    1 for some prime factor r.  The indices below start must hold no
+    primitive element.  For the least survivor g, the digit rows of
+    g^0 .. g^(2^j - 1) are extended by one product with its j-th square
+    (``_digit_product``).  rows[k] holds the digits of exp[k] = g^k, in
+    the narrowest unsigned type that holds a digit; log inverts exp on the
+    nonzero indices (log[0] = 0).
     """
+    digits = tensor.shape[0]
     mord = p**digits - 1
-    pw = p ** np.arange(digits)
-    dtype = np.min_scalar_type(digits * (p - 1) ** 2)
     tests = [mord // r for r in _prime_factors(mord)]
     bits = [np.array([[e >> j & 1] for e in tests], dtype=bool) for j in range(mord.bit_length())]
-    one = np.eye(1, digits, dtype=dtype)  # the digit row of 1
-    for g in range(start, mord + 1):
-        squares = [(np.array([mul(g, b) for b in pw.tolist()])[:, None] // pw % p).astype(dtype)]
+    one = np.eye(1, digits, dtype=tensor.dtype)  # the digit row of 1
+    for lo in range(start, mord + 1, _CANDIDATES):
+        squares = [_mul_matrices(tensor, np.arange(lo, min(lo + _CANDIDATES, mord + 1)), p)]
         for _ in bits[1:]:
-            squares.append(squares[-1] @ squares[-1] % p)
-        powers = one  # becomes the digit rows of g^e, one row for each e in tests
+            squares.append(_float_mod(squares[-1] @ squares[-1], p))
+        powers = one  # becomes the digit rows of a^e, one row for each e in tests
         for bit, square in zip(bits, squares):
-            powers = np.where(bit, powers @ square % p, powers)
-        if not (powers == one).all(axis=1).any():
+            powers = np.where(bit, _float_mod(powers @ square, p), powers)
+        primitive = ~(powers == one).all(axis=2).any(axis=1)
+        if primitive.any():
+            i = int(primitive.argmax())
             break
-    rows = np.zeros((mord, digits), dtype=dtype)
-    rows[0] = one
+    rows = np.zeros((mord, digits), dtype=np.min_scalar_type(p - 1))
+    rows[0, 0] = 1  # the digit row of 1
     for j, square in enumerate(squares):
         block = rows[1 << j:2 << j]
-        np.matmul(rows[:len(block)], square, out=block)
-        np.remainder(block, p, out=block)
+        _digit_product(rows[:len(block)], square[i], p, out=block)
     exp = _index_of_digits(rows, p)
     log = np.zeros(mord + 1, dtype=np.int64)
     log[exp] = np.arange(mord, dtype=np.int64)
-    return g, rows, exp, log
+    return lo + i, rows, exp, log
 
 
 class FieldCtx:
@@ -344,21 +449,12 @@ class FieldCtx:
         self.mord = order - 1  # size of the multiplicative group
         self.table_limit = table_limit
 
-        if m == 1:
-            self.base_modulus = (0, 1)
-            self._qops = _Ops(
-                add=lambda a, b: (a + b) % p,
-                sub=lambda a, b: (a - b) % p,
-                mul=lambda a, b: (a * b) % p,
-                inv=lambda a: pow(a, p - 2, p),
-            )
-        else:
-            # F_q is the tower p^1^m: the same lex-least modulus and indices
-            base = build_field(p, 1, m)
-            self.base_modulus = base.ext_modulus
-            self._qops = _Ops(base.add, base.sub, base.mul, base.inv)
-        self.ext_modulus = _lex_least_irreducible(n, self.q, self._qops)
-        self._ext_mod_list = list(self.ext_modulus)
+        # for m > 1, F_q is the tower p^1^m: the same lex-least modulus and indices
+        self.base_modulus = (0, 1) if m == 1 else build_field(p, 1, m).ext_modulus
+        self._coeffs = _log_field(p, m)
+        self.ext_modulus = _lex_least_irreducible(n, self._coeffs)
+        self._ext_logs = [self._coeffs.log[c] for c in self.ext_modulus]
+        self._ext_neg = _lnegated(self._ext_logs, self._coeffs)
 
         self.tabled = order <= table_limit
         self.generator = None
@@ -376,10 +472,11 @@ class FieldCtx:
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        prod = _pmulmod(
-            self.element_coords(a), self.element_coords(b), self._ext_mod_list, self._qops
-        )
-        return self.element_from_coords(prod)
+        F = self._coeffs
+        prod = _lmul([F.log[c] for c in self.element_coords(a)],
+                     [F.log[c] for c in self.element_coords(b)], F)
+        prod = _lrem(prod, self._ext_logs, self._ext_neg, F)
+        return self.element_from_coords(0 if w is None else F.exp[w] for w in prod)
 
     def _build_tables(self) -> None:
         """The least generator and its exp/log tables from one set of matrix
@@ -388,15 +485,14 @@ class FieldCtx:
         The scan for the generator starts at q: the indices below q are
         F_q, whose units have order dividing q - 1 < q^n - 1."""
         p = self.p
-        self.generator, rows, self._exp_np, self._log_np = _power_tables(
-            p, self.mn, self._mul_poly, self.q
-        )
+        tensor = _mul_tensor(p, self.m, self.ext_modulus, self._coeffs)
+        self.generator, rows, self._exp_np, self._log_np = _power_tables(p, tensor, self.q)
         # The trace is F_p-linear too.  Row i of its matrix is the digit sum
         # of the q-power orbit of p^i; applied to the rows it gives Tr(g^k).
-        logs = self._log_np[p ** np.arange(self.mn)]
-        tmat = sum(rows[logs * self.q**j % self.mord] for j in range(self.n)) % p
+        logs = self._log_np[p ** np.arange(self.mn)][:, None] * self.q ** np.arange(self.n)
+        tmat = rows[logs % self.mord].sum(axis=1) % p
         trace = np.zeros(self.order, dtype=np.int64)
-        trace[self._exp_np] = _index_of_digits(rows @ tmat % p, p)
+        trace[self._exp_np] = _index_of_digits(_digit_product(rows, tmat, p, np.empty_like(rows)), p)
         del rows
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity

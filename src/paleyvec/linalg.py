@@ -11,9 +11,10 @@ trace forms of ``forms``.
 
 Membership "x in U" is a lookup in a boolean array over all field
 indices.  The array is built on first use, never on construction, by
-enumerating the F_p-span of U with numpy: the index of an element is the
-base-p value of its F_p coordinates, so sums are digit-wise mod p (XOR
-when p = 2).  Paired with ``FieldCtx.squares``, the same array answers
+enumerating the F_p-span of U with numpy (``fp_combinations``): the
+index of an element is the base-p value of its F_p coordinates, so for
+p = 2 sums are XORs of indices, and for odd p all combinations are one
+product of digit matrices mod p.  Paired with ``FieldCtx.squares``, the same array answers
 "v^2 in U" for every v at once, and sorted by coordinates it lists U;
 ``Subspace.iter_elements`` walks U in the same order from its basis,
 for a caller that stops at the first hit.
@@ -49,7 +50,7 @@ from .errors import (
     WrongParity,
     ZeroFunctional,
 )
-from .gf import FieldCtx, _divisors
+from .gf import FieldCtx, _digit_product, _divisors, _index_of_digits
 
 ENUM_BUDGET = 1 << 20  # the largest subspace whose elements are listed
 
@@ -128,18 +129,26 @@ def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
 
 def fp_combinations(ctx: FieldCtx, gens: list[int]) -> np.ndarray:
     """The element sum_i d_i gens[i] at each index sum_i d_i p^i (digits
-    d_i < p) below p^len(gens): by doubling, each generator multiplying
-    the elements found so far by p."""
-    p = ctx.p
-    elems = np.zeros(p ** len(gens), dtype=np.int64)
-    filled = 1
-    for g in gens:
-        for c in range(1, p):
-            elems[c * filled:(c + 1) * filled] = _digit_add_np(
-                elems[:filled], ctx.mul(c, g), p, ctx.mn
-            )
-        filled *= p
-    return elems
+    d_i < p) below p^len(gens).
+
+    For p = 2 by doubling: each generator XORed onto the elements found so
+    far.  For odd p in one product: row t of the coefficient matrix holds
+    the digits of t, and times the generators' digit rows, mod p, it gives
+    the digit rows of the elements (``gf._digit_product``), which
+    ``gf._index_of_digits`` turns into indices."""
+    p, k = ctx.p, len(gens)
+    if p == 2:
+        elems = np.zeros(1 << k, dtype=np.int64)
+        for i, g in enumerate(gens):
+            elems[1 << i:2 << i] = elems[:1 << i] ^ g
+        return elems
+    dtype = np.min_scalar_type(p - 1)
+    coeffs = np.empty((p**k, k), dtype)
+    for i in range(k):  # digit i of t = (a p + d) p^i + b is d
+        coeffs.reshape(p ** (k - 1 - i), p, p**i, k)[..., i] = np.arange(p, dtype=dtype)[:, None]
+    gen_rows = np.array(gens, dtype=np.int64)[:, None] // p ** np.arange(ctx.mn) % p
+    rows = _digit_product(coeffs, gen_rows, p, np.empty((p**k, ctx.mn), dtype))
+    return _index_of_digits(rows, p)
 
 
 class Subspace:
@@ -174,9 +183,9 @@ class Subspace:
     def member(self) -> np.ndarray:
         """Read-only boolean array over all field indices, True on U.
 
-        Built on first use by doubling: the F_p-generators are lam * b for
-        b in the basis and lam = p^j (j < m), the F_p basis of the embedded
-        F_q, and each one multiplies the elements found so far by p.
+        Built on first use from the F_p-span of lam * b for b in the basis
+        and lam = p^j (j < m), the F_p basis of the embedded F_q
+        (``fp_combinations``).
         """
         if self._member is None:
             ctx = self.ctx

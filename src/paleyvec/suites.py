@@ -75,6 +75,19 @@ SUMPRODUCT_PAIRS = 1000
 
 CENSUS_GRID = [(3, 1, 2), (5, 1, 2), (3, 1, 4)]
 
+GRIDS = {
+    "main": HYPERPLANE_GRID,
+    "main1": BOUNDS_GRID,
+    "main3": BOUNDS_GRID,
+    "prop-basic": LOW_DIM_GRID,
+    "n-1": HYPERPLANE_GRID,
+    "crucial": FORMS_GRID,
+    "basis": BASIS_GRID,
+    "trace-equiv": FORMS_GRID,
+    "sumproduct": SUMPRODUCT_GRID,
+    "census": CENSUS_GRID,
+}
+
 # family calibration, sized so the full sweeps finish in minutes
 FULL_SWEEP_MAX = 128          # fields up to this order get every subspace
 MID_DIM_SAMPLES = 40          # seeded samples per remaining middle dimension
@@ -113,15 +126,10 @@ class SuiteReport:
         return out
 
 
-def _filter_grid(grid, qmax=None, nmax=None):
-    out = []
-    for p, m, n in grid:
-        if qmax is not None and p**m > qmax:
-            continue
-        if nmax is not None and n > nmax:
-            continue
-        out.append((p, m, n))
-    return out
+def suite_fields(name: str, qmax=None, nmax=None) -> list[tuple[int, int, int]]:
+    """The fields (p, m, n) of a suite's grid with q = p^m <= qmax and n <= nmax."""
+    return [(p, m, n) for p, m, n in GRIDS[name]
+            if (qmax is None or p**m <= qmax) and (nmax is None or n <= nmax)]
 
 
 _omega_cache: dict[tuple, tuple[int, tuple[int, ...]]] = {}
@@ -172,7 +180,7 @@ def suite_n1(qmax=None, nmax=None) -> SuiteReport:
     """Exact clique number of every dimension-(n-1) subspace against the
     closed-form table."""
     report = SuiteReport("n-1")
-    for p, m, n in _filter_grid(HYPERPLANE_GRID, qmax, nmax):
+    for p, m, n in suite_fields("n-1", qmax, nmax):
         ctx = build_field(p, m, n)
         for U in sorted((U for _, U in all_hyperplanes(ctx)), key=lambda U: U.basis):
             report.instances += 1
@@ -186,7 +194,7 @@ def suite_n1(qmax=None, nmax=None) -> SuiteReport:
 def suite_main(qmax=None, nmax=None) -> SuiteReport:
     """Largest clique number over all hyperplanes against the global formula."""
     report = SuiteReport("main")
-    for p, m, n in _filter_grid(HYPERPLANE_GRID, qmax, nmax):
+    for p, m, n in suite_fields("main", qmax, nmax):
         ctx = build_field(p, m, n)
         report.instances += 1
         best = max(instance_omega(U)[0] for _, U in all_hyperplanes(ctx))
@@ -205,7 +213,7 @@ def suite_main1(qmax=None, nmax=None) -> SuiteReport:
     very large clique counts)."""
     report = SuiteReport("main1")
     cliques_checked = 0
-    for p, m, n in _filter_grid(BOUNDS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("main1", qmax, nmax):
         ctx = build_field(p, m, n)
         for U in survey_family(ctx):
             report.instances += 1
@@ -240,7 +248,7 @@ def suite_main3(qmax=None, nmax=None) -> SuiteReport:
     """Every bound (subfield lower, exponent upper, power-of-q corollaries,
     no-square case) across the survey family, plus interval containment."""
     report = SuiteReport("main3")
-    for p, m, n in _filter_grid(BOUNDS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("main3", qmax, nmax):
         ctx = build_field(p, m, n)
         for U in survey_family(ctx):
             report.instances += 1
@@ -266,7 +274,7 @@ def suite_prop_basic(qmax=None, nmax=None) -> SuiteReport:
     """Exact clique number of every subspace of dimension 1 and 2 against
     the low-dimension predictions."""
     report = SuiteReport("prop-basic")
-    for p, m, n in _filter_grid(LOW_DIM_GRID, qmax, nmax):
+    for p, m, n in suite_fields("prop-basic", qmax, nmax):
         ctx = build_field(p, m, n)
         for d in (1, 2):
             if d > n - 1:
@@ -299,7 +307,7 @@ def suite_crucial(qmax=None, nmax=None) -> SuiteReport:
     orthogonal sets are the cliques of the hyperplane ker Tr(lam x), solved
     once per hyperplane: the lam of one F_q*-orbit share it."""
     report = SuiteReport("crucial")
-    for p, m, n in _filter_grid(FORMS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("crucial", qmax, nmax):
         ctx = build_field(p, m, n)
         for lam in _lambda_sample(ctx):
             report.instances += 1
@@ -321,7 +329,7 @@ def suite_trace_equiv(qmax=None, nmax=None) -> SuiteReport:
     """Sign of the trace form with multiplier lam equals the base sign
     exactly when lam is a square, for every nonzero lam."""
     report = SuiteReport("trace-equiv")
-    for p, m, n in _filter_grid(FORMS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("trace-equiv", qmax, nmax):
         ctx = build_field(p, m, n)
         base = chi_of_form(BilinearForm.trace_form(ctx, 1))
         for lam in range(1, ctx.order):
@@ -337,7 +345,7 @@ def suite_basis(qmax=None, nmax=None) -> SuiteReport:
     """The orthogonal trace basis exists with the required pairing table
     and self-pairing parity on every grid field."""
     report = SuiteReport("basis")
-    for p, m, n in _filter_grid(BASIS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("basis", qmax, nmax):
         ctx = build_field(p, m, n)
         report.instances += 1
         try:
@@ -369,7 +377,7 @@ def suite_basis(qmax=None, nmax=None) -> SuiteReport:
 def suite_sumproduct(qmax=None, nmax=None) -> SuiteReport:
     """Randomized audit of the sum-product growth inequality."""
     report = SuiteReport("sumproduct")
-    for p, m, n in _filter_grid(SUMPRODUCT_GRID, qmax, nmax):
+    for p, m, n in suite_fields("sumproduct", qmax, nmax):
         ctx = build_field(p, m, n)
         rng = random.Random(f"sumproduct:{ctx.order}")
         produced = 0
@@ -390,7 +398,7 @@ def suite_sumproduct(qmax=None, nmax=None) -> SuiteReport:
 def suite_census(qmax=None, nmax=None) -> SuiteReport:
     """Hyperplane sign classes: equal sizes and class-constant clique number."""
     report = SuiteReport("census")
-    for p, m, n in _filter_grid(CENSUS_GRID, qmax, nmax):
+    for p, m, n in suite_fields("census", qmax, nmax):
         ctx = build_field(p, m, n)
         report.instances += 1
         rep = isomorphism_class_census(ctx, lambda U: instance_omega(U)[0])

@@ -176,6 +176,12 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=-1"], cli.EXIT_USAGE),
         (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=27"], cli.EXIT_USAGE),
         (["omega", "--field", "3^1^3", "--subspace", "ker-trace-of=26"], cli.EXIT_OK),
+        # a verify filter that selects no field
+        (["verify", "--suite", "n-1", "--qmax", "1"], cli.EXIT_USAGE),
+        (["verify", "--suite", "n-1", "--nmax", "0"], cli.EXIT_USAGE),
+        (["verify", "--suite", "census", "--qmax", "2"], cli.EXIT_USAGE),
+        (["verify", "--suite", "all", "--nmax", "1"], cli.EXIT_USAGE),
+        (["verify", "--suite", "census", "--qmax", "3", "--nmax", "2"], cli.EXIT_OK),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -197,6 +203,15 @@ def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-m", "paleyvec.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=30)
+
+
+def test_import_loads_no_process_pool():
+    # the pool's module is imported by the first parallel solve, not with the package
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, paleyvec.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("field,code", [("1000000000000000003^1^2", cli.EXIT_BUDGET),

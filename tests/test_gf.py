@@ -17,10 +17,15 @@ from paleyvec.errors import (
     ParseError,
 )
 from paleyvec.gf import (
+    _BLOCK,
     FieldCtx,
+    _digit_product,
+    _index_of_digits,
     _is_irreducible,
     _lex_least_irreducible,
-    _Ops,
+    _log_field,
+    _mul_matrices,
+    _mul_tensor,
     build_field,
     parse_field_spec,
 )
@@ -166,7 +171,7 @@ class TestConstruction:
 
     def test_degree_one_scan_keeps_x(self):
         ctx = build_field(3, 1, 2)
-        assert _lex_least_irreducible(1, ctx.q, ctx._qops) == (0, 1)
+        assert _lex_least_irreducible(1, ctx._coeffs) == (0, 1)
 
     def test_encoding_round_trip(self):
         ctx = build_field(3, 1, 3)
@@ -265,9 +270,9 @@ def _scalar_ops(size):
     """Operations of the field with size elements: residues mod a prime, or F_4."""
     if size == 4:
         f4 = build_field(2, 1, 2)
-        return _Ops(f4.add, f4.sub, f4.mul, f4.inv)
-    return _Ops(lambda a, b: (a + b) % size, lambda a, b: (a - b) % size,
-                lambda a, b: a * b % size, lambda a: pow(a, size - 2, size))
+        return _OracleOps(f4.add, f4.sub, f4.mul, f4.inv)
+    return _OracleOps(lambda a, b: (a + b) % size, lambda a, b: (a - b) % size,
+                      lambda a, b: a * b % size, lambda a: pow(a, size - 2, size))
 
 
 def _monic(degree, size):
@@ -304,16 +309,17 @@ def _gauss_count(k, size):
 
 
 class TestIrreducibility:
-    @pytest.mark.parametrize("size, top", [(2, 6), (3, 4), (4, 4), (5, 4)])
-    def test_matches_trial_division_and_gauss_count(self, size, top):
-        # every monic polynomial of degree 1..top over the field of the given size
-        ops = _scalar_ops(size)
+    @pytest.mark.parametrize("p, m, top", [(2, 1, 6), (3, 1, 4), (2, 2, 4), (5, 1, 4)])
+    def test_matches_trial_division_and_gauss_count(self, p, m, top):
+        # every monic polynomial of degree 1..top over the field F_{p^m}
+        size = p**m
+        ops, F = _scalar_ops(size), _log_field(p, m)
         for k in range(1, top + 1):
             divisors = [d for j in range(1, k // 2 + 1) for d in _monic(j, size)]
             count = 0
             for f in _monic(k, size):
                 want = not any(_divides(d, f, ops) for d in divisors)
-                assert _is_irreducible(f, size, ops) == want, f
+                assert _is_irreducible(f, F) == want, f
                 count += want
             assert count == _gauss_count(k, size)
 
@@ -426,6 +432,64 @@ class TestModulusCrossCheck:
         assert ctx.ext_modulus == _oracle_lex_least(n, p**m, ops)
         if m > 1:
             assert ctx.base_modulus == _oracle_lex_least(m, p, _oracle_ops(p, 1))
+
+
+def _oracle_field_mul(ctx):
+    """Products of the field by the index-form polynomial arithmetic above."""
+    ops = _oracle_ops(ctx.p, ctx.m)
+
+    def mul(a, b):
+        coords = _oracle_mulmod(list(ctx.element_coords(a)), list(ctx.element_coords(b)),
+                                ctx.ext_modulus, ops)
+        return ctx.element_from_coords(coords)
+
+    return mul
+
+
+MATRIX_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (7, 1, 2), (5, 1, 4), (3, 2, 3),
+                 (7, 1, 3), (2, 1, 12), (13, 1, 3), (2, 4, 3)]
+
+
+class TestMultiplicationMatrices:
+    @pytest.mark.parametrize("spec", MATRIX_FIELDS, ids=lambda s: "^".join(map(str, s)))
+    def test_candidate_matrices_match_polynomial_products(self, spec):
+        # every candidate the generator scan reads, the generator included
+        ctx = build_field(*spec)
+        p, mn = ctx.p, ctx.mn
+        mul = _oracle_field_mul(ctx)
+        tensor = _mul_tensor(p, ctx.m, ctx.ext_modulus, ctx._coeffs)
+        candidates = np.arange(ctx.q, ctx.generator + 1)
+        for a, matrix in zip(candidates.tolist(), _mul_matrices(tensor, candidates, p)):
+            want = [[mul(a, p**i) // p**j % p for j in range(mn)] for i in range(mn)]
+            assert matrix.tolist() == want, a
+
+    @pytest.mark.parametrize("spec", MATRIX_FIELDS[:8] + [(2, 2, 3), (3, 2, 2)],
+                             ids=lambda s: "^".join(map(str, s)))
+    def test_mul_poly_matches_polynomial_products(self, spec):
+        ctx = build_field(*spec)
+        mul = _oracle_field_mul(ctx)
+        rng = random.Random(5)
+        for _ in range(100):
+            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+            assert ctx._mul_poly(a, b) == (mul(a, b) if a and b else 0)
+
+    @pytest.mark.parametrize("p, k", [(2, 24), (3, 12), (1021, 4), (1031, 4), (4093, 2)])
+    def test_digit_product_is_exact(self, p, k):
+        # on both sides of the float32 bound k (p - 1)^2 < 2^22
+        rng = np.random.default_rng(p)
+        a = rng.integers(0, p, size=(3 * _BLOCK // 2, k))
+        b = rng.integers(0, p, size=(k, 5))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest sum
+        out = np.empty((len(a), 5), dtype=np.uint16)
+        assert np.array_equal(_digit_product(a.astype(np.uint16), b, p, out), a @ b % p)
+
+    @pytest.mark.parametrize("p, k", [(2, 24), (3, 15), (4093, 2)])
+    def test_index_of_digits(self, p, k):
+        rng = np.random.default_rng(k)
+        rows = rng.integers(0, p, size=(1000, k))
+        rows[0] = p - 1  # the largest index
+        want = [sum(int(d) * p**j for j, d in enumerate(row)) for row in rows]
+        assert _index_of_digits(rows.astype(np.uint16), p).tolist() == want
 
 
 class TestArithmetic:

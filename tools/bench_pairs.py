@@ -85,6 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs {args.pairs}: the quartiles of each side need at least 2 pairs")
 
     with open(ROOT / "BENCHMARK.json") as fh:
         metrics = json.load(fh)["end_to_end"]
