@@ -125,7 +125,8 @@ def _log_field(p: int, m: int) -> _LogField:
     list of the field ``build_field(p, 1, m)`` (same indices)."""
     q = p**m
     if m == 1:
-        r = next(r for r in range(1, p) if all(pow(r, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
+        r = next(r for r in range(1, p)
+                 if all(pow(r, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
         exp = [1]
         while len(exp) < p - 1:
             exp.append(exp[-1] * r % p)
@@ -492,7 +493,8 @@ class FieldCtx:
         logs = self._log_np[p ** np.arange(self.mn)][:, None] * self.q ** np.arange(self.n)
         tmat = rows[logs % self.mord].sum(axis=1) % p
         trace = np.zeros(self.order, dtype=np.int64)
-        trace[self._exp_np] = _index_of_digits(_digit_product(rows, tmat, p, np.empty_like(rows)), p)
+        trace_rows = _digit_product(rows, tmat, p, np.empty_like(rows))
+        trace[self._exp_np] = _index_of_digits(trace_rows, p)
         del rows
         if int(trace.max(initial=0)) >= self.q:
             raise AssertionError("trace left the base field")  # sanity

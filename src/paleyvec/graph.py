@@ -95,6 +95,7 @@ from .linalg import (
     rank,
 )
 
+
 def ProcessPoolExecutor(*args, **kwargs):
     """``concurrent.futures.ProcessPoolExecutor``, imported on first use, so
     that a process which starts no pool does not load the module."""

@@ -14,10 +14,10 @@ indices.  The array is built on first use, never on construction, by
 enumerating the F_p-span of U with numpy (``fp_combinations``): the
 index of an element is the base-p value of its F_p coordinates, so for
 p = 2 sums are XORs of indices, and for odd p all combinations are one
-product of digit matrices mod p.  Paired with ``FieldCtx.squares``, the same array answers
-"v^2 in U" for every v at once, and sorted by coordinates it lists U;
-``Subspace.iter_elements`` walks U in the same order from its basis,
-for a caller that stops at the first hit.
+product of digit matrices mod p.  Paired with ``FieldCtx.squares``, the
+same array answers "v^2 in U" for every v at once, and sorted by
+coordinates it lists U; ``Subspace.iter_elements`` walks U in the same
+order from its basis, for a caller that stops at the first hit.
 
 Where only a dimension is needed, ``rank`` answers without the canonical
 basis, by one incremental kernel, ``extend_echelon``, which feeds

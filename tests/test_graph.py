@@ -850,7 +850,7 @@ CROSS_CHECK_FIELDS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2), (3,
 
 
 def doubling_combinations(ctx, gens):
-    """``linalg.fp_combinations`` as it was written: by doubling, each
+    """A reference for ``linalg.fp_combinations``: by doubling, each
     generator adding its multiples to the elements found so far, base-p
     digit by digit."""
     p = ctx.p
