@@ -1,5 +1,6 @@
 """Tests for the command-line contract: exit codes and refused options."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from paleyvec import cli
+from paleyvec.errors import StructureViolation
 from paleyvec.linalg import Subspace
 
 
@@ -182,6 +184,10 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["verify", "--suite", "census", "--qmax", "2"], cli.EXIT_USAGE),
         (["verify", "--suite", "all", "--nmax", "1"], cli.EXIT_USAGE),
         (["verify", "--suite", "census", "--qmax", "3", "--nmax", "2"], cli.EXIT_OK),
+        # a survey dimension that is not a number, or out of 1..n - 1
+        (["survey", "--field", "2^1^3", "--dim", "x"], cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--dim", "1,3"], cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--dim", "0"], cli.EXIT_USAGE),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -197,6 +203,60 @@ def test_exit_codes(argv, code, capsys):
     if code != cli.EXIT_OK:
         assert err.startswith(prefix)
         assert "error: " in err.splitlines()[-1]
+
+
+def test_omega_human_format(capsys):
+    # one "key: value" line per payload key, in the JSON payload's order
+    argv = ["omega", "--field", "2^1^4", "--subspace", "ker-trace-of=1", "--format", "human"]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "schema", "field", "subspace", "mode", "predicted", "exact", "witness",
+        "decomposition", "search", "runtime_ms", "match",
+    ]
+    assert {"predicted: 5", "exact: 5", "match: True", "mode: both"} <= set(lines)
+
+
+def test_survey_pretty(capsys):
+    # basis elements as polynomials in the generator y of the extension
+    assert cli.main(["survey", "--field", "3^1^2", "--dim", "1", "--pretty"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        "field,basis,dim,has_square,D,s,predicted,omega,match\n"
+        "3^1^2,1,1,1,1,1,3,3,1\n"
+        "3^1^2,1 + y,1,0,,-1,3,3,1\n"
+        "3^1^2,1 + 2*y,1,0,,-1,3,3,1\n"
+        "3^1^2,y,1,1,1,1,3,3,1\n"
+    )
+
+
+def test_survey_exits_1_on_an_exact_mismatch(monkeypatch, capsys):
+    # every exact prediction set one too high: each row reports no match
+    real = cli.predict_omega
+    monkeypatch.setattr(cli, "predict_omega",
+                        lambda U: dataclasses.replace(real(U), value=real(U).value + 1))
+    assert cli.main(["survey", "--field", "2^1^3", "--dim", "1"]) == cli.EXIT_VERIFICATION
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 7
+    assert all(row.endswith(",4,3,0") for row in rows)
+
+
+def test_paleyvec_error_in_a_command_exits_1(monkeypatch, capsys):
+    def forged(G, C):
+        raise StructureViolation("forged decomposition")
+
+    monkeypatch.setattr(cli, "decompose_clique", forged)
+    argv = ["omega", "--field", "2^1^4", "--subspace", "basis=1", "--mode", "exact"]
+    assert cli.main(argv) == cli.EXIT_VERIFICATION
+    assert capsys.readouterr().err == "error: forged decomposition\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_budget_variable_exits_3(monkeypatch, capsys, value):
+    # the vertex budget is read from the environment by an exact solve
+    monkeypatch.setenv("PALEYVEC_BUDGET_VERTICES", value)
+    argv = ["omega", "--field", "2^1^4", "--subspace", "basis=1", "--mode", "exact"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == f"error: bad PALEYVEC_BUDGET_VERTICES value {value!r}\n"
 
 
 def _run_cli(*argv):

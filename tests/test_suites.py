@@ -1,5 +1,8 @@
 """Tests for the suites' shared solve path."""
 
+import dataclasses
+import json
+
 import pytest
 
 from paleyvec import cli, forms, suites
@@ -59,3 +62,37 @@ def test_crucial_searches_once_and_records_a_disagreement(monkeypatch):
     assert report.instances == len(searched) == 8 + 26
     assert len(report.failures) == report.instances
     assert report.failures[0] == {"field": [3, 1, 2], "lam": 1, "error": "t formula 1 != search 2"}
+
+
+def _off_by_one(real):
+    """``real`` with its exact value raised by one: an int, or a prediction's value."""
+    def shifted(U):
+        got = real(U)
+        return got + 1 if isinstance(got, int) else dataclasses.replace(got, value=got.value + 1)
+
+    return shifted
+
+
+@pytest.mark.parametrize(
+    "name,target,records",
+    [
+        ("n-1", "hyperplane_omega",
+         [{"basis": [b], "expected": 4, "got": 3} for b in (1, 2, 3)]),
+        ("main3", "predict_omega",
+         [{"basis": [b], "error": "prediction 4 rejects 3"} for b in (1, 3, 2)]),
+        ("prop-basic", "predict_omega",
+         [{"basis": [b], "predicted": 4, "got": 3} for b in (1, 3, 2)]),
+    ],
+)
+def test_suite_records_an_injected_fault(name, target, records, monkeypatch, capsys):
+    # 2^1^2 alone: its three lines are solved afresh (omega = 3), and each
+    # disagrees with a closed form or prediction set one too high; the suite
+    # records every instance, and verify exits 1
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    monkeypatch.setattr(suites, target, _off_by_one(getattr(suites, target)))
+    want = [{"field": [2, 1, 2], **r} for r in records]
+    report = suites.run_suite(name, qmax=2, nmax=2)
+    assert (report.instances, report.failures) == (3, want)
+    argv = ["verify", "--suite", name, "--qmax", "2", "--nmax", "2"]
+    assert cli.main(argv) == cli.EXIT_VERIFICATION
+    assert json.loads(capsys.readouterr().out)["failures"] == want

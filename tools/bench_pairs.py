@@ -15,14 +15,16 @@ is the same on both sides.
 
 The metrics, their directions and their bounds are the ``end_to_end``
 entries of ``BENCHMARK.json``.  For each metric the tool prints every pair,
-each side's median and quartiles, how many pairs the change won, and the
-change of the median relative to the parent's, signed so that positive is
-worse, against the bound.  The verdict is ``regression`` when that change
-exceeds the bound and ``within bound`` otherwise; it is ``unresolved`` when
-the distance between the parent's quartiles, relative to its median, is
-wider than the bound, unless every change run beats every parent run.  A
-gain holds when the change wins at least nine tenths of the pairs and the
-medians differ by more than the distance between the parent's quartiles.
+each side's median and quartiles, how many pairs the change won (a tie
+counts for neither side), and the change of the median relative to the
+parent's, signed so that positive is worse, against the bound.  The verdict
+is ``regression`` when that change exceeds the bound and ``within bound``
+otherwise; it is ``unresolved`` when the distance between the parent's
+quartiles, relative to its median, is wider than the bound, unless every
+change run beats every parent run.  Last comes ``gain holds`` when the
+change wins at least nine tenths of the pairs and its median is better than
+the parent's by more than the distance between the parent's quartiles, and
+``gain not shown`` otherwise (``gain_holds``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,21 @@ def quartiles(values: list[float]) -> list[float]:
 def summary(values: list[float]) -> str:
     q1, q2, q3 = quartiles(values)
     return f"median {q2:.5g} (quartiles {q1:.5g}-{q3:.5g})"
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs the change won; a tie counts for neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+
+
+def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """The change wins at least nine tenths of the pairs, and its median is
+    better than the parent's by more than the parent's quartile distance."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1 if better == "lower" else -1
+    return (10 * wins(parent, change, better) >= 9 * len(parent)
+            and sign * (median - statistics.median(change)) > q3 - q1)
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
@@ -106,10 +123,11 @@ def main(argv=None) -> int:
         name, better = m["name"], m["better"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        gain = "gain holds" if gain_holds(parent, change, better) else "gain not shown"
         print(f"  {name} ({better} is better): parent {summary(parent)};"
-              f" change {summary(change)}; change better in {wins} of {args.pairs};"
-              f" {verdict(parent, change, better, m['bound'])}")
+              f" change {summary(change)};"
+              f" change better in {wins(parent, change, better)} of {args.pairs};"
+              f" {verdict(parent, change, better, m['bound'])}; {gain}")
     failed = [sum(r["failed"] for r in runs[side]) for side in ("parent", "change")]
     print(f"  failed: parent {failed[0]}, change {failed[1]}")
     return 0
