@@ -131,9 +131,7 @@ def cmd_omega(args) -> int:
         start = time.monotonic()
         G = build_graph(ctx, U, max_vertices=args.max_vertices)
         stats = SolveStats()
-        omega, witness = clique_number_exact(
-            G, workers=args.workers, time_limit=args.time_limit, stats=stats
-        )
+        omega, witness = clique_number_exact(G, time_limit=args.time_limit, stats=stats)
         t, V1, _ = decompose_clique(G, witness)
         payload["exact"] = omega
         payload["witness"] = list(witness)
@@ -181,9 +179,7 @@ def cmd_survey(args) -> int:
             D = "" if inv.D is None else inv.D
             s = "" if inv.s is None else inv.s
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
-            omega, _ = clique_number_exact(
-                G, workers=args.workers, time_limit=args.time_limit
-            )
+            omega, _ = clique_number_exact(G, time_limit=args.time_limit)
             match = pred.admits(omega)
             if pred.kind == "exact" and not match:
                 exact_mismatch = True
@@ -267,9 +263,7 @@ def cmd_bench(args) -> int:
             G = build_graph(ctx, U, max_vertices=args.max_vertices)
             t1 = time.perf_counter()
             stats = SolveStats()
-            clique_number_exact(
-                G, workers=args.workers, time_limit=args.time_limit, stats=stats
-            )
+            clique_number_exact(G, time_limit=args.time_limit, stats=stats)
             t2 = time.perf_counter()
             build_ms.append((t1 - t0) * 1000)
             solve_ms.append((t2 - t1) * 1000)
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--max-vertices", type=_positive_int, default=None,
                        help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
-        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--time-limit", type=_time_limit, default=None,
                        help="seconds, positive and finite")
 

@@ -416,7 +416,6 @@ class FieldCtx:
     index arrays that every subspace of the field reads, each built once:
     ``squares``, ``orbit_least`` with ``orbit_leaders`` and, per divisor d
     of n, ``subfield_grid``.
-    A context stays in its process: a parallel solve sends its workers rows only.
     """
 
     def __init__(

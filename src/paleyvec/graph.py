@@ -38,8 +38,7 @@ p^i-power Frobenius, form a group of automorphisms (``Automorphisms``)
 that prunes the root's branches by orbit (orbital branching).  The search
 builds it once it has spent 64 nodes, so the many small solves never pay
 for it, and with it its orbits on the search labels, by a union-find over
-two maps that generate it; with several workers the root branches from
-then on go to a process pool, and a solve that ends sooner starts none.
+two maps that generate it.
 
 A hyperplane U = ker Tr(cx) has more automorphisms: ab lies in U exactly
 when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``isometries``
@@ -94,14 +93,6 @@ from .linalg import (
     functional_of_hyperplane,
     rank,
 )
-
-
-def ProcessPoolExecutor(*args, **kwargs):
-    """``concurrent.futures.ProcessPoolExecutor``, imported on first use, so
-    that a process which starts no pool does not load the module."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-
-    return executor(*args, **kwargs)
 
 
 DEFAULT_VERTEX_BUDGET = 65536
@@ -333,16 +324,14 @@ def _check_deadline(deadline: float | None, phase: str) -> None:
 _ORBIT_NODES = 64
 
 
-class _HandOff(Exception):
-    """Stops the running root branch, which a worker pool then searches."""
-
-
 class _Search:
     """Colouring branch-and-bound over rows in search labels.
 
     The vertex searched i-th of m has label m - 1 - i, so the next vertex
     to colour is the highest bit of a candidate set and ``bit_length``
-    finds it without isolating a bit.
+    finds it without isolating a bit.  A solve runs ``cut([], cand)``, one
+    serial search: the root and its branches cut by orbit (``cut``), the
+    nodes below them plain ``expand``.
 
     ``symmetry``, when given, builds the group of ``Automorphisms`` (in
     vertex numbering) at most once; ``vertex_of`` maps each label to the
@@ -353,8 +342,8 @@ class _Search:
 
     __slots__ = (
         "adj", "nonadj", "bits", "best", "best_size", "deadline", "nodes",
-        "symmetry", "vertex_of", "label_of", "group", "orbit_skips", "workers",
-        "check_at", "handoff_at", "isometries", "label_perms", "orbits",
+        "symmetry", "vertex_of", "label_of", "group", "orbit_skips", "check_at",
+        "isometries", "label_perms", "orbits",
     )
 
     def __init__(
@@ -375,9 +364,7 @@ class _Search:
         self.label_of = label_of
         self.group = None
         self.orbit_skips = 0
-        self.workers = 1
-        # expand calls _checkpoint at node check_at: the clock, or a hand-off
-        self.handoff_at = sys.maxsize
+        # the clock is checked at node check_at
         self.check_at = 256 if deadline is not None else sys.maxsize
         self.isometries = isometries
         self.label_perms: np.ndarray | None = None  # the isometries on labels, once built
@@ -445,122 +432,64 @@ class _Search:
         labels = np.arange(len(self.adj))
         return _join(labels, np.tile(labels, len(perms)), perms.ravel())
 
-    def root(self, cand: int, workers: int = 1) -> None:
-        """``expand([], cand)``, with the root's branches cut by orbit and,
-        for several workers, shared with a process pool.
-
-        Once the branch on v has returned, ``best_size`` bounds every
-        clique through v, and so through any image of v: the orbits of the
-        vertices branched on so far leave the candidates (``_cover``).  The
-        group and its orbits are built when a root branch returns with
-        ``_ORBIT_NODES`` nodes spent in all, the isometries of a hyperplane
-        when a depth-1 child returns with ``_ISOMETRY_NODES`` spent
-        (``branch``).  With ``workers`` > 1 the branch running at
-        ``_ORBIT_NODES`` stops there instead, as does each later branch on
-        its first node, and they go to a pool (``_search_pool``), so no CPU
-        waits for the first branch; the isometries are then built with the
-        group.
-        """
-        self.nodes += 1
-        order, colors = self._color_order(cand, self.best_size + 1)
-        adj, bits = self.adj, self.bits
-        branched = 0
-        handoff: list[tuple[int, int]] = []
-        if workers > 1 and self.symmetry is not None:
-            self.handoff_at = self.check_at = _ORBIT_NODES
-        for idx in range(len(order) - 1, -1, -1):
-            if colors[idx] <= self.best_size:
-                break
-            v = order[idx]
-            if not cand >> v & 1:
-                self.orbit_skips += 1
-                continue
-            rest = cand & adj[v]
-            if rest:
-                try:
-                    self.branch(v, rest)
-                except _HandOff:
-                    handoff.append((v, rest))
-            elif self.best_size < 1:
-                self.best, self.best_size = [v], 1
-            branched |= bits[v]
-            if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
-                self._build_group()
-                if workers > 1 and self.isometries is not None:
-                    self._build_isometries()
-            cand &= ~(branched if self.orbits is None else _cover(self.orbits, branched))
-        if handoff:
-            self._search_pool(handoff, workers)
-
-    def _search_pool(self, branches: list[tuple[int, int]], workers: int) -> None:
-        """Search the root branches ``(v, cand & adj[v])`` in a pool of at
-        most ``workers`` processes, each branch a task of its own, taken by
-        the next process free and searched from the root's incumbent.  A
-        strictly larger result replaces it, in branch order, so neither the
-        witness nor the node count depends on which process took what.  A
-        monotonic clock is only comparable within one process, so workers
-        get the time left and start their own clock from it.  Workers hold
-        rows and no field, so a task carries its depth-1 cut, when the
-        isometries are built, as its stabiliser's part of each label."""
-        workers = min(workers, len(branches))
-        budget = None if self.deadline is None else self.deadline - time.monotonic()
-        start = (self.adj, self.best, budget)
-        cut = self.label_perms is not None
-        branches = [(v, rest, self.stabiliser(v) if cut else None) for v, rest in branches]
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=start) as pool:
-            for size, best, nodes in pool.map(_solve_branch, branches):
-                self.nodes += nodes
-                if size > self.best_size:
-                    self.best, self.best_size = list(best), size
-        self.workers = workers
-
-    def _checkpoint(self) -> None:
-        """Stop a root branch due to be handed off, else check the clock."""
-        if self.nodes >= self.handoff_at:
-            raise _HandOff
-        _check_deadline(self.deadline, "clique search")
-        self.check_at = min(self.handoff_at, self.nodes + 256)
-
-    def branch(self, v: int, cand: int, cut: np.ndarray | None = None) -> None:
-        """``expand([v], cand)``, with its children cut by orbit under the
-        isometries that fix v.
+    def cut(self, stack: list[int], cand: int) -> None:
+        """``expand(stack, cand)`` for a stack of at most one vertex, with
+        the children cut by orbit: at the root (depth 0) by the orbits of
+        the group and the isometries, and at depth 1, on v, by the orbits
+        under the isometries that fix v.
 
         Once the child w has returned, ``best_size`` bounds every clique
-        through v and w, and so through v and any image of w under a map
-        that fixes v: the orbits under ``stabiliser(v)`` of the children
-        returned so far leave the candidates.  ``cut`` gives those parts (a
-        pool task); otherwise they come once the isometries are built,
-        which a returning child triggers at ``_ISOMETRY_NODES`` nodes.
-        Without isometries the branch is ``expand([v], cand)`` node for
-        node.
+        through the stack and w, and so through the stack and any image of
+        w under a map that fixes the stack: the parts of the children
+        returned so far leave the candidates (``_cover``).  At the root the
+        parts are ``orbits``, read again after every child, since the
+        isometries, built below it, join onto them; the group is built when
+        a child returns with ``_ORBIT_NODES`` nodes spent in all.  At depth
+        1 they are ``stabiliser(v)``, formed once the isometries are built,
+        which a returning child triggers at ``_ISOMETRY_NODES`` nodes.  The
+        root calls ``cut`` on each child, depth 1 ``expand``.  Without
+        symmetry the cut is ``expand(stack, cand)`` node for node;
+        ``orbit_skips`` counts the root's children skipped as orbit-mates.
         """
         if self.nodes >= self.check_at:
             self._checkpoint()
         self.nodes += 1
-        order, colors = self._color_order(cand, self.best_size)
+        depth = len(stack)
+        order, colors = self._color_order(cand, self.best_size - depth + 1)
         adj, bits = self.adj, self.bits
-        stack = [v]
+        child = self.expand if depth else self.cut
         returned = 0
+        parts = None
         for idx in range(len(order) - 1, -1, -1):
-            if 1 + colors[idx] <= self.best_size:
+            if depth + colors[idx] <= self.best_size:
                 return
             w = order[idx]
             if not cand >> w & 1:
+                if not depth:
+                    self.orbit_skips += 1
                 continue
             stack.append(w)
             rest = cand & adj[w]
             if rest:
-                self.expand(stack, rest)
-            elif self.best_size < 2:
-                self.best, self.best_size = stack.copy(), 2
+                child(stack, rest)
+            elif len(stack) > self.best_size:
+                self.best, self.best_size = stack.copy(), len(stack)
             stack.pop()
             returned |= bits[w]
-            if cut is None:
+            if not depth:
+                if self.group is None and self.symmetry is not None and self.nodes >= _ORBIT_NODES:
+                    self._build_group()
+                parts = self.orbits
+            elif parts is None:
                 if self.isometries is not None and self.nodes >= _ISOMETRY_NODES:
                     self._build_isometries()
                 if self.label_perms is not None:
-                    cut = self.stabiliser(v)
-            cand &= ~(returned if cut is None else _cover(cut, returned))
+                    parts = self.stabiliser(stack[0])
+            cand &= ~(returned if parts is None else _cover(parts, returned))
+
+    def _checkpoint(self) -> None:
+        _check_deadline(self.deadline, "clique search")
+        self.check_at = self.nodes + 256
 
     def expand(self, stack: list[int], cand: int) -> None:
         if self.nodes >= self.check_at:
@@ -613,23 +542,6 @@ def _join(parts: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
             if np.array_equal(up, parts):
                 break
             parts = up
-
-
-_worker: tuple[_Search, list[int]] | None = None  # a pool process's search and seed
-
-
-def _start_worker(rows, seed, budget) -> None:
-    global _worker
-    _worker = (_Search(rows, None if budget is None else time.monotonic() + budget), seed)
-
-
-def _solve_branch(branch: tuple) -> tuple[int, tuple[int, ...], int]:
-    """A root branch (v, cand, parts), parts its stabiliser's or None."""
-    search, seed = _worker
-    search.seed(seed)
-    before = search.nodes
-    search.branch(*branch)
-    return search.best_size, tuple(search.best), search.nodes - before
 
 
 def greedy_seed_clique(G: GraphGU) -> list[int]:
@@ -855,8 +767,8 @@ class SolveStats:
     """What one exact solve did.
 
     ``vertices`` is the number of vertices searched (``_search_labels``),
-    ``nodes`` counts the search nodes expanded (over all workers) and
-    ``seed_size`` is the greedy seed clique's size.  ``group_order`` is the
+    ``nodes`` counts the search nodes expanded and ``seed_size`` is the
+    greedy seed clique's size.  ``group_order`` is the
     order of the automorphism group that pruned the root, or None when the
     search never built it (a small solve); ``orbit_skips`` counts the root
     vertices skipped as orbit-mates; ``isometries`` is the number of
@@ -864,8 +776,7 @@ class SolveStats:
     (a small solve, or U not a hyperplane).  ``rows_ms``, ``seed_ms`` and
     ``search_ms`` time, in the order they run, the search rows, the seed
     clique (extended on those rows) and the search itself (with the group
-    and any worker pool); ``workers`` is the number of pool processes that
-    searched, 1 when the root handed off nothing.
+    and the isometries).
     """
 
     vertices: int = 0
@@ -877,7 +788,6 @@ class SolveStats:
     rows_ms: float = 0.0
     seed_ms: float = 0.0
     search_ms: float = 0.0
-    workers: int = 1
 
 
 def _ms_since(start: float) -> float:
@@ -921,7 +831,6 @@ def _search(G: GraphGU, rows, label_of, vertex_of, deadline=None) -> _Search:
 def clique_number_exact(
     G: GraphGU,
     *,
-    workers: int = 1,
     time_limit: float | None = None,
     stats: SolveStats | None = None,
 ) -> tuple[int, tuple[int, ...]]:
@@ -930,26 +839,23 @@ def clique_number_exact(
     The search takes vertices by descending degree (ties by index), keeps
     bit-packed candidate sets, and starts from the constructive
     lower-bound cliques.  Results are deterministic for a fixed
-    configuration; the clique number itself is independent of the worker
-    count.  A clique holds at most one vertex of each F_q*-orbit of false
-    twins, and any one of them stands for the rest, so the search runs on
-    one vertex per orbit (``_search_labels``), with rows built in search
-    labels by ``_orbit_rows``; the seed cliques are extended on those rows
-    too, so the solve never packs the graph's own.  The seeds read U
-    through its canonical basis and a walk that stops at the first square
-    (``_seed_clique``), so the solve never lists U, and it never forms the
-    graph's degree list.  When the search finds no clique larger than the
+    configuration.  A clique holds at most one vertex of each F_q*-orbit
+    of false twins, and any one of them stands for the rest, so the search
+    runs on one vertex per orbit (``_search_labels``), with rows built in
+    search labels by ``_orbit_rows``; the seed cliques are extended on
+    those rows too, so the solve never packs the graph's own.  The seeds
+    read U through its canonical basis and a walk that stops at the first
+    square (``_seed_clique``), so the solve never lists U, and it never
+    forms the graph's degree list.  When the search finds no clique larger than the
     seed, the seed is the witness.
 
     The root's branches are cut by orbit under ``Automorphisms``, built
-    once the search has spent ``_ORBIT_NODES`` nodes; with ``workers`` > 1
-    the root branches from then on go to a pool of at most that many
-    processes (see ``_Search.root``).  For a hyperplane, the
-    ``isometries`` of its form are built when a depth-1 child returns with
-    ``_ISOMETRY_NODES`` nodes spent, or with the group when the root hands
-    branches off: their orbits, joined with the group's, cut the root, and
-    the orbits under those that fix v cut the children of the root branch
-    on v (``_Search.branch``).  Solves that end sooner never build them.
+    once the search has spent ``_ORBIT_NODES`` nodes.  For a hyperplane,
+    the ``isometries`` of its form are built when a depth-1 child returns
+    with ``_ISOMETRY_NODES`` nodes spent: their orbits, joined with the
+    group's, cut the root, and the orbits under those that fix v cut the
+    children of the root branch on v (``_Search.cut``).  Solves that end
+    sooner never build them.
 
     ``time_limit`` holds in every phase: the search rows come first, and
     the clock is checked after each block of them, after the seed, after
@@ -987,11 +893,10 @@ def clique_number_exact(
     start = time.perf_counter()
     search = _search(G, rows, label_of, vertex_of, deadline)
     search.seed(label_of[seed].tolist())
-    search.root((1 << len(rows)) - 1, workers)
+    search.cut([], (1 << len(rows)) - 1)
     stats.search_ms = _ms_since(start)
     stats.nodes = search.nodes
     stats.orbit_skips = search.orbit_skips
-    stats.workers = search.workers
     if search.group is not None:
         stats.group_order = search.group.order
     if search.label_perms is not None:
@@ -1013,7 +918,7 @@ def square_clique(G: GraphGU) -> tuple[int, tuple[int, ...]]:
     rows = _orbit_rows(G.ctx, G.U, label_of)
     search = _search(G, rows, label_of, vertex_of)
     search.seed([int(label_of[0])])
-    search.root(sum(1 << v for v in label_of[G._square_in_U].tolist()))
+    search.cut([], sum(1 << v for v in label_of[G._square_in_U].tolist()))
     witness = tuple(sorted(vertex_of[v] for v in search.best))
     t = rank(G.ctx, witness)
     if G.ctx.q**t != len(witness):

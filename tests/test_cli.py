@@ -24,13 +24,12 @@ class TestOmega:
         assert payload["exact"] == payload["predicted"] == 5
         assert payload["match"] is True
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_json_search_stats(self, capsys, workers):
+    def test_json_search_stats(self, capsys):
         # the trace-zero hyperplane of 2^1^9: its greedy seed is optimal, the
-        # Frobenius maps x -> x^(2^i) prune the root and, past 256 nodes (or at
-        # the hand-off to the pool), 12 isometries of Tr(xy) prune it further
+        # Frobenius maps x -> x^(2^i) prune the root and, past 256 nodes, 12
+        # isometries of Tr(xy) prune it further
         code = cli.main(["omega", "--field", "2^1^9", "--subspace", "ker-trace-of=1",
-                         "--mode", "exact", "--workers", workers])
+                         "--mode", "exact"])
         assert code == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"schema", "field", "subspace", "mode", "exact", "witness",
@@ -38,14 +37,13 @@ class TestOmega:
         search = payload["search"]
         assert set(search) == {"vertices", "nodes", "seed_size", "group_order",
                                "orbit_skips", "isometries", "rows_ms", "seed_ms",
-                               "search_ms", "workers"}
+                               "search_ms"}
         # q = 2: every F_q*-orbit is a single vertex, so all 512 are searched
         assert search["vertices"] == 512
         assert search["seed_size"] == payload["exact"] == 17
         assert search["group_order"] == 9
         assert search["isometries"] == 12
         assert search["nodes"] > 0 and search["orbit_skips"] > 0
-        assert search["workers"] == int(workers)
         phases = [search["rows_ms"], search["seed_ms"], search["search_ms"]]
         assert all(ms >= 0 for ms in phases)
         assert sum(phases) <= payload["runtime_ms"]
@@ -135,6 +133,7 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["omega", "--field", "2^1^3", "--subspace", "basis=1", "--no-dominance"],
          cli.EXIT_USAGE),
         (["bench", "--field", "2^1^3", "--limit", "-1"], cli.EXIT_USAGE),
+        # --workers, whatever its value, is an unknown option (cases at the end)
         (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "0"],
          cli.EXIT_USAGE),
         (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "-3"],
@@ -153,8 +152,8 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["survey", "--field", "2^1^3", "--time-limit", "-inf"], cli.EXIT_USAGE),
         (["bench", "--field", "2^1^3", "--workers", "-1"], cli.EXIT_USAGE),
         (["bench", "--field", "2^1^3", "--time-limit", "nan"], cli.EXIT_USAGE),
-        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "2",
-          "--time-limit", "30"], cli.EXIT_OK),
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--time-limit", "30"],
+         cli.EXIT_OK),
         (["survey", "--field", "2^1^3", "--format", "csv"], cli.EXIT_OK),
         (["survey", "--field", "2^1^3", "--format", "json"], cli.EXIT_USAGE),
         (["survey", "--field", "2^1^3", "--format", "human"], cli.EXIT_USAGE),
@@ -188,6 +187,11 @@ def test_print_modulus_builds_no_tables(monkeypatch, capsys, field, out):
         (["survey", "--field", "2^1^3", "--dim", "x"], cli.EXIT_USAGE),
         (["survey", "--field", "2^1^3", "--dim", "1,3"], cli.EXIT_USAGE),
         (["survey", "--field", "2^1^3", "--dim", "0"], cli.EXIT_USAGE),
+        # the search is serial: no command takes a worker count
+        (["omega", "--field", "2^1^4", "--subspace", "basis=1", "--workers", "2"],
+         cli.EXIT_USAGE),
+        (["survey", "--field", "2^1^3", "--workers", "2"], cli.EXIT_USAGE),
+        (["bench", "--field", "2^1^3", "--workers", "2"], cli.EXIT_USAGE),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -266,7 +270,7 @@ def _run_cli(*argv):
 
 
 def test_import_loads_no_process_pool():
-    # the pool's module is imported by the first parallel solve, not with the package
+    # the search is serial: importing the package loads no process pool module
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     code = "import sys, paleyvec.cli; sys.exit('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

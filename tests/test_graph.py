@@ -194,13 +194,6 @@ class TestCliqueNumber:
                 best = max(len(c) for c in enumerate_maximal_cliques(G))
                 assert clique_number_exact(G)[0] == best
 
-    def test_workers_agree(self):
-        ctx = build_field(3, 1, 3)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        seq = clique_number_exact(G, workers=1)
-        par = clique_number_exact(G, workers=2)
-        assert seq[0] == par[0] == 4
-
     def test_deterministic(self):
         ctx = build_field(3, 1, 3)
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
@@ -255,13 +248,6 @@ class TestCliqueNumber:
         [(labels, base_rows)] = self._one_block(G, monkeypatch)
         assert labels * base_rows <= graph._BLOCK_CELLS
         assert (labels, base_rows) == (ctx.order, graph._BLOCK_CELLS // ctx.order) == (8192, 128)
-
-    def test_time_limit_in_workers(self):
-        # workers start their own clock from the remaining budget
-        ctx = build_field(2, 1, 8)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        with pytest.raises(TimeLimitExceeded):
-            clique_number_exact(G, workers=2, time_limit=1e-9)
 
     @pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2)])
     def test_whole_field_is_complete(self, spec):
@@ -337,9 +323,9 @@ def _without_symmetry(m):
     m.setattr(graph, "isometries", _no_isometries)
 
 
-def _solve(G, **kwargs):
+def _solve(G):
     stats = SolveStats()
-    return clique_number_exact(G, stats=stats, **kwargs), stats
+    return clique_number_exact(G, stats=stats), stats
 
 
 class TestPinned:
@@ -370,15 +356,6 @@ class TestPinned:
         result, stats = _solve(G)
         assert (result, stats.nodes) == ((omega, witness), plain_nodes)
 
-    @pytest.mark.parametrize(
-        "spec,expected",
-        [((3, 1, 3), (4, (0, 3, 7, 15))), ((2, 1, 6), (8, (0, 1, 12, 13, 54, 55, 58, 59)))],
-    )
-    def test_parallel_witness(self, spec, expected):
-        ctx = build_field(*spec)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        assert clique_number_exact(G, workers=2) == expected
-
     @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
     def test_agrees_with_enumeration(self, spec):
         ctx = build_field(*spec)
@@ -393,10 +370,10 @@ class TestOrbitPruning:
     """The search pruned by orbit against the search without symmetry."""
 
     @staticmethod
-    def _plain(G, monkeypatch, **kwargs):
+    def _plain(G, monkeypatch):
         with monkeypatch.context() as m:
             _without_symmetry(m)
-            return _solve(G, **kwargs)
+            return _solve(G)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_SOLUTIONS))
     def test_every_subspace(self, spec, monkeypatch):
@@ -412,11 +389,6 @@ class TestOrbitPruning:
                     pruned, stats = _solve(G)
                 assert pruned == plain
                 assert stats.nodes <= plain_stats.nodes
-                # a worker pool, when one starts, may find another maximum
-                # clique than the serial root (TestHandOff)
-                size, witness = _solve(G, workers=2)[0]
-                assert size == plain[0] == len(witness)
-                assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
 
     @pytest.mark.parametrize("spec", [(2, 1, 7), (2, 1, 8), (2, 1, 9), (3, 1, 5)])
     def test_hyperplanes(self, spec, monkeypatch):
@@ -462,10 +434,7 @@ class TestOrbitPruning:
         G = build_graph(ctx, trace_zero_hyperplane(ctx))
         (omega, _), stats = _solve(G)
         assert stats.seed_size == len(graph.greedy_seed_clique(G)) == omega
-        (_, _), par = _solve(G, workers=2)
-        assert par.group_order == stats.group_order
-        assert par.seed_size == stats.seed_size
-        assert 0 < par.orbit_skips
+        assert 0 < stats.orbit_skips
 
 
 class TestHyperplaneOmega:
@@ -482,101 +451,6 @@ class TestHyperplaneOmega:
         omega, witness = clique_number_exact(G)
         assert omega == hyperplane_omega(U) == len(witness)
         assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
-
-
-class TestHandOff:
-    """One root for every worker count: the pool searches only the root
-    branches left once the automorphism group is built."""
-
-    def test_small_solves_start_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(graph, "ProcessPoolExecutor", no_pool)
-        for spec in sorted(PINNED_SOLUTIONS):
-            ctx = build_field(*spec)
-            for d in range(1, ctx.n):
-                for U in all_subspaces(ctx, d):
-                    G = build_graph(ctx, U)
-                    result, stats = _solve(G, workers=2)
-                    assert result == clique_number_exact(G)
-                    assert stats.workers == 1
-
-    def test_hand_off_from_the_first_branch(self, monkeypatch):
-        # every root branch that reaches a search node goes to the pool
-        monkeypatch.setattr(graph, "_ORBIT_NODES", 0)
-        ctx = build_field(2, 1, 4)
-        pools = 0
-        for d in range(1, ctx.n):
-            for U in all_subspaces(ctx, d):
-                G = build_graph(ctx, U)
-                omega = clique_number_exact(G)[0]
-                (size, witness), stats = _solve(G, workers=2)
-                assert size == omega == len(witness)
-                assert all(G.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
-                pools += stats.workers > 1
-        assert pools > 0
-
-    @pytest.mark.parametrize(
-        "spec,basis,expected",
-        [
-            # the seed (3 vertices) is not maximum: a task's larger clique wins
-            ((2, 1, 4), [5, 14], (4, (0, 4, 8, 15), 6)),
-            # hyperplanes: the parent builds the isometries at the hand-off,
-            # and each task carries its depth-1 cut (20 and 21 nodes before)
-            ((2, 1, 6), None, (8, (0, 1, 12, 13, 54, 55, 58, 59), 5)),
-            # odd q, searched one vertex per pair {v, -v} of false twins: the
-            # seed (5 vertices) is not maximum, and the serial witness wins
-            ((3, 1, 4), [1, 57, 63], (9, (0, 10, 20, 34, 44, 51, 59, 66, 76), 10)),
-        ],
-    )
-    def test_pool_witness(self, spec, basis, expected, monkeypatch):
-        # each root branch is a task of its own, from the root's incumbent, so
-        # the witness and the node count do not depend on which process took
-        # which task: two pools and the tasks run one by one here agree
-        monkeypatch.setattr(graph, "_ORBIT_NODES", 0)
-        ctx = build_field(*spec)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx) if basis is None else span(ctx, basis))
-        runs = [_solve(G, workers=2) for _ in range(2)]
-        monkeypatch.setattr(graph, "ProcessPoolExecutor", _InlinePool)
-        runs.append(_solve(G, workers=2))
-        for result, stats in runs:
-            assert (result + (stats.nodes,), stats.workers) == (expected, 2)
-
-    def test_running_branch_handed_off(self, monkeypatch):
-        # the root stops its first branch once it has spent _ORBIT_NODES nodes,
-        # so no process waits for that branch to return before the pool starts
-        ctx = build_field(2, 1, 9)
-        G = build_graph(ctx, trace_zero_hyperplane(ctx))
-        serial, serial_stats = _solve(G)
-        monkeypatch.setattr(graph, "ProcessPoolExecutor", _InlinePool)
-        _InlinePool.nodes = 0
-        result, stats = _solve(G, workers=2)
-        assert result[0] == serial[0]
-        assert stats.workers == 2 and stats.group_order == serial_stats.group_order
-        assert stats.nodes - _InlinePool.nodes == graph._ORBIT_NODES
-
-
-class _InlinePool:
-    """A stand-in for the process pool that searches its tasks in this
-    process, one after another, and counts the nodes they expand."""
-
-    nodes = 0
-
-    def __init__(self, workers, initializer, initargs):
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        for task in tasks:
-            result = fn(task)
-            _InlinePool.nodes += result[2]
-            yield result
 
 
 def _adjacency_matrix(G):
@@ -989,7 +863,7 @@ def _full_search(G):
     group = functools.partial(Automorphisms, G)
     search = graph._Search(rows, None, group, vertex_of, label_of)
     search.seed(label_of[seed].tolist())
-    search.root((1 << len(rows)) - 1)
+    search.cut([], (1 << len(rows)) - 1)
     witness = tuple(sorted(vertex_of[v] for v in search.best))
     return (search.best_size, witness), search.nodes
 
