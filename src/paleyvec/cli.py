@@ -30,6 +30,7 @@ from .errors import (
 from .forms import BilinearForm, M_of_form, chi_of_form
 from .gf import DEFAULT_TABLE_LIMIT, build_field, parse_field_spec, power_exceeds
 from .graph import (
+    DEFAULT_VERTEX_BUDGET,
     SolveStats,
     build_graph,
     check_vertex_budget,
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats):
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--max-vertices", type=_positive_int, default=None,
-                       help="vertex budget (default from PALEYVEC_BUDGET_VERTICES)")
+                       help=f"vertex budget (default {DEFAULT_VERTEX_BUDGET})")
         p.add_argument("--time-limit", type=_time_limit, default=None,
                        help="seconds, positive and finite")
 

@@ -42,10 +42,11 @@ two maps that generate it.
 
 A hyperplane U = ker Tr(cx) has more automorphisms: ab lies in U exactly
 when B(a, b) = Tr(cab) is 0, so every isometry of B is one.  ``isometries``
-builds twelve, transvections for even q and reflections for odd q, each a
-q^n-entry array certified as an isometry before use.  Once the search has
-spent 256 nodes, checked when a depth-1 child returns, it takes them as
-maps of its labels: their orbits, joined by the group's, cut the root, and
+builds twelve, transvections for even q and reflections for odd q, each
+a q^n-entry array extended linearly from its images of an F_p basis and
+certified as an isometry before use.  Once the search has spent 256
+nodes, checked when a depth-1 child returns, it takes them as maps of
+its labels: their orbits, joined by the group's, cut the root, and
 the orbits under those that fix a root branch's vertex cut that branch's
 children (isomorphism pruning at depth 1).  A hyperplane so keeps a
 handful of root orbits: the 2^1^11 trace-zero one takes 5,194 nodes, not
@@ -69,7 +70,6 @@ never lists U.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -87,7 +87,6 @@ from .errors import (
 from .gf import FieldCtx
 from .linalg import (
     Subspace,
-    _digit_add_np,
     extend_echelon,
     fp_combinations,
     functional_of_hyperplane,
@@ -97,26 +96,12 @@ from .linalg import (
 
 DEFAULT_VERTEX_BUDGET = 65536
 DEFAULT_CLIQUE_CAP = 10**6
-BUDGET_ENV_VAR = "PALEYVEC_BUDGET_VERTICES"
-
-
-def vertex_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_VERTEX_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BudgetExceeded(f"bad {BUDGET_ENV_VAR} value {raw!r}") from exc
-    if value < 1:
-        raise BudgetExceeded(f"bad {BUDGET_ENV_VAR} value {raw!r}")
-    return value
 
 
 def check_vertex_budget(n_vertices: int, max_vertices: int | None = None) -> None:
-    """Refuse a graph on more vertices than the budget (default from the environment)."""
+    """Refuse a graph on more vertices than the budget (default ``DEFAULT_VERTEX_BUDGET``)."""
     if max_vertices is None:
-        max_vertices = vertex_budget()
+        max_vertices = DEFAULT_VERTEX_BUDGET
     if n_vertices > max_vertices:
         raise BudgetExceeded(f"{n_vertices} vertices exceed the budget {max_vertices}")
 
@@ -405,10 +390,8 @@ class _Search:
         labels joined along its ``generators`` (the group maps whole twin
         orbits onto whole twin orbits, and so labels onto labels)."""
         self.group = self.symmetry()
-        labels = np.arange(len(self.adj))
-        gens = self.group.generators()
-        images = self.label_of[self.group.images(self.vertex_of, gens)]
-        self.orbits = _join(labels, np.repeat(labels, len(gens)), images.ravel())
+        images = self.group.images(self.vertex_of, self.group.generators())
+        self.orbits = _join(np.arange(len(self.adj)), self.label_of[images.T])
         _check_deadline(self.deadline, "the automorphism group")
 
     def _build_isometries(self) -> None:
@@ -420,17 +403,15 @@ class _Search:
         self.isometries = None
         if self.group is None:
             self._build_group()
-        labels = np.arange(len(self.adj))
-        self.orbits = _join(self.orbits, np.tile(labels, len(perms)), perms.ravel())
+        self.orbits = _join(self.orbits, perms)
         self.label_perms = perms
         _check_deadline(self.deadline, "the isometries")
 
     def stabiliser(self, v: int) -> np.ndarray:
         """The parts of the labels under the isometries that fix label v,
         as each label's least part-mate: those with B(a, v) = 0 fix v."""
-        perms = self.label_perms[self.label_perms[:, v] == v]
-        labels = np.arange(len(self.adj))
-        return _join(labels, np.tile(labels, len(perms)), perms.ravel())
+        perms = self.label_perms
+        return _join(np.arange(len(self.adj)), perms[perms[:, v] == v])
 
     def cut(self, stack: list[int], cand: int) -> None:
         """``expand(stack, cand)`` for a stack of at most one vertex, with
@@ -524,11 +505,15 @@ def _cover(parts: np.ndarray, labels: int) -> int:
     return int.from_bytes(np.packbits(met[parts], bitorder="little").tobytes(), "little")
 
 
-def _join(parts: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The partition ``parts`` (each label's least part-mate) with the
-    parts of us[i] and vs[i] joined for every i: a union-find in whole-array
+def _join(parts: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The partition ``parts`` (each label's least part-mate) with the part
+    of every label joined to the parts of its images under the label maps
+    ``perms`` (one row each, label -> label): a union-find in whole-array
     steps, each hooking the larger root of every split pair onto the
-    smaller, then pointing every label at its root."""
+    smaller, then pointing every label at its root, so that each part ends
+    at its least label whatever the order of the maps."""
+    us = np.broadcast_to(np.arange(perms.shape[1]), perms.shape).ravel()
+    vs = perms.ravel()
     parts = parts.copy()
     while True:
         ru, rv = parts[us], parts[vs]
@@ -705,19 +690,19 @@ def isometries(G: GraphGU) -> np.ndarray:
     x -> x + B(x, a) a with B(a, a) = 0 and, for odd q, the reflections
     x -> x - 2 B(x, a) / B(a, a) a with B(a, a) != 0, for a the first
     ``_ISOMETRY_GENERATORS`` powers g^j that qualify, j < (q^n - 1)/(q - 1)
-    (one per F_q*-orbit, which gives one map).  Each is a q^n-entry array,
-    x -> its image: B(x, a) is the trace table read at the log of ca x, and
-    x plus its multiple of a is a digit-wise sum.  Each array is certified
-    before use (``_certify_isometry``): a permutation, additive on every
-    F_p basis shift, that keeps B on every F_p basis pair; so it keeps B
-    everywhere, whatever built it.  Returns the arrays, one row each: k
-    rows of q^n int64.
+    (one per F_q*-orbit, which gives one map).  Each map is F_q-linear, so
+    it is built from its images of the F_p basis p^i, each one scalar
+    trace and a few field operations, extended to a q^n-entry array,
+    x -> its image, by ``linalg.fp_combinations``.  Each array is
+    certified before use (``_certify_isometry``): a permutation, equal to
+    the F_p-linear extension of its basis images, that keeps B on every
+    F_p basis pair; so it keeps B everywhere, whatever built it.  Returns
+    the arrays, one row each: k rows of q^n int64.
     """
     ctx = G.ctx
     p, q, mord = ctx.p, ctx.q, ctx.mord
     c = functional_of_hyperplane(G.U)
-    exp, log, trace = ctx._exp_np, ctx._log_np, ctx._trace_np
-    x = np.arange(ctx.order)
+    basis = [p**i for i in range(ctx.mn)]
     two = ctx.add(1, 1)
     perms = []
     for a in ctx._exp[:mord // (q - 1)]:
@@ -727,12 +712,10 @@ def isometries(G: GraphGU) -> np.ndarray:
         b_aa = ctx.trace(ctx.mul(ca, a))
         if (b_aa == 0) != (p == 2):
             continue
-        scale = 1 if p == 2 else ctx.neg(ctx.mul(two, ctx.inv(b_aa)))
-        # the element (scale * s) a for each scalar s of F_q
-        step = np.array([ctx.mul(ctx.mul(scale, s), a) for s in range(q)])
-        b_xa = trace[exp[(log[ca] + log) % mord]]
-        b_xa[0] = 0
-        perm = _digit_add_np(x, step[b_xa], p, ctx.mn)
+        # x -> x + B(x, a) s, s = a or -2 a / B(a, a)
+        s = a if p == 2 else ctx.mul(ctx.neg(ctx.mul(two, ctx.inv(b_aa))), a)
+        images = [ctx.add(e, ctx.mul(ctx.trace(ctx.mul(ca, e)), s)) for e in basis]
+        perm = fp_combinations(ctx, images)
         _certify_isometry(ctx, c, perm)
         perms.append(perm)
     return np.array(perms, dtype=np.int64).reshape(len(perms), ctx.order)
@@ -743,7 +726,9 @@ def _certify_isometry(ctx: FieldCtx, c: int, perm: np.ndarray) -> None:
     field that keeps B(x, y) = Tr(cxy): equal to the F_p-linear map with
     its images of the F_p basis p^i (``linalg.fp_combinations``), so
     additive on every basis shift, and keeping B on every pair of basis
-    elements, so keeping B, which is F_p-bilinear."""
+    elements, so keeping B, which is F_p-bilinear.  ``isometries`` builds
+    each array as that extension; the check reads only the array, so the
+    certificate does not rest on how it was built."""
     seen = np.zeros(ctx.order, dtype=bool)
     seen[perm] = True
     if not seen.all():

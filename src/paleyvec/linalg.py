@@ -115,18 +115,6 @@ def trace_pairing(ctx: FieldCtx, lam: int, elems: Iterable[int]) -> list[list[in
     return [[ctx.trace(ctx.mul(ctx.mul(lam, e), b)) for b in basis] for e in elems]
 
 
-def _digit_add_np(xs: np.ndarray, s: int, p: int, ndigits: int) -> np.ndarray:
-    """Element indices xs plus s, one element or an array of them: base-p
-    digits added mod p."""
-    if p == 2:
-        return xs ^ s
-    out = np.zeros_like(xs)
-    for j in range(ndigits):
-        place = p**j
-        out += (xs // place + s // place) % p * place
-    return out
-
-
 def fp_combinations(ctx: FieldCtx, gens: list[int]) -> np.ndarray:
     """The element sum_i d_i gens[i] at each index sum_i d_i p^i (digits
     d_i < p) below p^len(gens).

@@ -1,5 +1,7 @@
-"""Tests for the gain rule of ``tools/bench_pairs.py`` on fixed pair lists."""
+"""Tests for ``tools/bench_pairs.py``: the gain rule on fixed pair lists, and
+the two checkouts it runs from."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,34 @@ def _shifted(by):
 def test_gain_rule(change, better, wins, holds):
     assert bench_pairs.wins(PARENT, change, better) == wins
     assert bench_pairs.gain_holds(PARENT, change, better) is holds
+
+
+def test_roots_are_fresh_copies_of_equal_path_length(tmp_path):
+    # a repository whose working tree differs from its commit: one file
+    # edited, one deleted, one new and untracked
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "a.py").write_text("committed\n")
+    (repo / "b.py").write_text("deleted\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "a.py").write_text("edited\n")
+    (repo / "b.py").unlink()
+    (repo / "c.py").write_text("untracked\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    roots = bench_pairs.make_roots(repo, "HEAD", out)
+    assert set(roots) == {"parent", "change"}
+    assert len(str(roots["parent"])) == len(str(roots["change"]))
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+    assert files(roots["parent"]) == {"pkg/a.py": "committed\n", "b.py": "deleted\n"}
+    assert files(roots["change"]) == {"pkg/a.py": "edited\n"}

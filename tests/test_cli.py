@@ -254,15 +254,6 @@ def test_paleyvec_error_in_a_command_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: forged decomposition\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_budget_variable_exits_3(monkeypatch, capsys, value):
-    # the vertex budget is read from the environment by an exact solve
-    monkeypatch.setenv("PALEYVEC_BUDGET_VERTICES", value)
-    argv = ["omega", "--field", "2^1^4", "--subspace", "basis=1", "--mode", "exact"]
-    assert cli.main(argv) == cli.EXIT_BUDGET
-    assert capsys.readouterr().err == f"error: bad PALEYVEC_BUDGET_VERTICES value {value!r}\n"
-
-
 def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-m", "paleyvec.cli", *argv], env=env,

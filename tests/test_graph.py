@@ -151,12 +151,6 @@ class TestBuild:
         with pytest.raises(BudgetExceeded):
             build_graph(big, trace_zero_hyperplane(big), max_vertices=100)
 
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("PALEYVEC_BUDGET_VERTICES", "8")
-        ctx = build_field(2, 1, 4)
-        with pytest.raises(BudgetExceeded):
-            build_graph(ctx, trace_zero_hyperplane(ctx))
-
 
 class TestCliqueNumber:
     def test_dim1_f4(self):
@@ -436,6 +430,28 @@ class TestOrbitPruning:
         assert stats.seed_size == len(graph.greedy_seed_clique(G)) == omega
         assert 0 < stats.orbit_skips
 
+    def test_depth_one_cut_by_the_stabiliser_only(self):
+        # the circulant on Z_12 with connection set {3, ..., 9}, vertex a at
+        # label relabel[a], and one label map, the rotation a -> a + 1: it
+        # fixes no vertex, so below a root branch nothing may be cut.  Cut
+        # there by the root's orbits (one part), the search returns 3
+        relabel = [6, 11, 2, 10, 7, 9, 4, 0, 3, 8, 5, 1]
+        adj = [0] * 12
+        for a, b in itertools.permutations(range(12), 2):
+            if 3 <= (a - b) % 12 <= 9:
+                adj[relabel[a]] |= 1 << relabel[b]
+        rotation = np.array([[3, 6, 10, 8, 0, 1, 11, 9, 5, 4, 7, 2]])
+        assert all(rotation[0, relabel[a]] == relabel[(a + 1) % 12] for a in range(12))
+        brute = max(len(c) for k in range(1, 6) for c in itertools.combinations(range(12), k)
+                    if all(adj[u] >> v & 1 for u, v in itertools.combinations(c, 2)))
+        search = graph._Search(adj)
+        search.orbits = graph._join(np.arange(12), rotation)
+        search.label_perms = rotation
+        search.cut([], (1 << 12) - 1)
+        assert search.best_size == brute == 4
+        assert all(adj[u] >> v & 1 for u, v in itertools.combinations(search.best, 2))
+        assert search.nodes == 5
+
 
 class TestHyperplaneOmega:
     """The exact solve of a trace-zero hyperplane against the paper's closed form."""
@@ -556,7 +572,7 @@ def test_generators_give_the_orbits():
         assert 1 <= len(gens) <= 2
         assert {tuple(row) for row in gens.tolist()} <= {tuple(row) for row in group.maps.tolist()}
         vertices = np.arange(G.n_vertices)
-        parts = graph._join(vertices, np.repeat(vertices, len(gens)), group.images(vertices, gens).ravel())
+        parts = graph._join(vertices, group.images(vertices, gens).T)
         assert np.array_equal(parts, group.images(vertices).min(axis=1)), U.basis
 
 

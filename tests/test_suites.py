@@ -66,8 +66,8 @@ def test_crucial_searches_once_and_records_a_disagreement(monkeypatch):
 
 def _off_by_one(real):
     """``real`` with its exact value raised by one: an int, or a prediction's value."""
-    def shifted(U):
-        got = real(U)
+    def shifted(*args):
+        got = real(*args)
         return got + 1 if isinstance(got, int) else dataclasses.replace(got, value=got.value + 1)
 
     return shifted
@@ -82,17 +82,50 @@ def _off_by_one(real):
          [{"basis": [b], "error": "prediction 4 rejects 3"} for b in (1, 3, 2)]),
         ("prop-basic", "predict_omega",
          [{"basis": [b], "predicted": 4, "got": 3} for b in (1, 3, 2)]),
+        ("main", "omega_qn", [{"expected": 4, "got": 3}]),
     ],
 )
 def test_suite_records_an_injected_fault(name, target, records, monkeypatch, capsys):
     # 2^1^2 alone: its three lines are solved afresh (omega = 3), and each
-    # disagrees with a closed form or prediction set one too high; the suite
-    # records every instance, and verify exits 1
+    # disagrees with a closed form or prediction set one too high (for main,
+    # the one field's largest omega); the suite records every instance, and
+    # verify exits 1
     monkeypatch.setattr(suites, "_omega_cache", {})
     monkeypatch.setattr(suites, target, _off_by_one(getattr(suites, target)))
     want = [{"field": [2, 1, 2], **r} for r in records]
     report = suites.run_suite(name, qmax=2, nmax=2)
-    assert (report.instances, report.failures) == (3, want)
+    assert (report.instances, report.failures) == (len(want), want)
     argv = ["verify", "--suite", name, "--qmax", "2", "--nmax", "2"]
     assert cli.main(argv) == cli.EXIT_VERIFICATION
     assert json.loads(capsys.readouterr().out)["failures"] == want
+
+
+@pytest.mark.parametrize(
+    "name,instances,records",
+    [
+        ("crucial", 8,
+         [{"lam": lam, "error": "M formula 3 != search 4"} for lam in (3, 6)]),
+        ("census", 1,
+         [{"report": {"expected_size": 2, "sizes": {1: 2, -1: 2},
+                      "omegas": {1: [3, 4], -1: [3]}, "ok": False}}]),
+    ],
+)
+def test_suite_records_a_solve_fault(name, instances, records, monkeypatch, capsys):
+    # 3^1^2 alone: the solve of one of its four hyperplanes, span(1) =
+    # ker Tr(lam x) for the elements lam = 3 and 6, is one too high; crucial
+    # records those two multipliers, and census the sign class whose omega
+    # is no longer constant
+    monkeypatch.setattr(suites, "_omega_cache", {})
+    solve = suites.instance_omega
+
+    def off_by_one(U):
+        omega, witness = solve(U)
+        return (omega + 1 if U.basis == (1,) else omega), witness
+
+    monkeypatch.setattr(suites, "instance_omega", off_by_one)
+    want = [{"field": [3, 1, 2], **r} for r in records]
+    report = suites.run_suite(name, qmax=3, nmax=2)
+    assert (report.instances, report.failures) == (instances, want)
+    argv = ["verify", "--suite", name, "--qmax", "3", "--nmax", "2"]
+    assert cli.main(argv) == cli.EXIT_VERIFICATION
+    assert json.loads(capsys.readouterr().out)["failures"] == json.loads(json.dumps(want))

@@ -6,8 +6,11 @@ Run from the root of a checkout:
     python3 tools/bench_pairs.py --workload W [--pairs 10] [--base HEAD] [--seed 1]
 
 The parent side runs from the files committed at ``--base``, unpacked by
-``git archive`` into a temporary directory (the repository's worktrees are
-left alone); the change side runs from the working tree.  Each pair runs
+``git archive``; the change side runs from a snapshot of the working
+tree's tracked files (``git ls-files``).  Both are fresh directories of
+equal path length under one temporary directory (``make_roots``), so
+that neither side's times depend on where the checkout sits; the
+repository's worktrees are left alone.  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once on each side, each
 in a fresh process, and the side that runs first alternates from pair to
 pair.  The run length is ``run.py``'s own unless ``--seconds`` is given, and
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,10 +48,22 @@ from record_bench import run_workload
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def unpack(rev: str, into: Path) -> None:
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+def make_roots(root: Path, base: str, tmp: Path) -> dict[str, Path]:
+    """Each side's checkout of the repository at ``root``, made fresh under
+    ``tmp`` at paths of equal length: "parent" holds the files committed at
+    ``base``, "change" a copy of the working tree's tracked files."""
+    roots = {"parent": tmp / "parent", "change": tmp / "change"}
+    for path in roots.values():
+        path.mkdir()
+    archive = subprocess.run(["git", "archive", base], cwd=root, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(into, filter="data")
+        tar.extractall(roots["parent"], filter="data")
+    tracked = subprocess.run(["git", "ls-files", "-z"], cwd=root, capture_output=True, check=True)
+    for name in tracked.stdout.decode().split("\0"):
+        if (root / name).is_file():  # not "" (root itself) nor a deleted file
+            (roots["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, roots["change"] / name)
+    return roots
 
 
 def run(root: Path, args, metrics: list[dict]) -> dict:
@@ -108,9 +124,8 @@ def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json") as fh:
         metrics = json.load(fh)["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        unpack(args.base, Path(tmp))
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = make_roots(ROOT, args.base, Path(tmp))
         for pair in range(args.pairs):
             sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in sides:
